@@ -77,6 +77,7 @@ from .resolution import (
     StrandFrame,
     betti_numbers,
     linearity_defect,
+    lyubeznik_complex,
     lyubeznik_via_strands,
     minimal_resolution,
     minimize,

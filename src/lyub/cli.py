@@ -12,10 +12,16 @@ or, equivalently for an ideal given by generators::
 
 Variables are named x1..xn.  Masks are printed both as variable products and
 as 0/1 vectors.  All reported numbers are exact integers.
+
+Exit codes: 0 success; 1 a failed check or a refused computation
+(``error:``); 2 unreadable or malformed input (``input error:``);
+141 (128 + SIGPIPE) when stdout is closed before the report is written,
+as in ``lyub table a9.ideal | head -1``, with nothing printed.
 """
 
 import argparse
 import json
+import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -539,10 +545,24 @@ def _build_argparser() -> argparse.ArgumentParser:
     return ap
 
 
+EXIT_BROKEN_PIPE = 141
+
+
+def _read_text(path: str) -> str:
+    """The ideal file, or stdin for ``-``, as UTF-8 text."""
+    try:
+        if path == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
     try:
-        text = sys.stdin.read() if args.file == "-" else open(args.file).read()
+        text = _read_text(args.file)
         spec = parse_input(text)
         spec = replace(
             spec,
@@ -561,10 +581,19 @@ def main(argv=None) -> int:
     except LyubError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if spec.output == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_report(spec, report))
+    try:
+        if spec.output == "json":
+            print(json.dumps(report, indent=2))
+        else:
+            print(render_report(spec, report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The unwritten report is still buffered; send it to devnull so the
+        # interpreter's final flush of stdout cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     if "check" in report and not report["check"]["ok"]:
         return 1
     return 0

@@ -137,9 +137,10 @@ class MonomialIdeal:
     """A squarefree monomial ideal given by its minimal generators.
 
     ``gens`` is the canonical form: divisibility-minimal masks sorted by
-    (popcount, numeric value).  Two ideals are equal iff their canonical
-    forms are equal.  The zero ideal has no generators; the unit ideal is
-    generated by the empty mask.
+    (popcount, numeric value).  Any generating family is accepted and
+    canonicalized, so two ideals are equal iff they are the same ideal.  The
+    zero ideal has no generators; the unit ideal is generated by the empty
+    mask.
     """
 
     n: int
@@ -149,6 +150,7 @@ class MonomialIdeal:
         _check_n(self.n)
         for g in self.gens:
             _check_mask(g, self.n)
+        object.__setattr__(self, "gens", tuple(_minimal_masks(self.gens)))
 
     @property
     def is_zero(self) -> bool:
@@ -182,11 +184,7 @@ class MonomialIdeal:
 
 def minimalize(n: int, raw_gens) -> MonomialIdeal:
     """Canonical ideal from an arbitrary squarefree generator list."""
-    _check_n(n)
-    gens = list(raw_gens)
-    for g in gens:
-        _check_mask(g, n)
-    return MonomialIdeal(n, tuple(_minimal_masks(gens)))
+    return MonomialIdeal(n, tuple(raw_gens))
 
 
 def _require_proper_nonzero(ideal: MonomialIdeal) -> None:

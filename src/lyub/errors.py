@@ -1,11 +1,26 @@
-"""Exception hierarchy and global resource caps."""
+"""Exception hierarchy and global resource caps.
+
+The free resolutions behind the strand route are built as the Lyubeznik
+resolution and capped by their cell count and by the divisibility tests
+that find the cells, not by the generator count; the Lyubeznik resolution
+stays far below the Taylor size, so ``--check`` reaches n = 8-9.
+"""
 
 # Everything that enumerates {0,1}^n is exponential in n; this cap keeps the
 # worst case around 16M masks.
 MAX_VARIABLES = 24
 
-# The Taylor complex has 2^q basis elements for q generators.
-MAX_TAYLOR_GENERATORS = 20
+# Basis elements (cells) of one free complex before minimization: the Taylor
+# complex on 20 generators.  The Taylor complex on q generators has 2^q - 1
+# cells; the Lyubeznik resolution is a subcomplex, often a far smaller one.
+MAX_RESOLUTION_CELLS = 2**20 - 1
+
+# Divisibility tests the Lyubeznik enumeration may spend finding admissible
+# sets, charged at their worst case before each level: 20 per cell of the
+# cap, 20 being the generator count of the largest Taylor complex under it.
+# Many generators with few admissible sets are refused by this cap rather
+# than by the cell count.
+MAX_RESOLUTION_TESTS = 20 * MAX_RESOLUTION_CELLS
 
 
 class LyubError(Exception):

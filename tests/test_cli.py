@@ -1,9 +1,16 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lyub
 from lyub import InputError, QQ, intersect_face_ideals, prime_field
 from lyub.cli import (
+    EXIT_BROKEN_PIPE,
     main,
     parse_field,
     parse_input,
@@ -203,3 +210,40 @@ def test_cli_table_check_flag(tmp_path):
     path = tmp_path / "a5.ideal"
     path.write_text(A5_PRIMES)
     assert main(["table", str(path), "--check"]) == 0
+
+
+def test_main_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.ideal"
+    path.write_bytes("n=4;\n# caf\xe9\ngens: x1*x2;\n".encode("latin-1"))
+    assert main(["table", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "UTF-8" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_main_non_utf8_stdin(monkeypatch, capsys):
+    # stdin is decoded as UTF-8 whatever the locale's encoding
+    data = "n=4;\n# caf\xe9\ngens: x1*x2;\n".encode("latin-1")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), "latin-1"))
+    assert main(["table", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: -:") and "UTF-8" in err
+
+
+def test_main_closed_stdout_exits_quietly(tmp_path):
+    path = tmp_path / "a5.ideal"
+    path.write_text(A5_PRIMES)
+    src = str(Path(lyub.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lyub.cli", "table", str(path)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_BROKEN_PIPE
+    assert proc.stderr == b""

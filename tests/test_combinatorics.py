@@ -203,3 +203,13 @@ def test_a6_a7_generators_match_brute():
             if not (i == 1 and j == n)
         ]
         assert list(ideal.gens) == brute_intersection_gens(n, comps)
+
+
+def test_constructor_canonicalizes_generators():
+    ideal = MonomialIdeal(3, (3, 1))
+    assert ideal.gens == (1,)
+    assert ideal == minimalize(3, [3, 1])
+    assert alexander_dual(alexander_dual(ideal)) == ideal
+    assert MonomialIdeal(3, (6, 1, 3)) == MonomialIdeal(3, (1, 6))
+    with pytest.raises(InputError):
+        MonomialIdeal(3, (8,))

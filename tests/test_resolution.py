@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from lyub import (
     betti_numbers,
     build_hypercube,
     linearity_defect,
+    lyubeznik_complex,
     lyubeznik_table,
     lyubeznik_via_strands,
     minimal_resolution,
@@ -20,10 +22,11 @@ from lyub import (
     strand_homology,
     taylor_complex,
 )
+from lyub import resolution
 from lyub.combinatorics import MonomialIdeal, mask_of, popcount
 from lyub.tables import BettiTable
 
-from .conftest import gens_ideal
+from .conftest import cycle_nonedge_ideal, gens_ideal
 from .oracles import hochster_betti_counts, random_ideal
 
 F2 = prime_field(2)
@@ -76,6 +79,9 @@ def test_minimize_forward_reverse_confluence(a5, ex53, ex57, ex46):
         fwd = minimize(cx, order="forward")
         rev = minimize(cx, order="reverse")
         assert fwd.degrees == rev.degrees
+        for f in (QQ, F2):
+            lcx = minimize(lyubeznik_complex(ideal, f))
+            assert lcx.degrees == minimize(taylor_complex(ideal, f)).degrees
 
 
 def test_betti_two_generator_example():
@@ -201,3 +207,88 @@ def test_minimized_complex_invariants(ex53, ex57):
         for j in range(len(res.diffs) - 1):
             prod = res.differential_matrix(j).matmul(res.differential_matrix(j + 1))
             assert prod.is_zero_matrix()
+
+
+def test_lyubeznik_complex_cell_counts():
+    duals = [alexander_dual(cycle_nonedge_ideal(n)) for n in (7, 8)]
+    cells = [sum(len(t) for t in lyubeznik_complex(d, QQ).degrees) for d in duals]
+    assert cells == [367, 1295]
+
+
+def test_lyubeznik_complex_is_taylor_restricted(a4, a5, ex53, ex57, ex46):
+    rng = random.Random(29)
+    ideals = [alexander_dual(i) for i in (a4, a5, ex53, ex57, ex46)]
+    ideals += [random_ideal(rng, rng.randint(2, 6)) for _ in range(15)]
+    for ideal in ideals:
+        for f in (QQ, F2):
+            lcx = lyubeznik_complex(ideal, f)
+            tcx = taylor_complex(ideal, f)
+            assert lcx.num_terms() == tcx.num_terms()
+            positions = []
+            for j in range(tcx.num_terms()):
+                where = {s: i for i, s in enumerate(tcx.labels[j])}
+                pos = [where[s] for s in lcx.labels[j]]
+                assert [tcx.degrees[j][i] for i in pos] == list(lcx.degrees[j])
+                positions.append(pos)
+            for j, dd in enumerate(lcx.diffs):
+                rows = {t: i for i, t in enumerate(positions[j])}
+                cols = {t: i for i, t in enumerate(positions[j + 1])}
+                restricted = {
+                    (rows[r], cols[c]): v
+                    for (r, c), v in tcx.diffs[j].items()
+                    if r in rows and c in cols
+                }
+                assert dd == restricted
+
+
+def test_lyubeznik_complex_zero_and_unit_ideals():
+    assert lyubeznik_complex(MonomialIdeal(3, ()), QQ).degrees == ()
+    with pytest.raises(DomainError):
+        lyubeznik_complex(MonomialIdeal(2, (0,)), QQ)
+
+
+def test_lyubeznik_complex_cell_cap():
+    # every subset of the 21 edges of a path is admissible: 2^21 - 1 cells
+    path = MonomialIdeal(22, tuple(0b11 << i for i in range(21)))
+    with pytest.raises(ResourceError, match="exceed"):
+        lyubeznik_complex(path, F2)
+
+
+def test_lyubeznik_complex_many_generators_refused_before_testing(monkeypatch):
+    # the 1001 4-subsets of 14 variables: few admissible pairs, but about
+    # 1.7 * 10^8 divisibility tests in the worst case at the second level
+    quads = MonomialIdeal(14, tuple(mask_of(c) for c in combinations(range(14), 4)))
+
+    def no_test(*_):
+        raise AssertionError("a divisibility test ran before the refusal")
+
+    monkeypatch.setattr(resolution, "contains", no_test)
+    with pytest.raises(ResourceError, match="divisibility tests"):
+        betti_numbers(quads, F2)
+
+
+def test_betti_matches_hochster_oracle_f2_duals(a4, a5, a6, ex46):
+    rng = random.Random(37)
+    ideals = [alexander_dual(i) for i in (a4, a5, a6, ex46)]
+    ideals += [alexander_dual(random_ideal(rng, rng.randint(2, 5))) for _ in range(10)]
+    for ideal in ideals:
+        if not ideal.is_proper_nonzero:
+            continue
+        bt = betti_numbers(ideal, F2)
+        assert bt == BettiTable.from_counts(hochster_betti_counts(ideal, F2))
+
+
+def test_lyubeznik_table_check_a8(field):
+    lyubeznik_table(cycle_nonedge_ideal(8), field, check=True)
+
+
+def test_minimized_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(resolution, "MINIMIZED_CACHE_SIZE", 3)
+    monkeypatch.setattr(resolution, "_minimized_cache", {})
+    ideals = [gens_ideal(5, [[i], [j]]) for i in range(1, 6) for j in range(i + 1, 6)]
+    for ideal in ideals:
+        minimal_resolution(ideal, QQ)
+        assert len(resolution._minimized_cache) <= 3
+    # oldest first: the last three requests are the ones kept
+    kept = [key[1] for key in resolution._minimized_cache]
+    assert kept == [ideal.gens for ideal in ideals[-3:]]
