@@ -24,7 +24,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .combinatorics import (
@@ -39,7 +38,7 @@ from .combinatorics import (
     popcount,
 )
 from .errors import InputError, LyubError
-from .hypercube import build_hypercube
+from .hypercube import build_hypercube  # noqa: F401  (perfbench traces this binding)
 from .invariants import (
     bass_table,
     betti_matches_hypercube,
@@ -256,16 +255,7 @@ def _requested_degrees(spec: ProblemSpec, r: int | None) -> list[int]:
     return nonzero_cohomology_degrees(ideal, spec.field)
 
 
-def _prebuild(spec: ProblemSpec, degrees, threads: int) -> None:
-    """Optional concurrent fan-out of the hypercube builds over r."""
-    if threads <= 1:
-        return
-    ideal = spec.ideal()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda r: build_hypercube(ideal, r, spec.field), degrees))
-
-
-def run(spec: ProblemSpec, r: int | None = None, threads: int = 1) -> dict:
+def run(spec: ProblemSpec, r: int | None = None) -> dict:
     """Execute the requested computations and return the JSON-shaped report."""
     ideal = spec.ideal()
     report: dict = {"n": spec.n, "field": field_name(spec.field)}
@@ -293,7 +283,6 @@ def run(spec: ProblemSpec, r: int | None = None, threads: int = 1) -> dict:
             report["routes_checked"] = True
     if "bass" in want:
         degrees = _requested_degrees(spec, r)
-        _prebuild(spec, degrees, threads)
         items = []
         for rr in degrees:
             bt = bass_table(ideal, rr, spec.field)
@@ -309,7 +298,6 @@ def run(spec: ProblemSpec, r: int | None = None, threads: int = 1) -> dict:
         report["bass"] = maybe_single(items)
     if "dual_bass" in want:
         degrees = _requested_degrees(spec, r)
-        _prebuild(spec, degrees, threads)
         items = []
         for rr in degrees:
             dt = dual_bass_table(ideal, rr, spec.field)
@@ -351,7 +339,6 @@ def run(spec: ProblemSpec, r: int | None = None, threads: int = 1) -> dict:
         report["linearity_defect"] = linearity_defect(ideal, spec.field)
     if "supp" in want:
         degrees = _requested_degrees(spec, r)
-        _prebuild(spec, degrees, threads)
         items = []
         for rr in degrees:
             small, big = small_support(ideal, rr, spec.field)
@@ -366,7 +353,6 @@ def run(spec: ProblemSpec, r: int | None = None, threads: int = 1) -> dict:
         report["supp"] = maybe_single(items)
     if "dims" in want:
         degrees = _requested_degrees(spec, r)
-        _prebuild(spec, degrees, threads)
         items = []
         for rr in degrees:
             rec = injective_dimensions(ideal, rr, spec.field)
@@ -540,8 +526,6 @@ def _build_argparser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--check", action="store_true",
                        help="cross-validate the two Lyubeznik routes")
-        p.add_argument("--parallel", type=int, default=1, metavar="THREADS",
-                       help="fan hypercube builds over this many threads")
     return ap
 
 
@@ -571,7 +555,7 @@ def main(argv=None) -> int:
             output="json" if args.json else "text",
             check=args.check or args.command == "check",
         )
-        report = run(spec, r=args.r, threads=max(args.parallel, 1))
+        report = run(spec, r=args.r)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

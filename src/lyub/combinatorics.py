@@ -66,10 +66,6 @@ def mask_vector(mask: int, n: int) -> tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(n))
 
 
-def vector_mask(vec) -> int:
-    return mask_of(i for i, v in enumerate(vec) if v)
-
-
 def mask_str(mask: int, n: int) -> str:
     """Render as a product of variables, '1' for the empty mask."""
     if mask == 0:

@@ -81,6 +81,9 @@ class Hypercube:
         return sum(d for a, d in self.dims.items() if popcount(a) == level)
 
 
+# Cubes kept by ``build_hypercube``; the oldest is evicted first.  One pass
+# over a few ideals, every r and two fields holds well under this many.
+HYPERCUBE_CACHE_SIZE = 128
 _cache: dict[tuple, Hypercube] = {}
 
 
@@ -148,6 +151,8 @@ def build_hypercube(ideal: MonomialIdeal, r: int, field: Field) -> Hypercube:
 
     cube = Hypercube(n, r, field, dims, edge_mats)
     _verify_commutativity(cube)
+    while len(_cache) >= HYPERCUBE_CACHE_SIZE:
+        del _cache[next(iter(_cache))]
     _cache[key] = cube
     return cube
 

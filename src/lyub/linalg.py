@@ -1,15 +1,21 @@
 """Exact linear algebra over Q and prime fields F_p.
 
-Scalars are plain Python objects: ``fractions.Fraction`` over Q, ints in
-[0, p) over F_p.  Matrices are dense row-major lists; everything at the
-scale of this package is at most a few thousand rows.  Rank over Q uses
-Bareiss fraction-free elimination on an integer-cleared copy so that
-intermediate values stay integral.
+Scalars are plain Python objects.  Over Q they are ints wherever the value
+is integral and ``fractions.Fraction`` only where a division by a non-unit
+leaves a non-integer; ints and Fractions compare and hash equal, so the two
+never need telling apart.  Over F_p they are ints in [0, p).
+
+``ExactMatrix`` stores its entries as row lists, but every elimination runs
+on sparse rows ({col: int}) in one engine shared by both kinds of field:
+over Q the rows stay integral (fraction-free updates, each rescaled row
+divided by its gcd), over F_p they are reduced mod p.  Products walk only
+the nonzero entries of the right factor.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from .errors import ContractError, InputError
 
@@ -19,9 +25,13 @@ from .errors import ContractError, InputError
 
 
 class Field:
-    """A field of scalars.  ``kind`` is 'rationals' or 'prime_field'."""
+    """A field of scalars.  ``kind`` is 'rationals' or 'prime_field'.
+
+    ``p`` is the characteristic: 0 over Q, the modulus over F_p.
+    """
 
     kind: str
+    p: int
 
     def key(self):
         raise NotImplementedError
@@ -30,34 +40,45 @@ class Field:
         return self.name()
 
 
+def _rational(x):
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class RationalField(Field):
     kind = "rationals"
+    p = 0
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def coerce(self, x):
-        return Fraction(x)
+        return _rational(x)
 
     def add(self, a, b):
-        return a + b
+        return _rational(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _rational(a - b)
 
     def neg(self, a):
         return -a
 
     def mul(self, a, b):
-        return a * b
+        return _rational(a * b)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        if a == 1 or a == -1:
+            return int(a)
+        return _rational(1 / Fraction(a))
 
     def is_zero(self, a):
         return a == 0
@@ -139,7 +160,11 @@ def prime_field(p: int) -> PrimeField:
 
 
 class ExactMatrix:
-    """Dense matrix with entries in a fixed field, reduced at construction."""
+    """Matrix with entries in a fixed field, reduced at construction.
+
+    ``data`` holds the rows as lists; the elimination routines below read it
+    into sparse rows.
+    """
 
     __slots__ = ("field", "rows", "cols", "data")
 
@@ -148,12 +173,21 @@ class ExactMatrix:
         self.rows = rows
         self.cols = cols
         if data is None:
-            z = field.zero()
-            self.data = [[z] * cols for _ in range(rows)]
+            self.data = [[0] * cols for _ in range(rows)]
         else:
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise InputError("matrix data shape mismatch")
             self.data = [[field.coerce(x) for x in row] for row in data]
+
+    @classmethod
+    def _wrap(cls, field, rows, cols, data):
+        """Adopt rows of already reduced entries without copying them."""
+        out = cls.__new__(cls)
+        out.field = field
+        out.rows = rows
+        out.cols = cols
+        out.data = data
+        return out
 
     @classmethod
     def zeros(cls, field, rows, cols):
@@ -177,59 +211,45 @@ class ExactMatrix:
         return ExactMatrix(self.field, self.rows, self.cols, [row[:] for row in self.data])
 
     def transpose(self):
-        out = ExactMatrix(self.field, self.cols, self.rows)
-        for i in range(self.rows):
-            row = self.data[i]
-            for j in range(self.cols):
-                out.data[j][i] = row[j]
-        return out
+        if self.rows:
+            data = [list(col) for col in zip(*self.data)]
+        else:
+            data = [[] for _ in range(self.cols)]
+        return ExactMatrix._wrap(self.field, self.cols, self.rows, data)
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
+        """The product, walking only the nonzero entries of ``other``."""
         if self.cols != other.rows:
             raise InputError("matmul shape mismatch")
-        f = self.field
-        out = ExactMatrix(f, self.rows, other.cols)
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = out.data[i]
-            for k in range(self.cols):
-                a = arow[k]
-                if f.is_zero(a):
-                    continue
-                brow = other.data[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if not f.is_zero(b):
-                        orow[j] = f.add(orow[j], f.mul(a, b))
-        return out
+        p = self.field.p
+        right = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
+        data = []
+        for arow in self.data:
+            acc = {}
+            for k, a in enumerate(arow):
+                if a:
+                    for j, b in right[k]:
+                        acc[j] = acc.get(j, 0) + a * b
+            row = [0] * other.cols
+            for j, v in acc.items():
+                row[j] = v % p if p else _rational(v)
+            data.append(row)
+        return ExactMatrix._wrap(self.field, self.rows, other.cols, data)
 
     __matmul__ = matmul
 
     def scaled(self, c) -> "ExactMatrix":
         f = self.field
         c = f.coerce(c)
-        return ExactMatrix(
+        return ExactMatrix._wrap(
             f, self.rows, self.cols, [[f.mul(c, x) for x in row] for row in self.data]
         )
 
-    def mul_vector(self, vec):
-        f = self.field
-        out = []
-        for i in range(self.rows):
-            acc = f.zero()
-            row = self.data[i]
-            for j, v in enumerate(vec):
-                if not f.is_zero(v):
-                    acc = f.add(acc, f.mul(row[j], v))
-            out.append(acc)
-        return out
-
-    def column(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
-
     def is_zero_matrix(self) -> bool:
-        f = self.field
-        return all(f.is_zero(x) for row in self.data for x in row)
+        p = self.field.p
+        if p:
+            return all(x % p == 0 for row in self.data for x in row)
+        return not any(map(any, self.data))
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -244,9 +264,6 @@ class ExactMatrix:
     def __repr__(self):
         return f"ExactMatrix({self.field.name()}, {self.rows}x{self.cols})"
 
-    def pretty(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.data)
-
 
 def hstack(field, blocks, rows):
     """Concatenate matrices (all with ``rows`` rows) side by side."""
@@ -257,9 +274,7 @@ def hstack(field, blocks, rows):
         for i in range(rows):
             data[i].extend(b.data[i])
     cols = sum(b.cols for b in blocks)
-    out = ExactMatrix(field, rows, cols)
-    out.data = data if rows else []
-    return out
+    return ExactMatrix._wrap(field, rows, cols, data)
 
 
 def block_matrix(field, row_dims, col_dims, blocks) -> ExactMatrix:
@@ -287,84 +302,187 @@ def block_matrix(field, row_dims, col_dims, blocks) -> ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _rank_bareiss(int_rows) -> int:
-    """Fraction-free Gaussian elimination on integer rows."""
-    m = [row[:] for row in int_rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    prev = 1
-    for c in range(ncols):
-        piv = next((i for i in range(rank, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        pivval = m[rank][c]
-        for i in range(rank + 1, nrows):
-            mic = m[i][c]
-            rowr = m[rank]
-            rowi = m[i]
-            for j in range(c + 1, ncols):
-                rowi[j] = (pivval * rowi[j] - mic * rowr[j]) // prev
-            rowi[c] = 0
-        prev = pivval
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+def _sparse_rows(mat: ExactMatrix) -> list[dict]:
+    """One {col: int} dict per row, zeros left out.
+
+    Over F_p the entries are reduced mod p; over Q a row with fractions is
+    scaled by the lcm of its denominators, which leaves its span unchanged.
+    """
+    p = mat.field.p
+    out = []
+    for row in mat.data:
+        if p:
+            srow = {j: v % p for j, v in enumerate(row) if v % p}
+        else:
+            srow = {j: v for j, v in enumerate(row) if v}
+            if any(type(v) is not int for v in srow.values()):
+                scale = lcm(*(Fraction(v).denominator for v in srow.values()))
+                srow = {j: int(v * scale) for j, v in srow.items()}
+        out.append(srow)
+    return out
+
+
+def _eliminate(row: dict, rid: int, prow: dict, pc: int, inv: int, p: int,
+               index: dict) -> None:
+    """Clear column ``pc`` of ``row`` (id ``rid``) against the pivot row.
+
+    Over F_p ``inv`` is the inverse of ``prow[pc]``.  Over Q the row stays
+    integral: where the pivot does not divide ``row[pc]`` the row is first
+    scaled, and a scaled row is then divided by the gcd of its entries.
+    ``index`` (col -> ids of the rows with an entry there) follows every
+    entry that appears or cancels.
+    """
+    b = row[pc]
+    scale = 1
+    if p:
+        t = b * inv % p
+    else:
+        a = prow[pc]
+        if b % a:
+            g = gcd(a, b)
+            scale, t = a // g, b // g
+            for c in row:
+                row[c] *= scale
+        else:
+            t = b // a
+    for c, v in prow.items():
+        x = row.get(c, 0) - t * v
+        if p:
+            x %= p
+        if x:
+            if c not in row:
+                index[c].add(rid)
+            row[c] = x
+        else:
+            del row[c]
+            index[c].discard(rid)
+    if scale != 1 and row:
+        g = gcd(*row.values())
+        if g > 1:
+            for c in row:
+                row[c] //= g
+
+
+def _column_index(rows: list[dict]) -> dict[int, set]:
+    index: dict[int, set] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            index.setdefault(c, set()).add(i)
+    return index
 
 
 def rank(mat: ExactMatrix) -> int:
-    """Exact rank; Bareiss over Q, ordinary elimination over F_p."""
+    """Exact rank by sparse elimination.
+
+    The shortest remaining row is the pivot row; its pivot is a unit entry
+    (±1 over Q, any nonzero over F_p) where it has one, else its smallest
+    entry, with ties going to the column with the fewest entries.
+    """
     if mat.rows == 0 or mat.cols == 0:
         return 0
-    if mat.field.kind == "rationals":
-        int_rows = []
-        for row in mat.data:
-            scale = lcm(*(x.denominator for x in row)) if row else 1
-            int_rows.append([int(x * scale) for x in row])
-        return _rank_bareiss(int_rows)
-    _, pivots = rref(mat)
-    return len(pivots)
+    p = mat.field.p
+    rows = _sparse_rows(mat)
+    index = _column_index(rows)
+    live = {i: row for i, row in enumerate(rows) if row}
+    heap = [(len(row), i) for i, row in live.items()]
+    heapify(heap)
+    r = 0
+    while heap:
+        n, i = heappop(heap)
+        prow = live.get(i)
+        if prow is None or len(prow) != n:
+            continue  # eliminated, or queued again at its new length
+        del live[i]
+        for c in prow:
+            index[c].discard(i)
+        if p:
+            pc = min(prow, key=lambda c: len(index[c]))
+            inv = pow(prow[pc], -1, p)
+        else:
+            pc = min(prow, key=lambda c: (abs(prow[c]), len(index[c])))
+            inv = 0
+        for k in list(index[pc]):
+            row = live[k]
+            _eliminate(row, k, prow, pc, inv, p, index)
+            if row:
+                heappush(heap, (len(row), k))
+            else:
+                del live[k]
+        r += 1
+    return r
 
 
 def rank_naive(mat: ExactMatrix) -> int:
-    """Rank by plain field-arithmetic elimination (cross-check for Bareiss)."""
-    _, pivots = rref(mat)
-    return len(pivots)
+    """Rank by plain dense field-arithmetic elimination.
+
+    Shares no code with ``rank``, so it can cross-check the sparse engine.
+    """
+    f = mat.field
+    m = [row[:] for row in mat.data]
+    r = 0
+    for c in range(mat.cols):
+        piv = next((i for i in range(r, mat.rows) if not f.is_zero(m[i][c])), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = f.inv(m[r][c])
+        for i in range(r + 1, mat.rows):
+            if not f.is_zero(m[i][c]):
+                factor = f.mul(m[i][c], inv)
+                m[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
 
 
 def rref(mat: ExactMatrix):
     """Reduced row echelon form; returns (rref ExactMatrix, pivot columns).
 
     Deterministic: columns scanned left to right, first nonzero row used as
-    pivot.
+    pivot (rows swap into place as in dense elimination).  The reduced form
+    of a matrix is unique, so the rows come out exactly as a dense
+    elimination over the field would give them.
     """
     f = mat.field
-    m = [row[:] for row in mat.data]
+    p = f.p
     nrows, ncols = mat.rows, mat.cols
+    rows = _sparse_rows(mat)
+    index = _column_index(rows)
+    order = list(range(nrows))  # order[position] = row id
+    pos = list(range(nrows))  # pos[row id] = position
     pivots = []
     r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if not f.is_zero(m[i][c])), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = f.inv(m[r][c])
-        m[r] = [f.mul(inv, x) for x in m[r]]
-        for i in range(nrows):
-            if i != r and not f.is_zero(m[i][c]):
-                factor = m[i][c]
-                rowr = m[r]
-                m[i] = [f.sub(x, f.mul(factor, rowr[j])) for j, x in enumerate(m[i])]
-        pivots.append(c)
-        r += 1
+    for c in sorted(index):
         if r == nrows:
             break
-    out = ExactMatrix(f, nrows, ncols)
-    out.data = m
-    return out, pivots
+        cand = [i for i in index[c] if pos[i] >= r]
+        if not cand:
+            continue
+        i = min(cand, key=pos.__getitem__)
+        j, at = order[r], pos[i]
+        order[r], order[at] = i, j
+        pos[i], pos[j] = r, at
+        prow = rows[i]
+        if p:
+            inv = pow(prow[c], -1, p)
+            for k in prow:
+                prow[k] = prow[k] * inv % p
+        for k in list(index[c]):
+            if k != i:
+                _eliminate(rows[k], k, prow, c, 1, p, index)
+        pivots.append(c)
+        r += 1
+    data = []
+    for t in range(nrows):
+        out = [0] * ncols
+        if t < r:
+            # over Q the pivot row is an integer multiple of its reduced form
+            row = rows[order[t]]
+            a = row[pivots[t]]
+            for k, v in row.items():
+                q, rem = divmod(v, a)
+                out[k] = Fraction(v, a) if rem else q
+        data.append(out)
+    return ExactMatrix._wrap(f, nrows, ncols, data), pivots
 
 
 def kernel_basis(mat: ExactMatrix) -> ExactMatrix:

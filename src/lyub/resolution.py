@@ -78,6 +78,8 @@ class GradedFreeComplex:
         self._verify_dd()
 
     def _verify_dd(self):
+        # Scalars are ints (or Fractions over Q), so the products are summed
+        # exactly with plain arithmetic and reduced once by ``is_zero``.
         f = self.field
         for j in range(len(self.diffs) - 1):
             lower = {}
@@ -87,7 +89,7 @@ class GradedFreeComplex:
             for (mid, col), v in self.diffs[j + 1].items():
                 for r, w in lower.get(mid, ()):
                     key = (r, col)
-                    acc[key] = f.add(acc.get(key, f.zero()), f.mul(v, w))
+                    acc[key] = acc.get(key, 0) + v * w
             for val in acc.values():
                 if not f.is_zero(val):
                     raise ContractError("d∘d != 0 in graded free complex")

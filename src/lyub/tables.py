@@ -91,15 +91,6 @@ class BassTable:
     def masks(self) -> list[int]:
         return [a for a, _ in self.rows]
 
-    def max_index(self) -> int:
-        """Largest p with a nonzero value; -1 for an empty table."""
-        best = -1
-        for _, vals in self.rows:
-            for p, v in enumerate(vals):
-                if v and p > best:
-                    best = p
-        return best
-
 
 @dataclass(frozen=True)
 class DualBassTable:
@@ -150,9 +141,6 @@ class BettiTable:
         return sum(
             c for jj, aa, c in self.entries if jj == j and aa.bit_count() == size
         )
-
-    def max_position(self) -> int:
-        return max((j for j, _, _ in self.entries), default=-1)
 
     def dominates(self, other: "BettiTable") -> bool:
         """Entrywise >= comparison."""

@@ -172,12 +172,6 @@ def test_main_text_output(tmp_path, capsys):
     assert "x1*x2*x3*x4 " in out and "not in supp" in out
 
 
-def test_main_parallel_smoke(tmp_path):
-    path = tmp_path / "a5.ideal"
-    path.write_text(A5_PRIMES)
-    assert main(["bass", str(path), "--parallel", "4"]) == 0
-
-
 RP2 = (
     "n=6;\n"
     "gens: x1*x2*x3, x1*x2*x4, x1*x3*x5, x2*x4*x5, x3*x4*x5,\n"

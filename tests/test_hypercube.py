@@ -16,9 +16,10 @@ from lyub import (
     rank,
     restricted_complex,
 )
+from lyub import hypercube
 from lyub.combinatorics import MonomialIdeal, full_mask, mask_of, popcount
 
-from .conftest import primes_ideal
+from .conftest import gens_ideal, primes_ideal
 from .oracles import cech_vertex_dim, masks, random_ideal
 
 F2 = prime_field(2)
@@ -223,6 +224,18 @@ def test_edges_all_zero_when_stored_edges_empty(a5):
 
 def test_hypercube_caching(a5):
     assert build_hypercube(a5, 2, QQ) is build_hypercube(a5, 2, QQ)
+
+
+def test_hypercube_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(hypercube, "HYPERCUBE_CACHE_SIZE", 3)
+    monkeypatch.setattr(hypercube, "_cache", {})
+    ideals = [gens_ideal(5, [[i], [j]]) for i in range(1, 6) for j in range(i + 1, 6)]
+    for ideal in ideals:
+        build_hypercube(ideal, 2, QQ)
+        assert len(hypercube._cache) <= 3
+    # oldest first: the last three requests are the ones kept
+    kept = [key[1] for key in hypercube._cache]
+    assert kept == [ideal.gens for ideal in ideals[-3:]]
 
 
 def test_edges_are_transposed_induced_cohomology_maps(ex53, a5):

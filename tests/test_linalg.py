@@ -16,7 +16,7 @@ from lyub import (
     prime_field,
     rank,
 )
-from lyub.linalg import rank_naive, solve_matrix, transpose_reverse
+from lyub.linalg import rank_naive, rref, solve_matrix, transpose_reverse
 
 from .oracles import random_fraction_matrix, random_matrix
 
@@ -188,3 +188,57 @@ def test_induced_map_scaling():
     blocks = tuple(ExactMatrix.identity(QQ, d).scaled(3) for d in cx.dims)
     cm = ChainMap(cx, cx, blocks)
     assert induced_map_on_homology(cm, 1).data == [[Fraction(3)]]
+
+
+def _sparse_int_rows(rng, rows, cols):
+    density = rng.choice((0.1, 0.25, 0.5))
+    return [
+        [rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def _assert_reduced_echelon(field, red, pivots):
+    assert pivots == sorted(set(pivots))
+    for t, row in enumerate(red.data):
+        if t >= len(pivots):
+            assert all(field.is_zero(x) for x in row)
+            continue
+        pc = pivots[t]
+        assert all(field.is_zero(x) for x in row[:pc])
+        assert row[pc] == field.one()
+        for u, other in enumerate(red.data):
+            if u != t:
+                assert field.is_zero(other[pc])
+
+
+def test_sparse_engine_cross_check():
+    # seeded sparse integer matrices with entries in -3..3: non-unit pivots
+    # and rank drops mod 2 both occur
+    rng = random.Random(29)
+    rank_drops = 0
+    for _ in range(40):
+        rows, cols = rng.randint(1, 30), rng.randint(1, 30)
+        int_rows = _sparse_int_rows(rng, rows, cols)
+        ranks = {}
+        for field in (QQ, F2, F5):
+            m = ExactMatrix(field, rows, cols, int_rows)
+            r = rank(m)
+            assert r == rank_naive(m)
+            ranks[field.name()] = r
+
+            red, pivots = rref(m)
+            _assert_reduced_echelon(field, red, pivots)
+            assert len(pivots) == r
+            # the reduced rows span the row space of m
+            assert rank_naive(ExactMatrix.from_rows(field, m.data + red.data)) == r
+            prefix = [rank(ExactMatrix(field, rows, c, [row[:c] for row in m.data]))
+                      for c in range(cols + 1)]
+            assert pivots == [c for c in range(cols) if prefix[c + 1] > prefix[c]]
+
+            k = kernel_basis(m)
+            assert k.rows == cols and k.cols == cols - r
+            assert m.matmul(k).is_zero_matrix()
+            assert rank_naive(k) == k.cols
+        rank_drops += ranks["F2"] < ranks["Q"]
+    assert rank_drops
