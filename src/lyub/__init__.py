@@ -28,7 +28,6 @@ from .cohomology import (
     induced_cohomology_map,
     reduced_cohomology_dim,
     reduced_homology_dim,
-    restriction_cochain_map,
 )
 from .errors import (
     ContractError,
@@ -63,11 +62,9 @@ from .invariants import (
 )
 from .linalg import (
     QQ,
-    ChainMap,
     ExactMatrix,
     VectorSpaceComplex,
     homology_dims,
-    induced_map_on_homology,
     kernel_basis,
     prime_field,
     rank,

@@ -255,11 +255,17 @@ def _requested_degrees(spec: ProblemSpec, r: int | None) -> list[int]:
     return nonzero_cohomology_degrees(ideal, spec.field)
 
 
+# computations that take a single degree from ``--r``
+_READS_R = {"bass", "dual_bass", "strands", "supp", "dims"}
+
+
 def run(spec: ProblemSpec, r: int | None = None) -> dict:
     """Execute the requested computations and return the JSON-shaped report."""
     ideal = spec.ideal()
     report: dict = {"n": spec.n, "field": field_name(spec.field)}
     want = spec.computations
+    if r is not None and not 0 <= r <= spec.n and _READS_R.intersection(want):
+        raise InputError(f"cohomological degree r={r} outside [0, {spec.n}]")
 
     def maybe_single(items):
         return items[0] if r is not None and len(items) == 1 else items

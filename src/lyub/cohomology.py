@@ -1,4 +1,10 @@
-"""Reduced simplicial cochain complexes and inclusion-induced maps.
+"""Reduced simplicial cochain complexes, their cohomology, and the maps on
+cohomology induced by inclusions.
+
+``cochain_complex`` is the one place where a simplicial complex becomes
+linear algebra: every cohomology dimension, cocycle space and induced map
+in the package is read off the complex it returns, so each of them comes
+with its d∘d check.
 
 The reduced complex always includes the empty face in degree -1; the void
 complex has no cochains at all, so every one of its cohomology groups is
@@ -57,11 +63,15 @@ class CochainComplex:
     basis: tuple[tuple[int, ...], ...]
     coboundaries: tuple[ExactMatrix, ...]
 
-    def space_dim(self, q: int) -> int:
+    def faces(self, q: int) -> tuple[int, ...]:
+        """The faces indexing degree-q cochains (none outside the complex)."""
         s = q + 1
         if 0 <= s < len(self.basis):
-            return len(self.basis[s])
-        return 0
+            return self.basis[s]
+        return ()
+
+    def space_dim(self, q: int) -> int:
+        return len(self.faces(q))
 
     def coboundary(self, q: int):
         """The map out of degree q, or None when the target is trivial."""
@@ -69,6 +79,19 @@ class CochainComplex:
         if 0 <= s < len(self.coboundaries):
             return self.coboundaries[s]
         return None
+
+    def cohomology_dims(self) -> dict[int, int]:
+        """Nonzero reduced cohomology dimensions by degree, one rank per map."""
+        # ranks[s] is the rank of the map into faces of size s
+        ranks = [0, *(rank(d) for d in self.coboundaries), 0]
+        dims = {}
+        for s, faces in enumerate(self.basis):
+            h = len(faces) - ranks[s] - ranks[s + 1]
+            if h < 0:
+                raise ContractError("negative cohomology dimension")
+            if h:
+                dims[s - 1] = h
+        return dims
 
 
 def cochain_complex(cx: SimplicialComplex, field: Field) -> CochainComplex:
@@ -86,14 +109,9 @@ def cochain_complex(cx: SimplicialComplex, field: Field) -> CochainComplex:
     return CochainComplex(cx, field, basis, cobs)
 
 
-def _local_matrices(cx: SimplicialComplex, q: int, field: Field):
-    """(faces at q, d_out, d_in) without building the whole complex."""
-    f_mid = cx.faces_of_size(q + 1)
-    f_up = cx.faces_of_size(q + 2)
-    f_down = cx.faces_of_size(q)
-    d_out = coboundary_matrix(field, f_mid, f_up)
-    d_in = coboundary_matrix(field, f_down, f_mid) if f_down else None
-    return f_mid, d_out, d_in
+def reduced_cohomology_dims_all(cx: SimplicialComplex, field: Field) -> dict[int, int]:
+    """Nonzero reduced cohomology dimensions by degree, computed in one pass."""
+    return cochain_complex(cx, field).cohomology_dims()
 
 
 def reduced_cohomology_dim(cx: SimplicialComplex, q: int, field: Field) -> int:
@@ -104,64 +122,28 @@ def reduced_cohomology_dim(cx: SimplicialComplex, q: int, field: Field) -> int:
     """
     if q < -2:
         raise InputError(f"cohomological degree {q} below -2")
-    if q == -2 or cx.is_void:
-        return 0
-    f_mid, d_out, d_in = _local_matrices(cx, q, field)
-    h = len(f_mid) - rank(d_out)
-    if d_in is not None:
-        h -= rank(d_in)
-    if h < 0:
-        raise ContractError("negative cohomology dimension")
-    return h
-
-
-def reduced_cohomology_dims_all(cx: SimplicialComplex, field: Field) -> dict[int, int]:
-    """Nonzero reduced cohomology dimensions by degree, computed in one pass."""
-    if cx.is_void:
-        return {}
-    top = cx.dim()
-    faces = [cx.faces_of_size(s) for s in range(top + 2)]
-    ranks = [
-        rank(coboundary_matrix(field, faces[s], faces[s + 1]))
-        for s in range(top + 1)
-    ]
-    dims = {}
-    for q in range(-1, top + 1):
-        s = q + 1
-        h = len(faces[s])
-        if s < len(ranks):
-            h -= ranks[s]
-        if s >= 1:
-            h -= ranks[s - 1]
-        if h < 0:
-            raise ContractError("negative cohomology dimension")
-        if h:
-            dims[q] = h
-    return dims
+    return reduced_cohomology_dims_all(cx, field).get(q, 0)
 
 
 def reduced_homology_dim(cx: SimplicialComplex, q: int, field: Field) -> int:
     """Reduced simplicial homology via the transposed (chain) matrices."""
     if q < -2:
         raise InputError(f"homological degree {q} below -2")
-    if q == -2 or cx.is_void:
-        return 0
-    f_mid, d_out, d_in = _local_matrices(cx, q, field)
-    boundary_in = d_out.transpose()
-    h = len(f_mid) - rank(boundary_in)
-    if d_in is not None:
-        h -= rank(d_in.transpose())
+    cc = cochain_complex(cx, field)
+    h = cc.space_dim(q)
+    for d in (cc.coboundary(q), cc.coboundary(q - 1)):
+        if d is not None:
+            h -= rank(d.transpose())
     if h < 0:
         raise ContractError("negative homology dimension")
     return h
 
 
-def cohomology_space(cx: SimplicialComplex, q: int, field: Field) -> HomologySpace:
+def cohomology_space(cc: CochainComplex, q: int) -> HomologySpace:
     """Degree-q reduced cohomology with explicit cocycle representatives."""
-    if q == -2 or cx.is_void:
-        return homology_space(field, 0, None, None)
-    _, d_out, d_in = _local_matrices(cx, q, field)
-    return homology_space(field, d_out.cols, d_out, d_in)
+    return homology_space(
+        cc.field, cc.space_dim(q), cc.coboundary(q), cc.coboundary(q - 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -179,40 +161,16 @@ def face_projection(field, faces_small, faces_big) -> ExactMatrix:
     return out
 
 
-@dataclass(frozen=True)
-class CochainRestriction:
-    """Degreewise restriction of cochains of ``big`` to faces of ``small``."""
-
-    small: CochainComplex
-    big: CochainComplex
-    mats: tuple[ExactMatrix, ...]  # per face size s
-
-    def at_degree(self, q: int) -> ExactMatrix:
-        s = q + 1
-        if 0 <= s < len(self.mats):
-            return self.mats[s]
-        return ExactMatrix(self.small.field, self.small.space_dim(q), self.big.space_dim(q))
-
-
-def restriction_cochain_map(
-    small: SimplicialComplex, big: SimplicialComplex, field: Field
-) -> CochainRestriction:
-    """The cochain map dual to an inclusion of complexes; checked to commute."""
-    if not is_subcomplex(small, big):
-        raise InputError("first complex is not a subcomplex of the second")
-    small_cc = cochain_complex(small, field)
-    big_cc = cochain_complex(big, field)
-    nsizes = len(small_cc.basis)
-    mats = tuple(
-        face_projection(field, small_cc.basis[s], big_cc.basis[s]) for s in range(nsizes)
-    )
-    for s in range(nsizes - 1):
-        left = small_cc.coboundaries[s].matmul(mats[s])
-        right_full = big_cc.coboundaries[s]
-        right = mats[s + 1].matmul(right_full)
-        if left != right:
-            raise ContractError("restriction does not commute with coboundaries")
-    return CochainRestriction(small_cc, big_cc, mats)
+def restrict_classes(
+    small: HomologySpace, faces_small, big: HomologySpace, faces_big
+) -> ExactMatrix:
+    """H^q(big) -> H^q(small) induced by restricting cochains on
+    ``faces_big`` to ``faces_small``, in the two representative bases."""
+    field = small.field
+    if small.dim == 0 or big.dim == 0:
+        return ExactMatrix(field, small.dim, big.dim)
+    proj = face_projection(field, faces_small, faces_big)
+    return small.express(proj.matmul(big.reps))
 
 
 def induced_cohomology_map(
@@ -225,13 +183,9 @@ def induced_cohomology_map(
     """
     if not is_subcomplex(small, big):
         raise InputError("first complex is not a subcomplex of the second")
-    if q == -2:
-        return ExactMatrix(field, 0, 0)
-    h_small = cohomology_space(small, q, field)
-    h_big = cohomology_space(big, q, field)
-    if h_small.dim == 0 or h_big.dim == 0:
-        return ExactMatrix(field, h_small.dim, h_big.dim)
-    proj = face_projection(
-        field, small.faces_of_size(q + 1), big.faces_of_size(q + 1)
+    small_cc = cochain_complex(small, field)
+    big_cc = cochain_complex(big, field)
+    return restrict_classes(
+        cohomology_space(small_cc, q), small_cc.faces(q),
+        cohomology_space(big_cc, q), big_cc.faces(q),
     )
-    return h_small.express(proj.matmul(h_big.reps))

@@ -3,12 +3,18 @@
 The free resolutions behind the strand route are built as the Lyubeznik
 resolution and capped by their cell count and by the divisibility tests
 that find the cells, not by the generator count; the Lyubeznik resolution
-stays far below the Taylor size, so ``--check`` reaches n = 8-9.
+stays far below the Taylor size, so ``--check`` reaches n = 8-9.  The
+hypercube route is capped by its vertex count 2^n.
 """
 
 # Everything that enumerates {0,1}^n is exponential in n; this cap keeps the
 # worst case around 16M masks.
 MAX_VARIABLES = 24
+
+# Vertices of one hypercube: building it forms the cochain complex of one
+# restriction per vertex, about 2.2 times the work per added variable, so
+# the 2^n count is refused up front above this (n = 16).
+MAX_HYPERCUBE_MASKS = 2**16
 
 # Basis elements (cells) of one free complex before minimization: the Taylor
 # complex on 20 generators.  The Taylor complex on q generators has 2^q - 1

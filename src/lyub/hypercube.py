@@ -9,13 +9,16 @@ cochain restriction; the canonical map u_{a,i} between vertices is its
 transpose.  Square commutativity and d∘d = 0 of every assembled complex are
 verified at build time.
 
+One build serves every degree r: the cochain complex of each restriction is
+formed once (with its d∘d check), its coboundary ranks give the vertex at a
+in all n+1 degrees, and cocycle representatives and edge maps are computed
+only where a vertex is nonzero.
+
 Degenerate degrees: vertices sit in cohomological degree q = r - 2, and the
 q = -2 and q = -1 conventions of the cohomology module apply.  The vertex at
 a = 0 is pinned to zero; for r >= 2 the formula already gives zero there,
 and the pin is what makes degree r = 1 (height-one ideals) come out right.
 """
-
-from itertools import combinations
 
 from .combinatorics import (
     MonomialIdeal,
@@ -24,15 +27,22 @@ from .combinatorics import (
     full_mask,
     mask_of,
     popcount,
+    restriction,
+    simplicial_complex,
 )
-from .cohomology import coboundary_matrix, face_projection
-from .errors import ContractError, DomainError, InputError
+from .cohomology import cochain_complex, cohomology_space, restrict_classes
+from .errors import (
+    MAX_HYPERCUBE_MASKS,
+    ContractError,
+    DomainError,
+    InputError,
+    ResourceError,
+)
 from .linalg import (
     ExactMatrix,
     Field,
     VectorSpaceComplex,
     block_matrix,
-    homology_space,
 )
 
 # ---------------------------------------------------------------------------
@@ -81,79 +91,67 @@ class Hypercube:
         return sum(d for a, d in self.dims.items() if popcount(a) == level)
 
 
-# Cubes kept by ``build_hypercube``; the oldest is evicted first.  One pass
-# over a few ideals, every r and two fields holds well under this many.
-HYPERCUBE_CACHE_SIZE = 128
-_cache: dict[tuple, Hypercube] = {}
+# (ideal, field) entries kept by ``build_hypercube``, each holding the n+1
+# cubes of every degree; the oldest is evicted first.  This is above the 6
+# entries one pass of the ``hypercube`` benchmark holds (a10, nine and a8,
+# over Q and F_2).
+HYPERCUBE_CACHE_SIZE = 16
+_cache: dict[tuple, tuple[Hypercube, ...]] = {}
 
 
 def build_hypercube(ideal: MonomialIdeal, r: int, field: Field) -> Hypercube:
-    """Build (or fetch from cache) the hypercube of H_I^r(R)."""
+    """The hypercube of H_I^r(R), built (or fetched) with every other r."""
     if not ideal.is_proper_nonzero:
         raise DomainError("hypercube needs a proper nonzero ideal")
     n = ideal.n
     if not 0 <= r <= n:
         raise InputError(f"cohomological degree r={r} outside [0, {n}]")
-    key = (n, ideal.gens, r, field.key())
-    cached = _cache.get(key)
-    if cached is not None:
-        return cached
+    key = (n, ideal.gens, field.key())
+    cubes = _cache.get(key)
+    if cubes is None:
+        cubes = _build_all_degrees(ideal, field)
+        while len(_cache) >= HYPERCUBE_CACHE_SIZE:
+            del _cache[next(iter(_cache))]
+        _cache[key] = cubes
+    return cubes[r]
 
+
+def _build_all_degrees(ideal: MonomialIdeal, field: Field) -> tuple[Hypercube, ...]:
+    n = ideal.n
+    if 1 << n > MAX_HYPERCUBE_MASKS:
+        raise ResourceError(
+            f"hypercube on n={n} variables has 2^{n} = {1 << n} vertices, "
+            f"which exceeds the cap of {MAX_HYPERCUBE_MASKS}"
+        )
     full = full_mask(n)
-    dual_facets = [full ^ g for g in ideal.gens]
+    dual = simplicial_complex(full, [full ^ g for g in ideal.gens])
+    # per degree r: alpha -> (cohomology in degree r - 2, its faces).  A
+    # complex on |alpha| <= n vertices has no cohomology above degree n - 2.
+    spaces: list[dict] = [{} for _ in range(n + 1)]
+    for alpha in range(1, full + 1):  # alpha = 0 is pinned to zero
+        cc = cochain_complex(restriction(dual, alpha), field)
+        for q, h in cc.cohomology_dims().items():
+            hsp = cohomology_space(cc, q)
+            if hsp.dim != h:
+                raise ContractError("cocycle space disagrees with coboundary ranks")
+            spaces[q + 2][alpha] = (hsp, cc.faces(q))
+    return tuple(_cube(n, r, field, sp) for r, sp in enumerate(spaces))
 
-    def dual_faces(alpha: int, size: int) -> list[int]:
-        # faces of the dual complex restricted to alpha, sorted by vertex tuple
-        if size < 0:
-            return []
-        if size == 0:
-            return [0]
-        out = []
-        bits = bits_of(alpha)
-        if len(bits) < size:
-            return []
-        for combo in combinations(bits, size):
-            m = mask_of(combo)
-            if any(contains(f, m) for f in dual_facets):
-                out.append(m)
-        return out
 
-    q = r - 2
-    dims: dict[int, int] = {}
-    mid_faces: dict[int, list[int]] = {}
-    spaces: dict[int, object] = {}
-    if q >= -1:
-        for alpha in range(1, full + 1):  # alpha = 0 is pinned to zero
-            f_mid = dual_faces(alpha, q + 1)
-            if not f_mid:
-                continue
-            d_out = coboundary_matrix(field, f_mid, dual_faces(alpha, q + 2))
-            f_down = dual_faces(alpha, q)
-            d_in = coboundary_matrix(field, f_down, f_mid) if f_down else None
-            hsp = homology_space(field, len(f_mid), d_out, d_in)
-            if hsp.dim:
-                dims[alpha] = hsp.dim
-                mid_faces[alpha] = f_mid
-                spaces[alpha] = hsp
-
+def _cube(n: int, r: int, field: Field, spaces: dict) -> Hypercube:
+    """The degree-r cube from its nonzero vertices' cohomology spaces."""
+    dims = {alpha: hsp.dim for alpha, (hsp, _) in spaces.items()}
     edge_mats: dict[tuple[int, int], ExactMatrix] = {}
-    for alpha, hsp in spaces.items():
+    for alpha, (hsp, faces) in spaces.items():
         for i in range(n):
             if alpha >> i & 1:
                 continue
-            big = alpha | 1 << i
-            hsp_big = spaces.get(big)
-            if hsp_big is None:
-                continue
-            proj = face_projection(field, mid_faces[alpha], mid_faces[big])
-            induced = hsp.express(proj.matmul(hsp_big.reps))
-            edge_mats[(alpha, i)] = induced.transpose()
-
+            big = spaces.get(alpha | 1 << i)
+            if big is not None:
+                induced = restrict_classes(hsp, faces, *big)
+                edge_mats[(alpha, i)] = induced.transpose()
     cube = Hypercube(n, r, field, dims, edge_mats)
     _verify_commutativity(cube)
-    while len(_cache) >= HYPERCUBE_CACHE_SIZE:
-        del _cache[next(iter(_cache))]
-    _cache[key] = cube
     return cube
 
 

@@ -639,42 +639,3 @@ def homology_space(field, dim, d_out, d_in) -> HomologySpace:
     )
     return HomologySpace(field, dim, len(rep_cols), reps, image)
 
-
-class ChainMap:
-    """Degreewise map between two complexes, commuting with differentials."""
-
-    __slots__ = ("source", "target", "blocks")
-
-    def __init__(self, source: VectorSpaceComplex, target: VectorSpaceComplex, blocks,
-                 check: bool = True):
-        blocks = tuple(blocks)
-        if len(blocks) != len(source.dims) or len(source.dims) != len(target.dims):
-            raise InputError("chain map needs one block per position")
-        for p, b in enumerate(blocks):
-            if b.rows != target.dims[p] or b.cols != source.dims[p]:
-                raise InputError(f"chain map block {p} shape mismatch")
-        if check:
-            for p in range(len(blocks) - 1):
-                left = target.maps[p].matmul(blocks[p + 1])
-                right = blocks[p].matmul(source.maps[p])
-                if left != right:
-                    raise ContractError(f"chain map does not commute at position {p}")
-        self.source = source
-        self.target = target
-        self.blocks = blocks
-
-
-def complex_homology_space(cx: VectorSpaceComplex, p: int) -> HomologySpace:
-    d_out = cx.maps[p - 1] if p > 0 else None
-    d_in = cx.maps[p] if p < len(cx.maps) else None
-    return homology_space(cx.field, cx.dims[p], d_out, d_in)
-
-
-def induced_map_on_homology(f: ChainMap, p: int) -> ExactMatrix:
-    """Matrix of H_p(f) in the deterministic homology bases."""
-    src = complex_homology_space(f.source, p)
-    tgt = complex_homology_space(f.target, p)
-    if src.dim == 0 or tgt.dim == 0:
-        return ExactMatrix(f.source.field, tgt.dim, src.dim)
-    mapped = f.blocks[p].matmul(src.reps)
-    return tgt.express(mapped)

@@ -161,6 +161,30 @@ def test_main_resource_cap(tmp_path, capsys):
     assert "exceed" in capsys.readouterr().err
 
 
+def test_main_hypercube_cap_refuses_before_any_restriction(tmp_path, capsys, monkeypatch):
+    from lyub import hypercube
+
+    def no_restriction(*args):
+        raise AssertionError("a restriction was built")
+
+    monkeypatch.setattr(hypercube, "restriction", no_restriction)
+    path = tmp_path / "wide.ideal"
+    path.write_text("n=17;\ngens: x1*x2, x16*x17;\n")
+    assert main(["table", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "2^17" in err and "exceeds" in err
+
+
+def test_main_strands_rejects_out_of_range_degree(tmp_path, capsys):
+    path = tmp_path / "a5.ideal"
+    path.write_text(A5_PRIMES)
+    assert main(["strands", str(path), "--r", "99", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: cohomological degree r=99 outside [0, 5]\n"
+
+
 def test_main_text_output(tmp_path, capsys):
     path = tmp_path / "ex57.ideal"
     path.write_text("n=5;\nprimes: {1,4}, {2,5}, {1,2,3};\n")

@@ -9,7 +9,6 @@ from lyub import (
     prime_field,
     reduced_cohomology_dim,
     reduced_homology_dim,
-    restriction_cochain_map,
     stanley_reisner,
 )
 from lyub.cohomology import cochain_complex, reduced_cohomology_dims_all
@@ -79,33 +78,6 @@ def test_chain_and_cochain_dims_agree():
                 assert reduced_cohomology_dim(cx, q, field) == reduced_homology_dim(
                     cx, q, field
                 )
-
-
-def test_restriction_map_identity_and_void():
-    rm = restriction_cochain_map(FOUR_CYCLE, FOUR_CYCLE, QQ)
-    for s, m in enumerate(rm.mats):
-        assert m.rows == m.cols
-        for i in range(m.rows):
-            assert m.data[i][i] == QQ.one()
-    void = void_complex(full_mask(4))
-    rm_void = restriction_cochain_map(void, FOUR_CYCLE, QQ)
-    assert rm_void.mats == ()
-    assert rm_void.at_degree(0).rows == 0
-
-
-def test_restriction_map_edge_in_four_cycle():
-    edge = _complex(4, [1, 2])
-    rm = restriction_cochain_map(edge, FOUR_CYCLE, QQ)
-    # sizes: one empty face, 2 of 4 vertices, 1 of 4 edges
-    assert rm.at_degree(-1).rows == 1 and rm.at_degree(-1).cols == 1
-    assert rm.at_degree(0).rows == 2 and rm.at_degree(0).cols == 4
-    assert rm.at_degree(1).rows == 1 and rm.at_degree(1).cols == 4
-
-
-def test_restriction_map_rejects_non_subcomplex():
-    diag = _complex(4, [1, 3])
-    with pytest.raises(InputError):
-        restriction_cochain_map(diag, FOUR_CYCLE, QQ)
 
 
 def test_induced_map_identity_and_zero_cases():

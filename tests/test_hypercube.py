@@ -238,6 +238,15 @@ def test_hypercube_cache_is_bounded(monkeypatch):
     assert kept == [ideal.gens for ideal in ideals[-3:]]
 
 
+def test_hypercube_cache_holds_every_degree_in_one_entry(monkeypatch, a5):
+    monkeypatch.setattr(hypercube, "_cache", {})
+    cubes = [build_hypercube(a5, r, QQ) for r in range(a5.n + 1)]
+    assert len(hypercube._cache) == 1
+    assert [cube.r for cube in cubes] == list(range(a5.n + 1))
+    again = [build_hypercube(a5, r, QQ) for r in range(a5.n + 1)]
+    assert all(x is y for x, y in zip(again, cubes))
+
+
 def test_edges_are_transposed_induced_cohomology_maps(ex53, a5):
     # every stored edge equals the transpose of the inclusion-induced map
     # between the restricted dual complexes, in the same deterministic bases

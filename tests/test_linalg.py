@@ -4,14 +4,12 @@ from fractions import Fraction
 import pytest
 
 from lyub import (
-    ChainMap,
     ContractError,
     ExactMatrix,
     InputError,
     QQ,
     VectorSpaceComplex,
     homology_dims,
-    induced_map_on_homology,
     kernel_basis,
     prime_field,
     rank,
@@ -161,33 +159,6 @@ def test_transpose_reverse_mirrors_homology():
             h = homology_dims(cx)
             hr = homology_dims(transpose_reverse(cx))
             assert hr == list(reversed(h))
-
-
-def test_induced_map_identity_and_zero():
-    cx = _cycle_complex(QQ)
-    ident = ChainMap(cx, cx, tuple(ExactMatrix.identity(QQ, d) for d in cx.dims))
-    h1 = induced_map_on_homology(ident, 1)
-    assert h1 == ExactMatrix.identity(QQ, 1)
-    zero = ChainMap(cx, cx, tuple(ExactMatrix.zeros(QQ, d, d) for d in cx.dims))
-    assert induced_map_on_homology(zero, 1).is_zero_matrix()
-
-
-def test_chain_map_commutation_checked():
-    cx = _cycle_complex(QQ)
-    blocks = [ExactMatrix.identity(QQ, d) for d in cx.dims]
-    blocks[1] = ExactMatrix.from_rows(
-        QQ, [[1, 0, 0], [0, 2, 0], [0, 0, 1]]
-    )
-    with pytest.raises(ContractError):
-        ChainMap(cx, cx, tuple(blocks))
-
-
-def test_induced_map_scaling():
-    # multiplying every level by c acts as c on homology
-    cx = _cycle_complex(QQ)
-    blocks = tuple(ExactMatrix.identity(QQ, d).scaled(3) for d in cx.dims)
-    cm = ChainMap(cx, cx, blocks)
-    assert induced_map_on_homology(cm, 1).data == [[Fraction(3)]]
 
 
 def _sparse_int_rows(rng, rows, cols):
