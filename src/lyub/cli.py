@@ -74,19 +74,6 @@ class ProblemSpec:
             return intersect_face_ideals(self.n, self.masks)
         return minimalize(self.n, self.masks)
 
-    def __eq__(self, other):
-        if not isinstance(other, ProblemSpec):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.form == other.form
-            and self.masks == other.masks
-            and self.field.key() == other.field.key()
-            and self.computations == other.computations
-            and self.output == other.output
-            and self.check == other.check
-        )
-
 
 _TOKEN = re.compile(r"(?P<num>\d+)|(?P<word>[A-Za-z]\w*)|(?P<punct>[={}:;,*])|(?P<space>\s+)|(?P<bad>.)")
 
@@ -236,7 +223,7 @@ def parse_field(text: str) -> Field:
 
 
 def field_name(f: Field) -> str:
-    return "q" if f.kind == "rationals" else f"fp:{f.p}"
+    return f"fp:{f.p}" if f.p else "q"
 
 
 # ---------------------------------------------------------------------------
@@ -523,15 +510,14 @@ def _build_argparser() -> argparse.ArgumentParser:
         prog="lyub",
         description="Exact invariants of local cohomology of squarefree monomial ideals.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("file", help="ideal file, or - for stdin")
-        p.add_argument("--field", default="q", help="q (default) or fp:<prime>")
-        p.add_argument("--r", type=int, default=None, help="cohomological degree")
-        p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--check", action="store_true",
-                       help="cross-validate the two Lyubeznik routes")
+    ap.add_argument("command", choices=_COMMANDS)
+    ap.add_argument("file", help="ideal file, or - for stdin")
+    ap.add_argument("--field", default="q", help="q (default) or fp:<prime>")
+    ap.add_argument("--r", type=int, default=None,
+                    help="cohomological degree (bass, dual-bass, strands, supp, dims)")
+    ap.add_argument("--json", action="store_true", help="emit JSON")
+    ap.add_argument("--check", action="store_true",
+                    help="table only: cross-validate the two Lyubeznik routes")
     return ap
 
 
@@ -551,15 +537,20 @@ def _read_text(path: str) -> str:
 
 def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
+    computations = _COMMANDS[args.command]
     try:
+        if args.r is not None and not _READS_R.intersection(computations):
+            raise InputError(f"--r does not apply to {args.command}")
+        if args.check and args.command != "table":
+            raise InputError(f"--check applies to table only, not {args.command}")
         text = _read_text(args.file)
         spec = parse_input(text)
         spec = replace(
             spec,
             field=parse_field(args.field),
-            computations=_COMMANDS[args.command],
+            computations=computations,
             output="json" if args.json else "text",
-            check=args.check or args.command == "check",
+            check=args.check,
         )
         report = run(spec, r=args.r)
     except OSError as exc:

@@ -160,10 +160,6 @@ class MonomialIdeal:
     def is_proper_nonzero(self) -> bool:
         return bool(self.gens) and not self.is_unit
 
-    def contains_monomial(self, mask: int) -> bool:
-        """Membership test for a squarefree monomial x^mask."""
-        return any(contains(mask, g) for g in self.gens)
-
     def height(self) -> int:
         return min(popcount(p) for p in minimal_primes(self))
 

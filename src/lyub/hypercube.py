@@ -106,7 +106,7 @@ def build_hypercube(ideal: MonomialIdeal, r: int, field: Field) -> Hypercube:
     n = ideal.n
     if not 0 <= r <= n:
         raise InputError(f"cohomological degree r={r} outside [0, {n}]")
-    key = (n, ideal.gens, field.key())
+    key = (n, ideal.gens, field)
     cubes = _cache.get(key)
     if cubes is None:
         cubes = _build_all_degrees(ideal, field)

@@ -8,13 +8,11 @@ from dataclasses import dataclass
 from .combinatorics import (
     MonomialIdeal,
     alexander_dual,
-    complex_alexander_dual,
     contains,
     full_mask,
     link,
     mask_key,
     popcount,
-    restriction,
     stanley_reisner,
 )
 from .cohomology import reduced_cohomology_dims_all
@@ -120,9 +118,7 @@ def dual_bass_table(ideal: MonomialIdeal, r: int, field: Field) -> DualBassTable
 def small_support(ideal: MonomialIdeal, r: int, field: Field):
     """(supp, Supp): masks with a nonzero Bass number, and all support masks."""
     cube = build_hypercube(ideal, r, field)
-    supp_all = support_masks(cube)
-    small = [a for a in supp_all if any(bass_row(cube, a))]
-    return small, supp_all
+    return bass_table(ideal, r, field).masks(), support_masks(cube)
 
 
 @dataclass(frozen=True)
@@ -149,13 +145,12 @@ def injective_dimensions(ideal: MonomialIdeal, r: int, field: Field) -> Injectiv
     star_id = -1
     id_ungraded = -1
     dim_small = -1
-    for alpha in support_masks(cube):
-        row = bass_row(cube, alpha)
-        for p, mu in enumerate(row):
-            if mu:
-                star_id = max(star_id, p)
-                id_ungraded = max(id_ungraded, p + (n - popcount(alpha)))
-                dim_small = max(dim_small, n - popcount(alpha))
+    for alpha, row in bass_table(ideal, r, field).rows:
+        top = len(row) - 1  # rows are trimmed of trailing zeros
+        height = n - popcount(alpha)
+        star_id = max(star_id, top)
+        id_ungraded = max(id_ungraded, top + height)
+        dim_small = max(dim_small, height)
     dim_module = max(n - popcount(v) for v in cube.dims)
     rec = InjectiveDims(star_id, id_ungraded, dim_module, dim_small)
     if rec.star_id > rec.dim_small_supp:
@@ -170,34 +165,22 @@ def sequentially_cm(ideal: MonomialIdeal, field: Field) -> bool:
 
 def growth_bound_check(ideal: MonomialIdeal, r: int, field: Field) -> bool:
     """mu_t(m) = 0 for all t > s+1, s the top Bass index at height n-1."""
-    cube = build_hypercube(ideal, r, field)
-    if cube.is_zero():
-        return True
     n = ideal.n
-    s = -1
-    for alpha in support_masks(cube):
-        if popcount(alpha) != n - 1:
-            continue
-        for p, mu in enumerate(bass_row(cube, alpha)):
-            if mu:
-                s = max(s, p)
-    maximal_row = bass_row(cube, full_mask(n))
-    return all(mu == 0 for t, mu in enumerate(maximal_row) if t > s + 1)
+    rows = bass_table(ideal, r, field).as_dict()
+    # rows are trimmed of trailing zeros, so a row's top index is len - 1
+    s = max((len(mu) - 1 for a, mu in rows.items() if popcount(a) == n - 1), default=-1)
+    return len(rows.get(full_mask(n), ())) <= s + 2
 
 
 def mu0_summand_report(ideal: MonomialIdeal, r: int, field: Field):
     """Non-minimal support masks with mu_0 != 0 (each certifies an injective
     direct summand after localization)."""
-    cube = build_hypercube(ideal, r, field)
-    minimal = set(minimal_support_masks(cube))
-    out = []
-    for alpha in support_masks(cube):
-        if alpha in minimal:
-            continue
-        row = bass_row(cube, alpha)
-        if row and row[0]:
-            out.append((alpha, row[0]))
-    return out
+    minimal = set(minimal_support_masks(build_hypercube(ideal, r, field)))
+    return [
+        (alpha, row[0])
+        for alpha, row in bass_table(ideal, r, field).rows
+        if alpha not in minimal and row[0]
+    ]
 
 
 def nonzero_cohomology_degrees(ideal: MonomialIdeal, field: Field) -> list[int]:
@@ -220,30 +203,22 @@ def routes_agree(ideal: MonomialIdeal, field: Field) -> bool:
 
 
 def terai_mustata_consistent(ideal: MonomialIdeal, field: Field) -> bool:
-    """Link-homology and dual-restriction-cohomology dimensions agree.
+    """Link homology of the Stanley-Reisner complex matches the hypercube.
 
-    The single degenerate corner (r = 1 at the full mask, where the dual
-    restriction degenerates to the irrelevant complex) is pinned to zero on
-    both sides, matching the vanishing degree-zero hypercube vertex.
+    dim H~_{n-r-|a|-1}(link(a)) must equal the degree-r hypercube vertex at
+    the complementary mask 1-a, for every a and r.
     """
     delta = stanley_reisner(ideal)
-    dual = complex_alexander_dual(delta)
     n = ideal.n
     full = full_mask(n)
+    cubes = [build_hypercube(ideal, r, field) for r in range(n + 1)]
     for alpha in range(full + 1):
         # homology and cohomology dimensions agree over a field, so the link
         # side may be read from the same one-pass rank table
         link_dims = reduced_cohomology_dims_all(link(delta, alpha), field)
-        rest_dims = reduced_cohomology_dims_all(
-            restriction(dual, full ^ alpha), field
-        )
-        for r in range(n + 1):
+        for r, cube in enumerate(cubes):
             link_side = link_dims.get(n - r - popcount(alpha) - 1, 0)
-            if r == 1 and alpha == full:
-                dual_side = 0
-            else:
-                dual_side = rest_dims.get(r - 2, 0)
-            if link_side != dual_side:
+            if link_side != cube.vertex_dim(full ^ alpha):
                 return False
     return True
 

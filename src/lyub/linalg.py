@@ -1,5 +1,6 @@
 """Exact linear algebra over Q and prime fields F_p.
 
+A ``Field`` is a value holding its characteristic: 0 for Q, p for F_p.
 Scalars are plain Python objects.  Over Q they are ints wherever the value
 is integral and ``fractions.Fraction`` only where a division by a non-unit
 leaves a non-integer; ints and Fractions compare and hash equal, so the two
@@ -24,76 +25,17 @@ from .errors import ContractError, InputError
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class Field:
-    """A field of scalars.  ``kind`` is 'rationals' or 'prime_field'.
+    """A field of scalars, named by its characteristic: ``p == 0`` is Q and
+    a prime ``p`` is F_p.  Equal fields compare and hash equal."""
 
-    ``p`` is the characteristic: 0 over Q, the modulus over F_p.
-    """
-
-    kind: str
     p: int
 
-    def key(self):
-        raise NotImplementedError
-
-    def __repr__(self):
-        return self.name()
-
-
-def _rational(x):
-    """x as an int when it is integral, else as a Fraction."""
-    if type(x) is int:
-        return x
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
-class RationalField(Field):
-    kind = "rationals"
-    p = 0
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def coerce(self, x):
-        return _rational(x)
-
-    def add(self, a, b):
-        return _rational(a + b)
-
-    def sub(self, a, b):
-        return _rational(a - b)
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return _rational(a * b)
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if a == 1 or a == -1:
-            return int(a)
-        return _rational(1 / Fraction(a))
-
-    def is_zero(self, a):
-        return a == 0
-
-    def key(self):
-        return ("Q",)
-
-    def name(self):
-        return "Q"
-
-
-class PrimeField(Field):
-    kind = "prime_field"
-
-    def __init__(self, p: int):
+    def __post_init__(self):
+        p = self.p
+        if p == 0:
+            return
         if not 2 <= p < 2**31:
             raise InputError(f"prime modulus {p} outside [2, 2^31)")
         for d in range(2, p):
@@ -101,57 +43,52 @@ class PrimeField(Field):
                 break
             if p % d == 0:
                 raise InputError(f"{p} is not prime")
-        self.p = p
 
-    def zero(self):
-        return 0
+    def coerce(self, x):
+        """The canonical scalar for x: over Q an int where the value is
+        integral and a Fraction otherwise, over F_p an int in [0, p)."""
+        p = self.p
+        if p:
+            if isinstance(x, Fraction):
+                if x.denominator % p == 0:
+                    raise ZeroDivisionError("denominator divisible by p")
+                return x.numerator * pow(x.denominator, -1, p) % p
+            return x % p
+        if type(x) is int:
+            return x
+        x = Fraction(x)
+        return x.numerator if x.denominator == 1 else x
 
     def one(self):
         return 1
 
-    def coerce(self, x):
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise ZeroDivisionError("denominator divisible by p")
-            return x.numerator * pow(x.denominator, -1, self.p) % self.p
-        return x % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def neg(self, a):
-        return -a % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
+        return -a % self.p if self.p else -a
 
     def inv(self, a):
-        if a % self.p == 0:
+        if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
+        if self.p:
+            return pow(a, -1, self.p)
+        if a == 1 or a == -1:
+            return int(a)
+        return self.coerce(1 / Fraction(a))
 
     def is_zero(self, a):
-        return a % self.p == 0
-
-    def key(self):
-        return ("F", self.p)
+        return a % self.p == 0 if self.p else a == 0
 
     def name(self):
-        return f"F{self.p}"
+        return f"F{self.p}" if self.p else "Q"
 
 
-QQ = RationalField()
-
-_prime_fields: dict[int, PrimeField] = {}
+QQ = Field(0)
 
 
-def prime_field(p: int) -> PrimeField:
-    if p not in _prime_fields:
-        _prime_fields[p] = PrimeField(p)
-    return _prime_fields[p]
+def prime_field(p: int) -> Field:
+    """F_p for a prime p < 2^31; Q is ``QQ``, so p = 0 is refused."""
+    if p == 0:
+        raise InputError("prime modulus 0 outside [2, 2^31)")
+    return Field(p)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +144,6 @@ class ExactMatrix:
         c = len(rows[0]) if r else 0
         return cls(field, r, c, rows)
 
-    def copy(self):
-        return ExactMatrix(self.field, self.rows, self.cols, [row[:] for row in self.data])
-
     def transpose(self):
         if self.rows:
             data = [list(col) for col in zip(*self.data)]
@@ -222,6 +156,7 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise InputError("matmul shape mismatch")
         p = self.field.p
+        coerce = self.field.coerce
         right = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
         data = []
         for arow in self.data:
@@ -232,7 +167,7 @@ class ExactMatrix:
                         acc[j] = acc.get(j, 0) + a * b
             row = [0] * other.cols
             for j, v in acc.items():
-                row[j] = v % p if p else _rational(v)
+                row[j] = v % p if p else v if type(v) is int else coerce(v)
             data.append(row)
         return ExactMatrix._wrap(self.field, self.rows, other.cols, data)
 
@@ -242,7 +177,7 @@ class ExactMatrix:
         f = self.field
         c = f.coerce(c)
         return ExactMatrix._wrap(
-            f, self.rows, self.cols, [[f.mul(c, x) for x in row] for row in self.data]
+            f, self.rows, self.cols, [[f.coerce(c * x) for x in row] for row in self.data]
         )
 
     def is_zero_matrix(self) -> bool:
@@ -255,7 +190,7 @@ class ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         return (
-            self.field.key() == other.field.key()
+            self.field == other.field
             and self.rows == other.rows
             and self.cols == other.cols
             and self.data == other.data
@@ -428,8 +363,8 @@ def rank_naive(mat: ExactMatrix) -> int:
         inv = f.inv(m[r][c])
         for i in range(r + 1, mat.rows):
             if not f.is_zero(m[i][c]):
-                factor = f.mul(m[i][c], inv)
-                m[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(m[i], m[r])]
+                factor = m[i][c] * inv
+                m[i] = [f.coerce(x - factor * y) for x, y in zip(m[i], m[r])]
         r += 1
     return r
 

@@ -313,10 +313,10 @@ def minimize(cx: GradedFreeComplex, order: str = "forward") -> GradedFreeComplex
         # Schur update on the remaining entries
         uinv = f.inv(u)
         for r2, vr in colc.items():
-            factor = f.neg(f.mul(vr, uinv))
+            factor = vr * uinv
             for c2, vc in rowr.items():
-                old = bycol[j].get(c2, {}).get(r2, f.zero())
-                set_entry(j, r2, c2, f.add(old, f.mul(factor, vc)))
+                old = bycol[j].get(c2, {}).get(r2, 0)
+                set_entry(j, r2, c2, f.coerce(old - factor * vc))
         # drop basis r from term j and c from term j+1
         alive[j].discard(r)
         alive[j + 1].discard(c)
@@ -373,7 +373,7 @@ _minimized_cache: dict[tuple, GradedFreeComplex] = {}
 
 def minimal_resolution(ideal: MonomialIdeal, field: Field) -> GradedFreeComplex:
     """Cached minimize(lyubeznik_complex(ideal))."""
-    key = (ideal.n, ideal.gens, field.key())
+    key = (ideal.n, ideal.gens, field)
     out = _minimized_cache.get(key)
     if out is None:
         out = minimize(lyubeznik_complex(ideal, field))

@@ -185,6 +185,16 @@ def test_main_strands_rejects_out_of_range_degree(tmp_path, capsys):
     assert captured.err == "input error: cohomological degree r=99 outside [0, 5]\n"
 
 
+def test_main_refuses_flags_the_command_does_not_read(tmp_path, capsys):
+    path = tmp_path / "a5.ideal"
+    path.write_text(A5_PRIMES)
+    for argv in (["betti", str(path), "--r", "2"], ["bass", str(path), "--check"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+
+
 def test_main_text_output(tmp_path, capsys):
     path = tmp_path / "ex57.ideal"
     path.write_text("n=5;\nprimes: {1,4}, {2,5}, {1,2,3};\n")

@@ -1,0 +1,22 @@
+"""Every demo runs to the end with nothing on stderr."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs_cleanly(demo):
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == b""

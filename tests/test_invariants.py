@@ -325,6 +325,13 @@ def test_terai_mustata_corpus(a4, a5, ex46, ex53, ex57, field):
         assert terai_mustata_consistent(ideal, field)
 
 
+def test_terai_mustata_reads_the_hypercube(monkeypatch, a5):
+    cube = build_hypercube(a5, 2, QQ)
+    alpha = cube.nonzero_vertices()[0]
+    monkeypatch.setitem(cube.dims, alpha, cube.dims[alpha] + 1)
+    assert not terai_mustata_consistent(a5, QQ)
+
+
 def test_betti_matches_hypercube_corpus(a4, a5, ex46, ex53, ex57, field):
     for ideal in (a4, a5, ex46, ex53, ex57):
         assert betti_matches_hypercube(ideal, field)

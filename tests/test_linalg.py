@@ -9,12 +9,14 @@ from lyub import (
     InputError,
     QQ,
     VectorSpaceComplex,
+    build_hypercube,
     homology_dims,
     kernel_basis,
     prime_field,
     rank,
 )
-from lyub.linalg import rank_naive, rref, solve_matrix, transpose_reverse
+from lyub import hypercube
+from lyub.linalg import Field, rank_naive, rref, solve_matrix, transpose_reverse
 
 from .oracles import random_fraction_matrix, random_matrix
 
@@ -38,6 +40,28 @@ def test_prime_field_validation():
         prime_field(1)
     assert prime_field(2).p == 2
     assert prime_field(2147483647).p == 2147483647
+
+
+def test_field_is_its_characteristic():
+    assert Field(3) == prime_field(3)
+    assert hash(Field(3)) == hash(prime_field(3))
+    assert QQ == Field(0)
+    assert QQ != prime_field(2)
+
+
+@pytest.mark.parametrize("make, p", [
+    (Field, 1), (Field, 4), (Field, -3), (Field, 2**31), (prime_field, 0),
+])
+def test_field_refuses_what_is_not_a_characteristic(make, p):
+    with pytest.raises(InputError):
+        make(p)
+
+
+def test_hypercube_cache_finds_an_equal_field(monkeypatch, a5):
+    monkeypatch.setattr(hypercube, "_cache", {})
+    cube = build_hypercube(a5, 2, Field(3))
+    assert build_hypercube(a5, 2, prime_field(3)) is cube
+    assert len(hypercube._cache) == 1
 
 
 def test_entries_reduced_on_construction():
