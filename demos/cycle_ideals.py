@@ -57,6 +57,6 @@ for alpha, d in sorted(cube.dims.items()):
     print(f"   {mask_str(alpha, 5):<10} dim {d}")
 cx = main_complex(cube)
 print("level map between the five-dimensional stages:")
-for row in cx.maps[2].data:
+for row in cx.maps[2].dense():
     print("  ", [str(x) for x in row])
 print("rank:", rank(cx.maps[2]), "(one short of full, hence the two extra table entries)")

@@ -37,17 +37,19 @@ def coboundary_matrix(field: Field, faces_small, faces_big) -> ExactMatrix:
     Entry (tau, sigma) is (-1)^j when sigma = tau minus its j-th vertex.
     """
     index = {f: i for i, f in enumerate(faces_small)}
-    out = ExactMatrix(field, len(faces_big), len(faces_small))
-    one = field.one()
-    for r, tau in enumerate(faces_big):
-        sign = one
+    minus = field.neg(1)
+    data = []
+    for tau in faces_big:
+        row = []
+        sign = 1
         for v in bits_of(tau):
-            sigma = tau ^ (1 << v)
-            c = index.get(sigma)
+            c = index.get(tau ^ (1 << v))
             if c is not None:
-                out.data[r][c] = sign
-            sign = field.neg(sign)
-    return out
+                row.append((c, sign))
+            sign = minus if sign == 1 else 1
+        row.sort()
+        data.append(tuple(row))
+    return ExactMatrix._wrap(field, len(faces_big), len(faces_small), data)
 
 
 @dataclass(frozen=True)
@@ -154,11 +156,8 @@ def cohomology_space(cc: CochainComplex, q: int) -> HomologySpace:
 def face_projection(field, faces_small, faces_big) -> ExactMatrix:
     """Cochain restriction along an inclusion: picks the common coordinates."""
     index = {f: i for i, f in enumerate(faces_big)}
-    out = ExactMatrix(field, len(faces_small), len(faces_big))
-    one = field.one()
-    for r, f in enumerate(faces_small):
-        out.data[r][index[f]] = one
-    return out
+    data = [((index[f], 1),) for f in faces_small]
+    return ExactMatrix._wrap(field, len(faces_small), len(faces_big), data)
 
 
 def restrict_classes(

@@ -4,7 +4,8 @@ The free resolutions behind the strand route are built as the Lyubeznik
 resolution and capped by their cell count and by the divisibility tests
 that find the cells, not by the generator count; the Lyubeznik resolution
 stays far below the Taylor size, so ``--check`` reaches n = 8-9.  The
-hypercube route is capped by its vertex count 2^n.
+hypercube route is capped by its vertex count 2^n, and a Bass table by the
+vertex dimensions its rows assemble.
 """
 
 # Everything that enumerates {0,1}^n is exponential in n; this cap keeps the
@@ -15,6 +16,14 @@ MAX_VARIABLES = 24
 # restriction per vertex, about 2.2 times the work per added variable, so
 # the 2^n count is refused up front above this (n = 16).
 MAX_HYPERCUBE_MASKS = 2**16
+
+# Vertex dimensions one Bass or dual Bass table may assemble: row alpha
+# walks the nonzero vertices below alpha, so a table costs the sum of their
+# total dimension over the support, found by an O(n 2^n) sweep before any
+# row is built.  A table takes about 25 us per unit over Q on a 2-core Xeon
+# (a12's degree-2 table: 889,832 units in 22 s), so this cap (about 26 s)
+# admits a12 and refuses a13 (3,019,692 units).
+MAX_BASS_WORK = 2**20
 
 # Basis elements (cells) of one free complex before minimization: the Taylor
 # complex on 20 generators.  The Taylor complex on q generators has 2^q - 1

@@ -29,6 +29,7 @@ from .combinatorics import (
     popcount,
     restriction,
     simplicial_complex,
+    submasks,
 )
 from .cohomology import cochain_complex, cohomology_space, restrict_classes
 from .errors import (
@@ -38,12 +39,7 @@ from .errors import (
     InputError,
     ResourceError,
 )
-from .linalg import (
-    ExactMatrix,
-    Field,
-    VectorSpaceComplex,
-    block_matrix,
-)
+from .linalg import ExactMatrix, Field, VectorSpaceComplex
 
 # ---------------------------------------------------------------------------
 # the hypercube
@@ -181,63 +177,75 @@ def _verify_commutativity(cube: Hypercube) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _face_sign(field, i: int, gamma: int):
-    """(-1)^(number of set bits of gamma below i)."""
-    if popcount(gamma & ((1 << i) - 1)) & 1:
-        return field.neg(field.one())
-    return field.one()
-
-
 def restricted_complex(cube: Hypercube, amask: int, bmask: int) -> VectorSpaceComplex:
     """The complex whose p-th homology is the degree-bmask piece of H^p_{p_a}.
 
     Position p collects the vertices bmask\\gamma over gamma <= amask with
-    |gamma| = p.  Summand maps are the signed canonical maps; when bit i is
-    outside bmask the vertex mask does not move and the map is the identity.
+    |gamma| = p, in increasing order of gamma.  Summand maps are the signed
+    canonical maps, the sign being (-1)^(bits of gamma below i); when bit i
+    is outside bmask the vertex mask does not move and the map is the
+    identity.  Only the gammas at nonzero vertices are visited, and each
+    row of a map is written straight from the edge rows it meets.
     """
     if amask >> cube.n or bmask >> cube.n:
         raise InputError("mask does not fit the hypercube")
-    field = cube.field
-    k = popcount(amask)
-    levels: list[list[int]] = [[] for _ in range(k + 1)]
-    sub = amask
-    while True:
-        levels[popcount(sub)].append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & amask
+    field, p, dims = cube.field, cube.field.p, cube.dims
+    # The vertices bmask \ gamma over gamma <= amask are base | s for
+    # s <= span; walk whichever is fewer, those 2^|span| candidates or the
+    # nonzero vertices.
+    base, span = bmask & ~amask, bmask & amask
+    if 1 << popcount(span) < len(dims):
+        verts = [base | s for s in submasks(span) if base | s in dims]
+    else:
+        verts = [v for v in dims if (v ^ base) & ~span == 0]
+    # the gammas of a vertex v are (bmask \ v) | extra, extra any subset of
+    # the bits of amask outside bmask, which leave the vertex fixed
+    fixed = amask & ~bmask
+    levels: list[list[int]] = [[] for _ in range(popcount(amask) + 1)]
+    for v in verts:
+        for extra in submasks(fixed):
+            g = bmask & ~v | extra
+            levels[popcount(g)].append(g)
+    start = {}  # gamma -> first basis index of its summand within the level
+    sizes = []
     for lv in levels:
         lv.sort()
-    index = [{g: t for t, g in enumerate(lv)} for lv in levels]
-
-    dims = tuple(
-        sum(cube.vertex_dim(bmask & ~g) for g in lv) for lv in levels
-    )
+        t = 0
+        for g in lv:
+            start[g] = t
+            t += dims[bmask & ~g]
+        sizes.append(t)
+    edges = cube.edge_mats
     maps = []
-    for p in range(k):
-        blocks = {}
-        src_dims = [cube.vertex_dim(bmask & ~g) for g in levels[p + 1]]
-        tgt_dims = [cube.vertex_dim(bmask & ~g) for g in levels[p]]
-        for s, gamma in enumerate(levels[p + 1]):
-            src_vertex = bmask & ~gamma
-            d_src = cube.vertex_dim(src_vertex)
-            if not d_src:
-                continue
-            for i in bits_of(gamma):
-                tgt_gamma = gamma ^ 1 << i
-                t = index[p][tgt_gamma]
-                if bmask >> i & 1:
-                    block = cube.edge(src_vertex, i)
-                else:
-                    block = ExactMatrix.identity(field, d_src)
-                if not block.rows:
+    for lv, size, src_size in zip(levels, sizes, sizes[1:]):
+        data = []
+        for g in lv:
+            v = bmask & ~g
+            rows = [[] for _ in range(dims[v])]
+            rest = amask & ~g
+            while rest:  # bit i of the source g + e_i, lowest first
+                bit = rest & -rest
+                rest ^= bit
+                c0 = start.get(g | bit)
+                if c0 is None:  # the source vertex is zero
                     continue
-                sign = _face_sign(field, i, gamma)
-                if sign != field.one():
-                    block = block.scaled(sign)
-                blocks[(t, s)] = block
-        maps.append(block_matrix(field, tgt_dims, src_dims, blocks))
-    return VectorSpaceComplex(field, dims, maps)
+                flip = popcount(g & (bit - 1)) & 1
+                if bmask & bit:
+                    edge = edges.get((v ^ bit, bit.bit_length() - 1))
+                    if edge is None:
+                        continue
+                    for out, row in zip(rows, edge.data):
+                        if not flip:
+                            out.extend([(c0 + c, x) for c, x in row])
+                        else:
+                            out.extend([(c0 + c, p - x if p else -x) for c, x in row])
+                else:
+                    one = (p - 1 if p else -1) if flip else 1
+                    for a, out in enumerate(rows):
+                        out.append((c0 + a, one))
+            data.extend(map(tuple, rows))
+        maps.append(ExactMatrix._wrap(field, size, src_size, data))
+    return VectorSpaceComplex(field, sizes, maps)
 
 
 def main_complex(cube: Hypercube) -> VectorSpaceComplex:

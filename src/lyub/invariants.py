@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from .combinatorics import (
     MonomialIdeal,
     alexander_dual,
-    contains,
     full_mask,
     link,
     mask_key,
@@ -16,7 +15,7 @@ from .combinatorics import (
     stanley_reisner,
 )
 from .cohomology import reduced_cohomology_dims_all
-from .errors import ContractError, DomainError
+from .errors import MAX_BASS_WORK, ContractError, DomainError, ResourceError
 from .hypercube import (
     Hypercube,
     build_hypercube,
@@ -33,22 +32,44 @@ from .tables import BassTable, DualBassTable, LyubeznikTable
 # ---------------------------------------------------------------------------
 
 
+def _totals_below(cube: Hypercube) -> list[int]:
+    """Per mask alpha, the total dimension of the nonzero vertices below
+    alpha: one subset-sum sweep per bit, O(n 2^n) in all."""
+    below = [0] * (1 << cube.n)
+    for v, d in cube.dims.items():
+        below[v] = d
+    for i in range(cube.n):
+        bit = 1 << i
+        for m in range(1 << cube.n):
+            if m & bit:
+                below[m] += below[m ^ bit]
+    return below
+
+
 def support_masks(cube: Hypercube) -> list[int]:
     """Face-ideal masks in the support: upward closure of nonzero vertices."""
-    verts = cube.nonzero_vertices()
-    out = [
-        a
-        for a in range(1 << cube.n)
-        if any(contains(a, v) for v in verts)
-    ]
-    return sorted(out, key=mask_key)
+    return sorted((a for a, t in enumerate(_totals_below(cube)) if t), key=mask_key)
 
 
 def minimal_support_masks(cube: Hypercube) -> list[int]:
-    """Masks of the minimal primes of the support."""
-    verts = cube.nonzero_vertices()
-    mins = [v for v in verts if not any(contains(v, w) for w in verts if w != v)]
-    return sorted(mins, key=mask_key)
+    """Masks of the minimal primes of the support: the nonzero vertices with
+    no nonzero vertex strictly below them."""
+    below = _totals_below(cube)
+    return sorted((v for v, d in cube.dims.items() if below[v] == d), key=mask_key)
+
+
+def _bass_rows(cube: Hypercube) -> dict[int, list[int]]:
+    """mu_p(p_alpha) for every alpha in the support.  Row alpha assembles
+    the vertices below alpha, so a table whose totals sum above
+    ``MAX_BASS_WORK`` is refused before any row is built."""
+    below = _totals_below(cube)
+    work = sum(below)
+    if work > MAX_BASS_WORK:
+        raise ResourceError(
+            f"a Bass table of H^{cube.r} on n={cube.n} variables assembles "
+            f"{work} vertex dimensions, which exceeds the cap of {MAX_BASS_WORK}"
+        )
+    return {alpha: bass_row(cube, alpha) for alpha, t in enumerate(below) if t}
 
 
 def bass_row(cube: Hypercube, alpha: int) -> list[int]:
@@ -97,22 +118,14 @@ def lyubeznik_table(
 
 def bass_table(ideal: MonomialIdeal, r: int, field: Field) -> BassTable:
     """mu_p(p_alpha, H_I^r(R)) for every face ideal in the support."""
-    cube = build_hypercube(ideal, r, field)
-    rows = {}
-    for alpha in support_masks(cube):
-        rows[alpha] = bass_row(cube, alpha)
-    return BassTable.from_rows(r, rows)
+    return BassTable.from_rows(r, _bass_rows(build_hypercube(ideal, r, field)))
 
 
 def dual_bass_table(ideal: MonomialIdeal, r: int, field: Field) -> DualBassTable:
     """pi_p(p_alpha) = mu_p(p_{1-alpha}) of the Matlis-dual hypercube."""
-    cube = build_hypercube(ideal, r, field)
-    dual = matlis_dual(cube)
+    rows = _bass_rows(matlis_dual(build_hypercube(ideal, r, field)))
     full = full_mask(ideal.n)
-    rows = {}
-    for delta in support_masks(dual):
-        rows[full ^ delta] = bass_row(dual, delta)
-    return DualBassTable.from_rows(r, rows)
+    return DualBassTable.from_rows(r, {full ^ delta: mu for delta, mu in rows.items()})
 
 
 def small_support(ideal: MonomialIdeal, r: int, field: Field):

@@ -6,11 +6,13 @@ is integral and ``fractions.Fraction`` only where a division by a non-unit
 leaves a non-integer; ints and Fractions compare and hash equal, so the two
 never need telling apart.  Over F_p they are ints in [0, p).
 
-``ExactMatrix`` stores its entries as row lists, but every elimination runs
-on sparse rows ({col: int}) in one engine shared by both kinds of field:
-over Q the rows stay integral (fraction-free updates, each rescaled row
-divided by its gcd), over F_p they are reduced mod p.  Products walk only
-the nonzero entries of the right factor.
+``ExactMatrix`` stores only its nonzero entries: one row per matrix row,
+each a tuple of (col, value) pairs in increasing column order.  Products,
+transposes, equality and the d∘d checks walk those entries alone.  Every
+elimination copies the rows into mutable {col: int} dicts and runs one
+engine shared by both kinds of field: over Q the rows stay integral
+(fraction-free updates, each rescaled row divided by its gcd), over F_p
+they are reduced mod p.
 """
 
 from dataclasses import dataclass
@@ -96,29 +98,45 @@ def prime_field(p: int) -> Field:
 # ---------------------------------------------------------------------------
 
 
+def _pack(acc: dict, p: int) -> tuple:
+    """The stored form of a {col: scalar} row: its nonzero entries, reduced
+    to canonical scalars, in column order."""
+    if p:
+        return tuple(sorted((j, v % p) for j, v in acc.items() if v % p))
+    return tuple(sorted(
+        (j, v if type(v) is int else QQ.coerce(v)) for j, v in acc.items() if v
+    ))
+
+
 class ExactMatrix:
     """Matrix with entries in a fixed field, reduced at construction.
 
-    ``data`` holds the rows as lists; the elimination routines below read it
-    into sparse rows.
+    ``data`` holds one sparse row per matrix row: a tuple of (col, value)
+    pairs, columns increasing, zeros left out.  ``dense`` reads it out as
+    row lists.
     """
 
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field: Field, rows: int, cols: int, data=None):
+        """``data``, if given, is ``rows`` dense row lists of ``cols`` scalars."""
         self.field = field
         self.rows = rows
         self.cols = cols
         if data is None:
-            self.data = [[0] * cols for _ in range(rows)]
+            self.data = [()] * rows
         else:
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise InputError("matrix data shape mismatch")
-            self.data = [[field.coerce(x) for x in row] for row in data]
+            coerce = field.coerce
+            self.data = [
+                tuple((j, x) for j, x in enumerate(map(coerce, row)) if x)
+                for row in data
+            ]
 
     @classmethod
     def _wrap(cls, field, rows, cols, data):
-        """Adopt rows of already reduced entries without copying them."""
+        """Adopt rows already in the stored form without copying them."""
         out = cls.__new__(cls)
         out.field = field
         out.rows = rows
@@ -132,11 +150,7 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, field, n):
-        m = cls(field, n, n)
-        one = field.one()
-        for i in range(n):
-            m.data[i][i] = one
-        return m
+        return cls._wrap(field, n, n, [((i, 1),) for i in range(n)])
 
     @classmethod
     def from_rows(cls, field, rows):
@@ -144,47 +158,60 @@ class ExactMatrix:
         c = len(rows[0]) if r else 0
         return cls(field, r, c, rows)
 
+    @classmethod
+    def from_entries(cls, field, rows, cols, entries):
+        """The matrix with the given ((row, col), scalar) entries, reduced;
+        every other entry is zero."""
+        acc = [{} for _ in range(rows)]
+        for (r, c), v in entries:
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise InputError(f"entry ({r}, {c}) outside a {rows}x{cols} matrix")
+            acc[r][c] = v
+        return cls._wrap(field, rows, cols, [_pack(row, field.p) for row in acc])
+
+    def dense(self) -> list[list]:
+        """The entries as row lists, zeros included."""
+        out = []
+        for row in self.data:
+            full = [0] * self.cols
+            for j, v in row:
+                full[j] = v
+            out.append(full)
+        return out
+
+    def columns(self, picks: list[int]) -> "ExactMatrix":
+        """The submatrix of the columns in ``picks``, given in increasing order."""
+        pos = {c: k for k, c in enumerate(picks)}
+        data = [tuple((pos[j], v) for j, v in row if j in pos) for row in self.data]
+        return ExactMatrix._wrap(self.field, self.rows, len(picks), data)
+
     def transpose(self):
-        if self.rows:
-            data = [list(col) for col in zip(*self.data)]
-        else:
-            data = [[] for _ in range(self.cols)]
-        return ExactMatrix._wrap(self.field, self.cols, self.rows, data)
+        cols = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, v in row:
+                cols[j].append((i, v))
+        return ExactMatrix._wrap(self.field, self.cols, self.rows, list(map(tuple, cols)))
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
-        """The product, walking only the nonzero entries of ``other``."""
+        """The product, walking only the nonzero entries of both factors."""
         if self.cols != other.rows:
             raise InputError("matmul shape mismatch")
         p = self.field.p
-        coerce = self.field.coerce
-        right = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
+        right = other.data
         data = []
         for arow in self.data:
+            if len(arow) == 1 and arow[0][1] == 1:
+                data.append(right[arow[0][0]])  # a unit row picks a row of other
+                continue
             acc = {}
-            for k, a in enumerate(arow):
-                if a:
-                    for j, b in right[k]:
-                        acc[j] = acc.get(j, 0) + a * b
-            row = [0] * other.cols
-            for j, v in acc.items():
-                row[j] = v % p if p else v if type(v) is int else coerce(v)
-            data.append(row)
+            for k, a in arow:
+                for j, b in right[k]:
+                    acc[j] = acc.get(j, 0) + a * b
+            data.append(_pack(acc, p))
         return ExactMatrix._wrap(self.field, self.rows, other.cols, data)
 
-    __matmul__ = matmul
-
-    def scaled(self, c) -> "ExactMatrix":
-        f = self.field
-        c = f.coerce(c)
-        return ExactMatrix._wrap(
-            f, self.rows, self.cols, [[f.coerce(c * x) for x in row] for row in self.data]
-        )
-
     def is_zero_matrix(self) -> bool:
-        p = self.field.p
-        if p:
-            return all(x % p == 0 for row in self.data for x in row)
-        return not any(map(any, self.data))
+        return not any(self.data)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -203,33 +230,14 @@ class ExactMatrix:
 def hstack(field, blocks, rows):
     """Concatenate matrices (all with ``rows`` rows) side by side."""
     data = [[] for _ in range(rows)]
+    off = 0
     for b in blocks:
         if b.rows != rows:
             raise InputError("hstack row mismatch")
-        for i in range(rows):
-            data[i].extend(b.data[i])
-    cols = sum(b.cols for b in blocks)
-    return ExactMatrix._wrap(field, rows, cols, data)
-
-
-def block_matrix(field, row_dims, col_dims, blocks) -> ExactMatrix:
-    """Assemble from a dict (block_row, block_col) -> ExactMatrix."""
-    rows = sum(row_dims)
-    cols = sum(col_dims)
-    out = ExactMatrix(field, rows, cols)
-    roff = [0]
-    for d in row_dims:
-        roff.append(roff[-1] + d)
-    coff = [0]
-    for d in col_dims:
-        coff.append(coff[-1] + d)
-    for (bi, bj), blk in blocks.items():
-        if blk.rows != row_dims[bi] or blk.cols != col_dims[bj]:
-            raise InputError("block shape mismatch")
-        r0, c0 = roff[bi], coff[bj]
-        for i in range(blk.rows):
-            out.data[r0 + i][c0 : c0 + blk.cols] = blk.data[i]
-    return out
+        for out, row in zip(data, b.data):
+            out.extend([(off + j, v) for j, v in row] if off else row)
+        off += b.cols
+    return ExactMatrix._wrap(field, rows, off, list(map(tuple, data)))
 
 
 # ---------------------------------------------------------------------------
@@ -237,24 +245,19 @@ def block_matrix(field, row_dims, col_dims, blocks) -> ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _sparse_rows(mat: ExactMatrix) -> list[dict]:
-    """One {col: int} dict per row, zeros left out.
+def _working_rows(mat: ExactMatrix) -> list[dict]:
+    """One mutable {col: int} dict per row.
 
-    Over F_p the entries are reduced mod p; over Q a row with fractions is
-    scaled by the lcm of its denominators, which leaves its span unchanged.
+    Over Q a row with fractions is scaled by the lcm of its denominators,
+    which leaves its span unchanged.
     """
-    p = mat.field.p
-    out = []
-    for row in mat.data:
-        if p:
-            srow = {j: v % p for j, v in enumerate(row) if v % p}
-        else:
-            srow = {j: v for j, v in enumerate(row) if v}
-            if any(type(v) is not int for v in srow.values()):
-                scale = lcm(*(Fraction(v).denominator for v in srow.values()))
-                srow = {j: int(v * scale) for j, v in srow.items()}
-        out.append(srow)
-    return out
+    rows = [dict(row) for row in mat.data]
+    if not mat.field.p and any(type(v) is not int for row in mat.data for _, v in row):
+        for k, row in enumerate(rows):
+            if any(type(v) is not int for v in row.values()):
+                scale = lcm(*(v.denominator for v in row.values()))
+                rows[k] = {j: int(v * scale) for j, v in row.items()}
+    return rows
 
 
 def _eliminate(row: dict, rid: int, prow: dict, pc: int, inv: int, p: int,
@@ -316,7 +319,7 @@ def rank(mat: ExactMatrix) -> int:
     if mat.rows == 0 or mat.cols == 0:
         return 0
     p = mat.field.p
-    rows = _sparse_rows(mat)
+    rows = _working_rows(mat)
     index = _column_index(rows)
     live = {i: row for i, row in enumerate(rows) if row}
     heap = [(len(row), i) for i, row in live.items()]
@@ -347,28 +350,6 @@ def rank(mat: ExactMatrix) -> int:
     return r
 
 
-def rank_naive(mat: ExactMatrix) -> int:
-    """Rank by plain dense field-arithmetic elimination.
-
-    Shares no code with ``rank``, so it can cross-check the sparse engine.
-    """
-    f = mat.field
-    m = [row[:] for row in mat.data]
-    r = 0
-    for c in range(mat.cols):
-        piv = next((i for i in range(r, mat.rows) if not f.is_zero(m[i][c])), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = f.inv(m[r][c])
-        for i in range(r + 1, mat.rows):
-            if not f.is_zero(m[i][c]):
-                factor = m[i][c] * inv
-                m[i] = [f.coerce(x - factor * y) for x, y in zip(m[i], m[r])]
-        r += 1
-    return r
-
-
 def rref(mat: ExactMatrix):
     """Reduced row echelon form; returns (rref ExactMatrix, pivot columns).
 
@@ -379,8 +360,8 @@ def rref(mat: ExactMatrix):
     """
     f = mat.field
     p = f.p
-    nrows, ncols = mat.rows, mat.cols
-    rows = _sparse_rows(mat)
+    nrows = mat.rows
+    rows = _working_rows(mat)
     index = _column_index(rows)
     order = list(range(nrows))  # order[position] = row id
     pos = list(range(nrows))  # pos[row id] = position
@@ -406,18 +387,20 @@ def rref(mat: ExactMatrix):
                 _eliminate(rows[k], k, prow, c, 1, p, index)
         pivots.append(c)
         r += 1
-    data = []
-    for t in range(nrows):
-        out = [0] * ncols
-        if t < r:
-            # over Q the pivot row is an integer multiple of its reduced form
-            row = rows[order[t]]
-            a = row[pivots[t]]
-            for k, v in row.items():
-                q, rem = divmod(v, a)
-                out[k] = Fraction(v, a) if rem else q
-        data.append(out)
-    return ExactMatrix._wrap(f, nrows, ncols, data), pivots
+    data = [()] * nrows
+    for t in range(r):
+        # over Q the pivot row is an integer multiple of its reduced form
+        row = rows[order[t]]
+        a = row[pivots[t]]
+        if a == 1:
+            data[t] = tuple(sorted(row.items()))
+            continue
+        out = []
+        for k in sorted(row):
+            q, rem = divmod(row[k], a)
+            out.append((k, Fraction(row[k], a) if rem else q))
+        data[t] = tuple(out)
+    return ExactMatrix._wrap(f, nrows, mat.cols, data), pivots
 
 
 def kernel_basis(mat: ExactMatrix) -> ExactMatrix:
@@ -425,14 +408,14 @@ def kernel_basis(mat: ExactMatrix) -> ExactMatrix:
     f = mat.field
     red, pivots = rref(mat)
     pivset = set(pivots)
-    free = [c for c in range(mat.cols) if c not in pivset]
-    out = ExactMatrix(f, mat.cols, len(free))
-    one = f.one()
-    for k, c in enumerate(free):
-        out.data[c][k] = one
-        for r, pc in enumerate(pivots):
-            out.data[pc][k] = f.neg(red.data[r][c])
-    return out
+    free = {c: k for k, c in enumerate(c for c in range(mat.cols) if c not in pivset)}
+    data = [()] * mat.cols
+    for c, k in free.items():
+        data[c] = ((k, 1),)
+    # a reduced row has entries only at its pivot and at free columns
+    for row, pc in zip(red.data, pivots):
+        data[pc] = tuple((free[c], f.neg(v)) for c, v in row if c != pc)
+    return ExactMatrix._wrap(f, mat.cols, len(free), data)
 
 
 def solve_matrix(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -440,15 +423,14 @@ def solve_matrix(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if a.rows != b.rows:
         raise InputError("solve shape mismatch")
     f = a.field
-    aug = hstack(f, [a, b], a.rows)
-    red, pivots = rref(aug)
-    for pc in pivots:
-        if pc >= a.cols:
-            raise ContractError("inconsistent linear system")
-    x = ExactMatrix(f, a.cols, b.cols)
-    for r, pc in enumerate(pivots):
-        x.data[pc] = red.data[r][a.cols :]
-    return x
+    n = a.cols
+    red, pivots = rref(hstack(f, [a, b], a.rows))
+    if pivots and pivots[-1] >= n:
+        raise ContractError("inconsistent linear system")
+    data = [()] * n
+    for row, pc in zip(red.data, pivots):
+        data[pc] = tuple((c - n, v) for c, v in row if c >= n)
+    return ExactMatrix._wrap(f, n, b.cols, data)
 
 
 def independent_columns(mat: ExactMatrix) -> list[int]:
@@ -539,11 +521,8 @@ class HomologySpace:
             return ExactMatrix(self.field, 0, vectors.cols)
         basis = hstack(self.field, [self.image, self.reps], self.space_dim)
         x = solve_matrix(basis, vectors)
-        return ExactMatrix(
-            self.field,
-            self.dim,
-            vectors.cols,
-            [x.data[self.image.cols + i] for i in range(self.dim)],
+        return ExactMatrix._wrap(
+            self.field, self.dim, vectors.cols, x.data[self.image.cols:]
         )
 
 
@@ -560,17 +539,10 @@ def homology_space(field, dim, d_out, d_in) -> HomologySpace:
         raise InputError("d_in shape mismatch")
     ker = kernel_basis(d_out) if d_out is not None else ExactMatrix.identity(field, dim)
     if d_in is not None:
-        img_cols = independent_columns(d_in)
-        image = ExactMatrix(
-            field, dim, len(img_cols), [[d_in.data[i][j] for j in img_cols] for i in range(dim)]
-        )
+        image = d_in.columns(independent_columns(d_in))
     else:
         image = ExactMatrix(field, dim, 0)
     stacked = hstack(field, [image, ker], dim)
     piv = independent_columns(stacked)
-    rep_cols = [c - image.cols for c in piv if c >= image.cols]
-    reps = ExactMatrix(
-        field, dim, len(rep_cols), [[ker.data[i][j] for j in rep_cols] for i in range(dim)]
-    )
-    return HomologySpace(field, dim, len(rep_cols), reps, image)
-
+    reps = ker.columns([c - image.cols for c in piv if c >= image.cols])
+    return HomologySpace(field, dim, reps.cols, reps, image)

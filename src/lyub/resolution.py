@@ -101,11 +101,10 @@ class GradedFreeComplex:
         return len(self.degrees[j]) if 0 <= j < len(self.degrees) else 0
 
     def differential_matrix(self, j: int) -> ExactMatrix:
-        """Dense scalar part of the map from term j+1 to term j."""
-        out = ExactMatrix(self.field, self.term_rank(j), self.term_rank(j + 1))
-        for (r, c), v in self.diffs[j].items():
-            out.data[r][c] = v
-        return out
+        """Scalar part of the map from term j+1 to term j."""
+        return ExactMatrix.from_entries(
+            self.field, self.term_rank(j), self.term_rank(j + 1), self.diffs[j].items()
+        )
 
     def is_minimal(self) -> bool:
         for j, dd in enumerate(self.diffs):
@@ -434,12 +433,11 @@ def strand_frame(ideal: MonomialIdeal, r: int, field: Field) -> StrandFrame:
     for j in range(length):
         rows = {i: k for k, i in enumerate(picks[j])}
         cols = {i: k for k, i in enumerate(picks[j + 1])}
-        out = ExactMatrix(field, dims[j], dims[j + 1])
-        if j < len(res.diffs):
-            for (r_, c_), v in res.diffs[j].items():
-                if r_ in rows and c_ in cols:
-                    out.data[rows[r_]][cols[c_]] = v
-        mats.append(out)
+        entries = res.diffs[j].items() if j < len(res.diffs) else ()
+        mats.append(ExactMatrix.from_entries(field, dims[j], dims[j + 1], (
+            ((rows[r_], cols[c_]), v) for (r_, c_), v in entries
+            if r_ in rows and c_ in cols
+        )))
     frame = StrandFrame(r, dims, mats)
     frame.complex(field)  # frames must compose to zero
     return frame

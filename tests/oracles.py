@@ -3,7 +3,10 @@
 The Cech oracle computes graded pieces of H_I^r(R) straight from the
 generator-indexed Cech covering complex; the Hochster oracle computes Betti
 numbers as reduced cohomology of restrictions of the ideal's own complex.
-Neither touches the hypercube or the Taylor minimization.
+Neither touches the hypercube or the Taylor minimization.  ``rank_naive``
+is dense elimination, and ``dense_restricted_complex`` assembles a
+restricted hypercube complex block by block over every subset; both read
+matrices only through ``ExactMatrix.dense``.
 """
 
 import random
@@ -12,6 +15,7 @@ from itertools import combinations
 from lyub import ExactMatrix, rank, reduced_cohomology_dim, restriction, stanley_reisner
 from lyub.combinatorics import (
     MonomialIdeal,
+    bits_of,
     contains,
     full_mask,
     mask_of,
@@ -78,16 +82,15 @@ def cech_vertex_dim(ideal, r, alpha, field):
 
     def dmat(p):
         idx = {T: i for i, T in enumerate(layers[p])}
-        out = ExactMatrix(field, len(layers[p + 1]), len(layers[p]))
-        one = field.one()
+        out = [[0] * len(layers[p]) for _ in layers[p + 1]]
         for row, T in enumerate(layers[p + 1]):
-            sign = one
+            sign = 1
             for k in range(len(T)):
                 col = idx.get(T[:k] + T[k + 1 :])
                 if col is not None:
-                    out.data[row][col] = sign
-                sign = field.neg(sign)
-        return out
+                    out[row][col] = sign
+                sign = -sign
+        return ExactMatrix(field, len(layers[p + 1]), len(layers[p]), out)
 
     h = len(layers[r])
     if r < q:
@@ -95,6 +98,67 @@ def cech_vertex_dim(ideal, r, alpha, field):
     if r >= 1:
         h -= rank(dmat(r - 1))
     return h
+
+
+def rank_naive(mat):
+    """Rank by plain dense field-arithmetic elimination.
+
+    Shares no code with ``rank``, so it can cross-check the sparse engine.
+    """
+    f = mat.field
+    m = mat.dense()
+    r = 0
+    for c in range(mat.cols):
+        piv = next((i for i in range(r, mat.rows) if not f.is_zero(m[i][c])), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = f.inv(m[r][c])
+        for i in range(r + 1, mat.rows):
+            if not f.is_zero(m[i][c]):
+                factor = m[i][c] * inv
+                m[i] = [f.coerce(x - factor * y) for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def dense_restricted_complex(cube, amask, bmask):
+    """(dims, maps as dense row lists) of ``restricted_complex``, assembled
+    block by block over all 2^|amask| subsets gamma of amask.
+
+    The block from gamma to gamma - e_i is (-1)^(bits of gamma below i)
+    times the edge at bmask - gamma in direction i, or the identity when i
+    is outside bmask.
+    """
+    field = cube.field
+    levels = [[] for _ in range(popcount(amask) + 1)]
+    for g in submasks(amask):
+        levels[popcount(g)].append(g)
+    offset, dims = {}, []
+    for lv in levels:
+        lv.sort()
+        total = 0
+        for g in lv:
+            offset[g] = total
+            total += cube.vertex_dim(bmask & ~g)
+        dims.append(total)
+    maps = []
+    for p in range(len(levels) - 1):
+        out = [[0] * dims[p + 1] for _ in range(dims[p])]
+        for g in levels[p + 1]:
+            d = cube.vertex_dim(bmask & ~g)
+            for i in bits_of(g):
+                if bmask >> i & 1:
+                    block = cube.edge(bmask & ~g, i).dense()
+                else:
+                    block = [[int(a == b) for b in range(d)] for a in range(d)]
+                sign = -1 if popcount(g & ((1 << i) - 1)) % 2 else 1
+                r0, c0 = offset[g ^ 1 << i], offset[g]
+                for a, row in enumerate(block):
+                    for b, x in enumerate(row):
+                        out[r0 + a][c0 + b] = field.coerce(sign * x)
+        maps.append(out)
+    return dims, maps
 
 
 def hochster_betti_counts(ideal, field):

@@ -176,6 +176,30 @@ def test_main_hypercube_cap_refuses_before_any_restriction(tmp_path, capsys, mon
     assert "2^17" in err and "exceeds" in err
 
 
+@pytest.mark.parametrize("command", ["bass", "dual-bass", "supp", "dims"])
+def test_main_bass_cap_refuses_before_any_row(tmp_path, capsys, monkeypatch, command):
+    from lyub import build_hypercube, invariants
+    from lyub.hypercube import matlis_dual
+
+    def no_row(*args):
+        raise AssertionError("a Bass row was built")
+
+    monkeypatch.setattr(invariants, "bass_row", no_row)
+    monkeypatch.setattr(invariants, "MAX_BASS_WORK", 10)
+    path = tmp_path / "a5.ideal"
+    path.write_text(A5_PRIMES)
+    cube = build_hypercube(parse_input(A5_PRIMES).ideal(), 2, QQ)
+    if command == "dual-bass":
+        cube = matlis_dual(cube)
+    # every support mask alpha walks the vertices below it
+    work = sum(d for a in range(32) for v, d in cube.dims.items() if v & ~a == 0)
+    assert main([command, str(path), "--r", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"assembles {work} vertex dimensions" in err
+    assert "exceeds the cap of 10" in err
+
+
 def test_main_strands_rejects_out_of_range_degree(tmp_path, capsys):
     path = tmp_path / "a5.ideal"
     path.write_text(A5_PRIMES)

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from lyub import (
+    ContractError,
     DomainError,
+    ExactMatrix,
     InputError,
     QQ,
     build_hypercube,
@@ -18,11 +20,13 @@ from lyub import (
 )
 from lyub import hypercube
 from lyub.combinatorics import MonomialIdeal, full_mask, mask_of, popcount
+from lyub.hypercube import Hypercube
 
 from .conftest import gens_ideal, primes_ideal
-from .oracles import cech_vertex_dim, masks, random_ideal
+from .oracles import cech_vertex_dim, dense_restricted_complex, masks, random_ideal
 
 F2 = prime_field(2)
+F3 = prime_field(3)
 
 
 def test_face_ideal_single_vertex_all_small_cases():
@@ -118,6 +122,58 @@ def test_restricted_complex_full_equals_main(a5, ex57):
             rc = restricted_complex(cube, full, full)
             assert main.dims == rc.dims
             assert main.maps == rc.maps
+
+
+def test_restricted_complex_matches_dense_assembly(a5, ex53, ex57):
+    # every amask with bmask = amask, and every pair where one mask holds
+    # the other; bits of amask outside bmask give identity blocks
+    for ideal in (a5, ex53, ex57):
+        n = ideal.n
+        pairs = [
+            (a, b) for a in range(1 << n) for b in range(1 << n)
+            if a & ~b == 0 or b & ~a == 0
+        ]
+        for field in (QQ, F3):
+            for r in range(n + 1):
+                cube = build_hypercube(ideal, r, field)
+                if cube.is_zero():
+                    continue
+                for amask, bmask in pairs:
+                    dims, maps = dense_restricted_complex(cube, amask, bmask)
+                    cx = restricted_complex(cube, amask, bmask)
+                    assert list(cx.dims) == dims
+                    assert [m.dense() for m in cx.maps] == maps, (r, amask, bmask)
+
+
+def test_checks_catch_one_changed_edge_entry(ex57):
+    # H^3 of ex57 has nonzero vertices on three consecutive levels.  Add one
+    # to entry (a, 0) of an edge (alpha, i) whose next edge (alpha+e_i, j)
+    # has a nonzero column a: that square stops commuting, and so d∘d of
+    # the main complex is nonzero on it.
+    cube = build_hypercube(ex57, 3, QQ)
+    found = None
+    for (alpha, i), mat in sorted(cube.edge_mats.items()):
+        for j in range(ex57.n):
+            nxt = cube.edge_mats.get((alpha | 1 << i, j))
+            if nxt is not None and not alpha >> j & 1:
+                cols = [c for row in nxt.dense() for c, x in enumerate(row) if x]
+                if cols:
+                    found = (alpha, i), mat, cols[0]
+                    break
+        if found:
+            break
+    assert found
+    key, mat, a = found
+    entries = mat.dense()
+    entries[a][0] += 1
+    edges = dict(cube.edge_mats)
+    edges[key] = ExactMatrix(QQ, mat.rows, mat.cols, entries)
+    broken = Hypercube(cube.n, cube.r, cube.field, cube.dims, edges)
+    full = full_mask(ex57.n)
+    with pytest.raises(ContractError):
+        restricted_complex(broken, full, full)
+    with pytest.raises(ContractError):
+        hypercube._verify_commutativity(broken)
 
 
 def test_restricted_complex_general_degrees_on_simple_modules():

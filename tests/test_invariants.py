@@ -27,7 +27,8 @@ from lyub import (
     strand_homology,
     terai_mustata_consistent,
 )
-from lyub.combinatorics import MonomialIdeal, full_mask, mask_of, popcount
+from lyub.combinatorics import MonomialIdeal, full_mask, mask_key, mask_of, popcount
+from lyub.hypercube import matlis_dual
 from lyub.invariants import bass_row, minimal_support_masks, support_masks
 from lyub.tables import LyubeznikTable
 
@@ -212,6 +213,18 @@ def test_small_support_strictly_smaller(ex57):
     assert not excluded & set(small)
     small2, big2 = small_support(ex57, 2, QQ)
     assert small2 == big2
+
+
+def test_support_sweeps_match_brute_force(a4, a5, ex46, ex53, ex57, field):
+    for ideal in (a4, a5, ex46, ex53, ex57):
+        for r in range(ideal.n + 1):
+            cube = build_hypercube(ideal, r, field)
+            for c in (cube, matlis_dual(cube)):
+                verts = list(c.dims)
+                upward = [a for a in range(1 << c.n) if any(v & ~a == 0 for v in verts)]
+                minimal = [v for v in verts if not any(w != v and w & ~v == 0 for w in verts)]
+                assert support_masks(c) == sorted(upward, key=mask_key)
+                assert minimal_support_masks(c) == sorted(minimal, key=mask_key)
 
 
 def test_minimal_support_primes_have_mu0_one(a4, a5, ex46, ex53, ex57, field):

@@ -16,9 +16,9 @@ from lyub import (
     rank,
 )
 from lyub import hypercube
-from lyub.linalg import Field, rank_naive, rref, solve_matrix, transpose_reverse
+from lyub.linalg import Field, rref, solve_matrix, transpose_reverse
 
-from .oracles import random_fraction_matrix, random_matrix
+from .oracles import random_fraction_matrix, random_matrix, rank_naive
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -66,9 +66,17 @@ def test_hypercube_cache_finds_an_equal_field(monkeypatch, a5):
 
 def test_entries_reduced_on_construction():
     m = ExactMatrix(QQ, 1, 2, [[Fraction(2, 4), 3]])
-    assert m.data[0][0] == Fraction(1, 2)
+    assert m.dense()[0][0] == Fraction(1, 2)
     m2 = ExactMatrix(F5, 1, 2, [[7, -1]])
-    assert m2.data[0] == [2, 4]
+    assert m2.dense()[0] == [2, 4]
+
+
+def test_from_entries_reduces_and_refuses_outside_entries():
+    m = ExactMatrix.from_entries(F5, 2, 3, [((0, 2), 7), ((1, 0), 5), ((0, 1), -1)])
+    assert m.dense() == [[0, 4, 2], [0, 0, 0]]
+    assert m == ExactMatrix(F5, 2, 3, [[0, -1, 2], [0, 0, 0]])
+    with pytest.raises(InputError):
+        ExactMatrix.from_entries(QQ, 1, 1, [((0, 1), 1)])
 
 
 def test_rank_cycle5_matrix():
@@ -195,14 +203,15 @@ def _sparse_int_rows(rng, rows, cols):
 
 def _assert_reduced_echelon(field, red, pivots):
     assert pivots == sorted(set(pivots))
-    for t, row in enumerate(red.data):
+    rows = red.dense()
+    for t, row in enumerate(rows):
         if t >= len(pivots):
             assert all(field.is_zero(x) for x in row)
             continue
         pc = pivots[t]
         assert all(field.is_zero(x) for x in row[:pc])
         assert row[pc] == field.one()
-        for u, other in enumerate(red.data):
+        for u, other in enumerate(rows):
             if u != t:
                 assert field.is_zero(other[pc])
 
@@ -226,8 +235,8 @@ def test_sparse_engine_cross_check():
             _assert_reduced_echelon(field, red, pivots)
             assert len(pivots) == r
             # the reduced rows span the row space of m
-            assert rank_naive(ExactMatrix.from_rows(field, m.data + red.data)) == r
-            prefix = [rank(ExactMatrix(field, rows, c, [row[:c] for row in m.data]))
+            assert rank_naive(ExactMatrix.from_rows(field, m.dense() + red.dense())) == r
+            prefix = [rank(ExactMatrix(field, rows, c, [row[:c] for row in m.dense()]))
                       for c in range(cols + 1)]
             assert pivots == [c for c in range(cols) if prefix[c + 1] > prefix[c]]
 
