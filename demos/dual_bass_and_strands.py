@@ -56,8 +56,8 @@ for r in nonzero_cohomology_degrees(ideal, QQ):
 print("\nstrand frames of I^v:")
 for r in range(2, 6):
     frame = strand_frame(dual, r, QQ)
-    if frame.is_empty():
+    if not frame.dims:
         continue
-    print(f"   r = {r}: spaces {frame.dims}, homology {strand_homology(dual, r, QQ)}")
+    print(f"   r = {r}: spaces {frame.dims}, homology {homology_dims(frame)}")
 print("linearity defect of I^v:", linearity_defect(dual, QQ))
 print("(a nonzero value in positive position is exactly a nontrivial table entry)")

@@ -71,7 +71,6 @@ from .linalg import (
 )
 from .resolution import (
     GradedFreeComplex,
-    StrandFrame,
     betti_numbers,
     linearity_defect,
     lyubeznik_complex,

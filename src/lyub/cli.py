@@ -42,6 +42,7 @@ from .hypercube import build_hypercube  # noqa: F401  (perfbench traces this bin
 from .invariants import (
     bass_table,
     betti_matches_hypercube,
+    check_bass_work,
     dual_bass_table,
     injective_dimensions,
     lyubeznik_table,
@@ -51,8 +52,8 @@ from .invariants import (
     small_support,
     terai_mustata_consistent,
 )
-from .linalg import QQ, Field, prime_field
-from .resolution import betti_numbers, linearity_defect, strand_frame, strand_homology
+from .linalg import QQ, Field, homology_dims, prime_field
+from .resolution import betti_numbers, linearity_defect, strand_frame
 
 # ---------------------------------------------------------------------------
 # problem specification and input grammar
@@ -235,11 +236,14 @@ def _alpha_json(mask: int, n: int) -> list[int]:
     return list(mask_vector(mask, n))
 
 
-def _requested_degrees(spec: ProblemSpec, r: int | None) -> list[int]:
-    if r is not None:
-        return [r]
+def _requested_degrees(spec: ProblemSpec, r: int | None, dual: bool = False) -> list[int]:
+    """The degrees a Bass-type command reports.  Each one's table (its dual
+    Bass table with ``dual``) is checked against the work cap before any
+    row of any degree is built."""
     ideal = spec.ideal()
-    return nonzero_cohomology_degrees(ideal, spec.field)
+    degrees = [r] if r is not None else nonzero_cohomology_degrees(ideal, spec.field)
+    check_bass_work(ideal, degrees, spec.field, dual)
+    return degrees
 
 
 # computations that take a single degree from ``--r``
@@ -290,7 +294,7 @@ def run(spec: ProblemSpec, r: int | None = None) -> dict:
             )
         report["bass"] = maybe_single(items)
     if "dual_bass" in want:
-        degrees = _requested_degrees(spec, r)
+        degrees = _requested_degrees(spec, r, dual=True)
         items = []
         for rr in degrees:
             dt = dual_bass_table(ideal, rr, spec.field)
@@ -319,14 +323,10 @@ def run(spec: ProblemSpec, r: int | None = None) -> dict:
         items = []
         for rr in degrees:
             frame = strand_frame(ideal, rr, spec.field)
-            if frame.is_empty():
+            if not frame.dims:
                 continue
             items.append(
-                {
-                    "r": rr,
-                    "dims": list(frame.dims),
-                    "homology": strand_homology(ideal, rr, spec.field),
-                }
+                {"r": rr, "dims": list(frame.dims), "homology": homology_dims(frame)}
             )
         report["strands"] = maybe_single(items) if items else items
         report["linearity_defect"] = linearity_defect(ideal, spec.field)

@@ -22,6 +22,7 @@ from .linalg import (
     ExactMatrix,
     Field,
     HomologySpace,
+    check_complex,
     homology_space,
     rank,
 )
@@ -105,9 +106,9 @@ def cochain_complex(cx: SimplicialComplex, field: Field) -> CochainComplex:
     cobs = tuple(
         coboundary_matrix(field, basis[s], basis[s + 1]) for s in range(top)
     )
-    for s in range(len(cobs) - 1):
-        if not cobs[s + 1].matmul(cobs[s]).is_zero_matrix():
-            raise ContractError("coboundary does not square to zero")
+    # in reverse order the coboundaries form a chain complex whose position
+    # p holds the faces of size top - p
+    check_complex(tuple(map(len, reversed(basis))), tuple(reversed(cobs)))
     return CochainComplex(cx, field, basis, cobs)
 
 

@@ -58,10 +58,10 @@ def minimal_support_masks(cube: Hypercube) -> list[int]:
     return sorted((v for v, d in cube.dims.items() if below[v] == d), key=mask_key)
 
 
-def _bass_rows(cube: Hypercube) -> dict[int, list[int]]:
-    """mu_p(p_alpha) for every alpha in the support.  Row alpha assembles
-    the vertices below alpha, so a table whose totals sum above
-    ``MAX_BASS_WORK`` is refused before any row is built."""
+def _bass_work(cube: Hypercube) -> list[int]:
+    """Per mask alpha, the vertex dimensions row alpha of the Bass table
+    assembles (those below alpha); a table whose totals sum above
+    ``MAX_BASS_WORK`` is refused."""
     below = _totals_below(cube)
     work = sum(below)
     if work > MAX_BASS_WORK:
@@ -69,7 +69,23 @@ def _bass_rows(cube: Hypercube) -> dict[int, list[int]]:
             f"a Bass table of H^{cube.r} on n={cube.n} variables assembles "
             f"{work} vertex dimensions, which exceeds the cap of {MAX_BASS_WORK}"
         )
+    return below
+
+
+def _bass_rows(cube: Hypercube) -> dict[int, list[int]]:
+    """mu_p(p_alpha) for every alpha in the support, refused before any row
+    is built when the table is over the cap."""
+    below = _bass_work(cube)
     return {alpha: bass_row(cube, alpha) for alpha, t in enumerate(below) if t}
+
+
+def check_bass_work(ideal: MonomialIdeal, degrees, field: Field, dual: bool = False) -> None:
+    """Refuse, before any row of any of them is built, the first of the
+    Bass tables of these degrees (dual Bass tables with ``dual``) that is
+    over the cap."""
+    for r in degrees:
+        cube = build_hypercube(ideal, r, field)
+        _bass_work(matlis_dual(cube) if dual else cube)
 
 
 def bass_row(cube: Hypercube, alpha: int) -> list[int]:

@@ -8,11 +8,11 @@ never need telling apart.  Over F_p they are ints in [0, p).
 
 ``ExactMatrix`` stores only its nonzero entries: one row per matrix row,
 each a tuple of (col, value) pairs in increasing column order.  Products,
-transposes, equality and the d∘d checks walk those entries alone.  Every
-elimination copies the rows into mutable {col: int} dicts and runs one
-engine shared by both kinds of field: over Q the rows stay integral
-(fraction-free updates, each rescaled row divided by its gcd), over F_p
-they are reduced mod p.
+transposes, equality and the one d∘d check (``check_complex``) walk those
+entries alone.  Every elimination copies the rows into mutable {col: int}
+dicts and runs one engine shared by both kinds of field: over Q the rows
+stay integral (fraction-free updates, each rescaled row divided by its
+gcd), over F_p they are reduced mod p.
 """
 
 from dataclasses import dataclass
@@ -444,24 +444,45 @@ def independent_columns(mat: ExactMatrix) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def check_complex(dims, maps) -> None:
+    """Refuse maps[p] : position p+1 -> position p that do not fit ``dims``
+    or do not compose to zero.
+
+    Each row of maps[p] @ maps[p+1] is summed on its own, and the check
+    returns at the first nonzero row without building the product.
+    """
+    if len(maps) != max(len(dims) - 1, 0):
+        raise InputError("need one map per consecutive pair of positions")
+    for p, m in enumerate(maps):
+        if m.rows != dims[p] or m.cols != dims[p + 1]:
+            raise InputError(f"map {p} has shape {m.rows}x{m.cols}, "
+                             f"expected {dims[p]}x{dims[p+1]}")
+    for p in range(len(maps) - 1):
+        q = maps[p].field.p
+        right = maps[p + 1].data
+        for arow in maps[p].data:
+            if len(arow) == 1:
+                # a nonzero scalar times a row is zero only for a zero row
+                nonzero = bool(right[arow[0][0]])
+            else:
+                acc = {}
+                for k, a in arow:
+                    for j, b in right[k]:
+                        acc[j] = acc.get(j, 0) + a * b
+                nonzero = any(v % q for v in acc.values()) if q else any(acc.values())
+            if nonzero:
+                raise ContractError(f"d∘d != 0 at position {p}")
+
+
 class VectorSpaceComplex:
     """dims d_0..d_m with maps[p] : position p+1 -> position p, d∘d = 0."""
 
     __slots__ = ("field", "dims", "maps")
 
-    def __init__(self, field, dims, maps, check: bool = True):
+    def __init__(self, field, dims, maps):
         dims = tuple(dims)
         maps = tuple(maps)
-        if len(maps) != max(len(dims) - 1, 0):
-            raise InputError("need one map per consecutive pair of positions")
-        for p, m in enumerate(maps):
-            if m.rows != dims[p] or m.cols != dims[p + 1]:
-                raise InputError(f"map {p} has shape {m.rows}x{m.cols}, "
-                                 f"expected {dims[p]}x{dims[p+1]}")
-        if check:
-            for p in range(len(maps) - 1):
-                if not maps[p].matmul(maps[p + 1]).is_zero_matrix():
-                    raise ContractError(f"composability d∘d != 0 at position {p}")
+        check_complex(dims, maps)
         self.field = field
         self.dims = dims
         self.maps = maps

@@ -15,10 +15,11 @@ Both constructions are refused with ``ResourceError`` above
 ``MAX_RESOLUTION_CELLS`` basis elements; the Lyubeznik enumeration is also
 refused when its admissibility tests could pass ``MAX_RESOLUTION_TESTS``.
 
-Differentials store only the scalar part of each entry; the monomial is
-determined by the two degree masks, and a scalar may sit at (row, col) only
-when deg(row) divides deg(col).  Composition of two such entries telescopes,
-so d∘d = 0 is a plain scalar-matrix statement and is verified sparsely.
+Each differential is an ``ExactMatrix`` of the scalar parts of its
+entries; the monomial is determined by the two degree masks, and a scalar
+may sit at (row, col) only when deg(row) divides deg(col).  Composition of
+two such entries telescopes, so d∘d = 0 is a plain scalar-matrix statement,
+verified by the same ``check_complex`` as every other complex.
 """
 
 import heapq
@@ -39,13 +40,14 @@ from .linalg import (
     ExactMatrix,
     Field,
     VectorSpaceComplex,
+    check_complex,
     homology_dims,
     transpose_reverse,
 )
 from .tables import BettiTable, LyubeznikTable
 
 # ---------------------------------------------------------------------------
-# graded free complexes (sparse scalar storage)
+# graded free complexes
 # ---------------------------------------------------------------------------
 
 
@@ -55,65 +57,51 @@ class GradedFreeComplex:
 
     ``degrees[j]`` is the degree mask of each basis element of the j-th
     term; ``labels[j]`` carries the originating generator subsets.
-    ``diffs[j]`` maps term j+1 to term j as a sparse dict
-    (row, col) -> scalar.
+    ``diffs[j]`` is the scalar part of the map from term j+1 to term j:
+    rows index term j, columns term j+1.
     """
 
     field: Field
     degrees: tuple[tuple[int, ...], ...]
     labels: tuple[tuple[tuple[int, ...], ...], ...]
-    diffs: tuple[dict, ...]
+    diffs: tuple[ExactMatrix, ...]
 
     def __post_init__(self):
-        if len(self.diffs) != max(len(self.degrees) - 1, 0):
-            raise ContractError("one differential per consecutive pair of terms")
-        for j, dd in enumerate(self.diffs):
-            degs_row = self.degrees[j]
+        check_complex(tuple(map(len, self.degrees)), self.diffs)
+        for j, d in enumerate(self.diffs):
             degs_col = self.degrees[j + 1]
-            for (r, c), v in dd.items():
-                if self.field.is_zero(v):
-                    raise ContractError("stored zero scalar")
-                if not contains(degs_col[c], degs_row[r]):
-                    raise ContractError("entry violates degree divisibility")
-        self._verify_dd()
-
-    def _verify_dd(self):
-        # Scalars are ints (or Fractions over Q), so the products are summed
-        # exactly with plain arithmetic and reduced once by ``is_zero``.
-        f = self.field
-        for j in range(len(self.diffs) - 1):
-            lower = {}
-            for (r, c), v in self.diffs[j].items():
-                lower.setdefault(c, []).append((r, v))
-            acc: dict[tuple[int, int], object] = {}
-            for (mid, col), v in self.diffs[j + 1].items():
-                for r, w in lower.get(mid, ()):
-                    key = (r, col)
-                    acc[key] = acc.get(key, 0) + v * w
-            for val in acc.values():
-                if not f.is_zero(val):
-                    raise ContractError("d∘d != 0 in graded free complex")
+            for deg_row, row in zip(self.degrees[j], d.data):
+                for c, _ in row:
+                    if not contains(degs_col[c], deg_row):
+                        raise ContractError("entry violates degree divisibility")
 
     def num_terms(self) -> int:
         return len(self.degrees)
 
-    def term_rank(self, j: int) -> int:
-        return len(self.degrees[j]) if 0 <= j < len(self.degrees) else 0
-
-    def differential_matrix(self, j: int) -> ExactMatrix:
-        """Scalar part of the map from term j+1 to term j."""
-        return ExactMatrix.from_entries(
-            self.field, self.term_rank(j), self.term_rank(j + 1), self.diffs[j].items()
-        )
-
     def is_minimal(self) -> bool:
-        for j, dd in enumerate(self.diffs):
-            degs_row = self.degrees[j]
+        for j, d in enumerate(self.diffs):
             degs_col = self.degrees[j + 1]
-            for (r, c) in dd:
-                if degs_row[r] == degs_col[c]:
+            for deg_row, row in zip(self.degrees[j], d.data):
+                if any(degs_col[c] == deg_row for c, _ in row):
                     return False
         return True
+
+
+def _taylor_boundary(field: Field, faces, subs) -> ExactMatrix:
+    """The map from the generator subsets ``subs`` to the one-smaller
+    subsets ``faces``: dropping the t-th element carries the sign (-1)^t."""
+    index = {s: i for i, s in enumerate(faces)}
+    minus = field.neg(1)
+    rows = [[] for _ in faces]
+    for c, s in enumerate(subs):
+        sign = 1
+        for t in range(len(s)):
+            face = index.get(s[:t] + s[t + 1 :])
+            if face is None:
+                raise ContractError("a face of a cell is not a cell")
+            rows[face].append((c, sign))
+            sign = minus if sign == 1 else 1
+    return ExactMatrix._wrap(field, len(faces), len(subs), list(map(tuple, rows)))
 
 
 def taylor_complex(ideal: MonomialIdeal, field: Field) -> GradedFreeComplex:
@@ -134,10 +122,9 @@ def taylor_complex(ideal: MonomialIdeal, field: Field) -> GradedFreeComplex:
         )
     degrees = []
     labels = []
-    index: list[dict[tuple[int, ...], int]] = []
     for j in range(q):
-        subs = list(combinations(range(q), j + 1))
-        labels.append(tuple(subs))
+        subs = tuple(combinations(range(q), j + 1))
+        labels.append(subs)
         degs = []
         for s in subs:
             m = 0
@@ -145,20 +132,8 @@ def taylor_complex(ideal: MonomialIdeal, field: Field) -> GradedFreeComplex:
                 m |= gens[t]
             degs.append(m)
         degrees.append(tuple(degs))
-        index.append({s: i for i, s in enumerate(subs)})
-    diffs = []
-    one = field.one()
-    neg = field.neg(one)
-    for j in range(1, q):
-        dd = {}
-        for c, s in enumerate(labels[j]):
-            sign = one
-            for t in range(len(s)):
-                face = s[:t] + s[t + 1 :]
-                dd[(index[j - 1][face], c)] = sign
-                sign = neg if sign == one else one
-        diffs.append(dd)
-    return GradedFreeComplex(field, tuple(degrees), tuple(labels), tuple(diffs))
+    diffs = tuple(_taylor_boundary(field, labels[j - 1], labels[j]) for j in range(1, q))
+    return GradedFreeComplex(field, tuple(degrees), tuple(labels), diffs)
 
 
 def lyubeznik_complex(ideal: MonomialIdeal, field: Field) -> GradedFreeComplex:
@@ -219,23 +194,11 @@ def lyubeznik_complex(ideal: MonomialIdeal, field: Field) -> GradedFreeComplex:
         degrees.append(new_degs)
     labels = [tuple((i,) for i in range(q))]
     diffs = []
-    one = field.one()
-    neg = field.neg(one)
     for level_firsts, level_rests in zip(firsts[1:], rests):
         prev = labels[-1]
-        index = {s: i for i, s in enumerate(prev)}
         subs = tuple((i,) + prev[k] for i, k in zip(level_firsts, level_rests))
-        dd = {}
-        for c, s in enumerate(subs):
-            sign = one
-            for t in range(len(s)):
-                face = index.get(s[:t] + s[t + 1 :])
-                if face is None:
-                    raise ContractError("a face of an admissible set is not admissible")
-                dd[(face, c)] = sign
-                sign = neg if sign == one else one
+        diffs.append(_taylor_boundary(field, prev, subs))
         labels.append(subs)
-        diffs.append(dd)
     return GradedFreeComplex(
         field, tuple(map(tuple, degrees)), tuple(labels), tuple(diffs)
     )
@@ -264,15 +227,16 @@ def minimize(cx: GradedFreeComplex, order: str = "forward") -> GradedFreeComplex
     byrow: list[dict] = []
     units: list[set] = []
     heaps: list[list] = []  # lazy-deletion heaps over the unit sets
-    for j, dd in enumerate(cx.diffs):
+    for j, d in enumerate(cx.diffs):
         bc: dict[int, dict[int, object]] = {}
         br: dict[int, dict[int, object]] = {}
         un = set()
-        for (r, c), v in dd.items():
-            bc.setdefault(c, {})[r] = v
-            br.setdefault(r, {})[c] = v
-            if deg[j][r] == deg[j + 1][c]:
-                un.add((r, c))
+        for r, row in enumerate(d.data):
+            for c, v in row:
+                bc.setdefault(c, {})[r] = v
+                br.setdefault(r, {})[c] = v
+                if deg[j][r] == deg[j + 1][c]:
+                    un.add((r, c))
         bycol.append(bc)
         byrow.append(br)
         units.append(un)
@@ -350,16 +314,14 @@ def minimize(cx: GradedFreeComplex, order: str = "forward") -> GradedFreeComplex
         new_ids.append({i: k for k, i in enumerate(ids)})
         new_degrees.append(tuple(deg[j][i] for i in ids))
         new_labels.append(tuple(cx.labels[j][i] for i in ids))
-    new_diffs = []
-    for j in range(nterms - 1):
-        dd = {}
-        for c, col in bycol[j].items():
-            for r, v in col.items():
-                dd[(new_ids[j][r], new_ids[j + 1][c])] = v
-        new_diffs.append(dd)
-    out = GradedFreeComplex(
-        cx.field, tuple(new_degrees), tuple(new_labels), tuple(new_diffs)
+    new_diffs = tuple(
+        ExactMatrix.from_entries(f, len(new_ids[j]), len(new_ids[j + 1]), (
+            ((new_ids[j][r], new_ids[j + 1][c]), v)
+            for c, col in bycol[j].items() for r, v in col.items()
+        ))
+        for j in range(nterms - 1)
     )
+    out = GradedFreeComplex(f, tuple(new_degrees), tuple(new_labels), new_diffs)
     if not out.is_minimal():
         raise ContractError("minimization left a unit entry")
     return out
@@ -397,58 +359,36 @@ def betti_numbers(ideal: MonomialIdeal, field: Field) -> BettiTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StrandFrame:
-    """Scalar frame of one linear strand of a minimal resolution.
+def strand_frame(ideal: MonomialIdeal, r: int, field: Field) -> VectorSpaceComplex:
+    """The scalar complex of the r-strand of the minimal resolution.
 
-    ``dims[j]`` is the rank contributed by degrees of size j + r at
-    homological position j; ``mats[j]`` maps K_{j+1} to K_j.  Frames of an
-    out-of-range offset are empty.
+    Position j holds the basis elements of term j whose degree has size
+    j + r; the maps select the matching rows and columns of the
+    differentials.  An out-of-range r gives a complex with ``dims == ()``.
     """
-
-    r: int
-    dims: tuple[int, ...]
-    mats: tuple[ExactMatrix, ...]
-
-    def complex(self, field: Field) -> VectorSpaceComplex:
-        return VectorSpaceComplex(field, self.dims, self.mats)
-
-    def is_empty(self) -> bool:
-        return not self.dims
-
-
-def strand_frame(ideal: MonomialIdeal, r: int, field: Field) -> StrandFrame:
-    """The degree-size r + j part of the minimal resolution, scalars only."""
     res = minimal_resolution(ideal, field)
     n = ideal.n
     if ideal.is_zero or r > n or (ideal.gens and r < popcount(ideal.gens[0])):
-        return StrandFrame(r, (), ())
-    length = n - r
-    picks = []
-    for j in range(length + 1):
-        degs = res.degrees[j] if j < res.num_terms() else ()
-        picks.append([i for i, m in enumerate(degs) if popcount(m) == j + r])
-    dims = tuple(len(p) for p in picks)
-    mats = []
-    for j in range(length):
-        rows = {i: k for k, i in enumerate(picks[j])}
-        cols = {i: k for k, i in enumerate(picks[j + 1])}
-        entries = res.diffs[j].items() if j < len(res.diffs) else ()
-        mats.append(ExactMatrix.from_entries(field, dims[j], dims[j + 1], (
-            ((rows[r_], cols[c_]), v) for (r_, c_), v in entries
-            if r_ in rows and c_ in cols
-        )))
-    frame = StrandFrame(r, dims, mats)
-    frame.complex(field)  # frames must compose to zero
-    return frame
+        return VectorSpaceComplex(field, (), ())
+    picks = [
+        [i for i, m in enumerate(degs) if popcount(m) == j + r]
+        for j, degs in enumerate(res.degrees[: n - r + 1])
+    ]
+    picks += [[]] * (n - r + 1 - len(picks))
+    maps = []
+    for j in range(n - r):
+        if j < len(res.diffs):
+            d = res.diffs[j]
+            rows = [d.data[i] for i in picks[j]]
+            maps.append(ExactMatrix._wrap(field, len(rows), d.cols, rows).columns(picks[j + 1]))
+        else:  # past the last term
+            maps.append(ExactMatrix.zeros(field, len(picks[j]), 0))
+    return VectorSpaceComplex(field, map(len, picks), maps)
 
 
 def strand_homology(ideal: MonomialIdeal, r: int, field: Field) -> list[int]:
     """Homology dimensions of the frame complex of the r-strand."""
-    frame = strand_frame(ideal, r, field)
-    if frame.is_empty():
-        return []
-    return homology_dims(frame.complex(field))
+    return homology_dims(strand_frame(ideal, r, field))
 
 
 def lyubeznik_via_strands(ideal: MonomialIdeal, field: Field) -> LyubeznikTable:
@@ -466,9 +406,9 @@ def lyubeznik_via_strands(ideal: MonomialIdeal, field: Field) -> LyubeznikTable:
     values: dict[tuple[int, int], int] = {}
     for r in range(n + 1):
         frame = strand_frame(dual, r, field)
-        if frame.is_empty():
+        if not frame.dims:
             continue
-        hdims = homology_dims(transpose_reverse(frame.complex(field)))
+        hdims = homology_dims(transpose_reverse(frame))
         for p, h in enumerate(hdims):
             if not h:
                 continue

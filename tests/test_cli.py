@@ -200,6 +200,36 @@ def test_main_bass_cap_refuses_before_any_row(tmp_path, capsys, monkeypatch, com
     assert "exceeds the cap of 10" in err
 
 
+@pytest.mark.parametrize("command", ["bass", "dual-bass", "supp", "dims"])
+def test_main_bass_cap_covers_every_degree(tmp_path, capsys, monkeypatch, command):
+    # H^1 and H^2 are nonzero, and only the table of H^2 is over the cap:
+    # without --r the whole command is refused before the H^1 rows are built
+    from lyub import build_hypercube, invariants
+    from lyub.hypercube import matlis_dual
+
+    def no_complex(*args):
+        raise AssertionError("a Bass row complex was assembled")
+
+    text = "n=4;\nprimes: {2}, {1,4}, {3,4};\n"
+    ideal = parse_input(text).ideal()
+    works = []
+    for r in (1, 2):
+        cube = build_hypercube(ideal, r, QQ)
+        if command == "dual-bass":
+            cube = matlis_dual(cube)
+        works.append(sum(d for a in range(16) for v, d in cube.dims.items() if v & ~a == 0))
+    assert lyub.nonzero_cohomology_degrees(ideal, QQ) == [1, 2]
+    assert works[1] > works[0]
+    monkeypatch.setattr(invariants, "restricted_complex", no_complex)
+    monkeypatch.setattr(invariants, "MAX_BASS_WORK", works[0])
+    path = tmp_path / "mixed.ideal"
+    path.write_text(text)
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"H^2 on n=4 variables assembles {works[1]} vertex dimensions" in err
+
+
 def test_main_strands_rejects_out_of_range_degree(tmp_path, capsys):
     path = tmp_path / "a5.ideal"
     path.write_text(A5_PRIMES)
