@@ -53,7 +53,7 @@ from .invariants import (
     terai_mustata_consistent,
 )
 from .linalg import QQ, Field, homology_dims, prime_field
-from .resolution import betti_numbers, linearity_defect, strand_frame
+from .resolution import betti_numbers, linearity_defect, strand_defect, strand_frame
 
 # ---------------------------------------------------------------------------
 # problem specification and input grammar
@@ -329,7 +329,11 @@ def run(spec: ProblemSpec, r: int | None = None) -> dict:
                 {"r": rr, "dims": list(frame.dims), "homology": homology_dims(frame)}
             )
         report["strands"] = maybe_single(items) if items else items
-        report["linearity_defect"] = linearity_defect(ideal, spec.field)
+        if r is None:  # every strand is in the report already
+            defect = strand_defect(item["homology"] for item in items)
+        else:
+            defect = linearity_defect(ideal, spec.field)
+        report["linearity_defect"] = defect
     if "supp" in want:
         degrees = _requested_degrees(spec, r)
         items = []

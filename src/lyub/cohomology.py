@@ -24,6 +24,7 @@ from .linalg import (
     HomologySpace,
     check_complex,
     homology_space,
+    hstack,
     rank,
 )
 
@@ -161,16 +162,27 @@ def face_projection(field, faces_small, faces_big) -> ExactMatrix:
     return ExactMatrix._wrap(field, len(faces_small), len(faces_big), data)
 
 
-def restrict_classes(
-    small: HomologySpace, faces_small, big: HomologySpace, faces_big
-) -> ExactMatrix:
-    """H^q(big) -> H^q(small) induced by restricting cochains on
-    ``faces_big`` to ``faces_small``, in the two representative bases."""
+def restrict_classes(small: HomologySpace, faces_small, bigs) -> list[ExactMatrix]:
+    """H^q(big) -> H^q(small) for each (big, faces_big) in ``bigs``, induced
+    by restricting cochains on ``faces_big`` to ``faces_small``, in the
+    representative bases.
+
+    The restricted representatives of every big space are expressed in one
+    solve of ``[image | reps] X = [v_1 | ... | v_k]``; the columns of
+    ``[image | reps]`` are independent, so X is unique and its column
+    blocks are the maps one solve per space would give.
+    """
     field = small.field
-    if small.dim == 0 or big.dim == 0:
-        return ExactMatrix(field, small.dim, big.dim)
-    proj = face_projection(field, faces_small, faces_big)
-    return small.express(proj.matmul(big.reps))
+    blocks = [
+        face_projection(field, faces_small, faces_big).matmul(big.reps)
+        for big, faces_big in bigs
+    ]
+    x = small.express(hstack(field, blocks, small.space_dim))
+    out, c0 = [], 0
+    for b in blocks:
+        out.append(x.columns(range(c0, c0 + b.cols)))
+        c0 += b.cols
+    return out
 
 
 def induced_cohomology_map(
@@ -185,7 +197,8 @@ def induced_cohomology_map(
         raise InputError("first complex is not a subcomplex of the second")
     small_cc = cochain_complex(small, field)
     big_cc = cochain_complex(big, field)
-    return restrict_classes(
+    [induced] = restrict_classes(
         cohomology_space(small_cc, q), small_cc.faces(q),
-        cohomology_space(big_cc, q), big_cc.faces(q),
+        [(cohomology_space(big_cc, q), big_cc.faces(q))],
     )
+    return induced

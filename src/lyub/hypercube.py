@@ -50,11 +50,17 @@ class Hypercube:
     """Vertex dimensions and canonical edge matrices of one H_I^r(R).
 
     Only nonzero vertices and edges between them are stored; ``vertex_dim``
-    and ``edge`` materialize the zero cases.  Instances are immutable after
-    construction and safe to share.
+    and ``edge`` materialize the zero cases.  Vertices and edges never
+    change after construction.  The one thing filled in later is ``_bass``,
+    which starts empty: the first request for the cube's Bass table (or
+    dual Bass table) stores that table's rows there, so each table is
+    assembled once per cube however many commands read it.  The rows are
+    tuples, which no caller can change, and they depend on nothing but the
+    vertices and edges, so sharing the cube, as the cache of
+    ``build_hypercube`` does, stays safe; they go when the cube goes.
     """
 
-    __slots__ = ("n", "r", "field", "dims", "edge_mats")
+    __slots__ = ("n", "r", "field", "dims", "edge_mats", "_bass")
 
     def __init__(self, n: int, r: int, field: Field, dims, edge_mats):
         self.n = n
@@ -62,6 +68,7 @@ class Hypercube:
         self.field = field
         self.dims = dict(dims)
         self.edge_mats = dict(edge_mats)
+        self._bass: dict = {}  # dual? -> rows of the Bass or dual Bass table
 
     def vertex_dim(self, alpha: int) -> int:
         return self.dims.get(alpha, 0)
@@ -139,13 +146,16 @@ def _cube(n: int, r: int, field: Field, spaces: dict) -> Hypercube:
     dims = {alpha: hsp.dim for alpha, (hsp, _) in spaces.items()}
     edge_mats: dict[tuple[int, int], ExactMatrix] = {}
     for alpha, (hsp, faces) in spaces.items():
-        for i in range(n):
-            if alpha >> i & 1:
-                continue
-            big = spaces.get(alpha | 1 << i)
-            if big is not None:
-                induced = restrict_classes(hsp, faces, *big)
-                edge_mats[(alpha, i)] = induced.transpose()
+        ups = [
+            i for i in range(n)
+            if not alpha >> i & 1 and alpha | 1 << i in spaces
+        ]
+        if not ups:
+            continue
+        # every edge out of alpha from one reduction of alpha's [image | reps]
+        bigs = [spaces[alpha | 1 << i] for i in ups]
+        for i, induced in zip(ups, restrict_classes(hsp, faces, bigs)):
+            edge_mats[(alpha, i)] = induced.transpose()
     cube = Hypercube(n, r, field, dims, edge_mats)
     _verify_commutativity(cube)
     return cube

@@ -32,15 +32,15 @@ from .tables import BassTable, DualBassTable, LyubeznikTable
 # ---------------------------------------------------------------------------
 
 
-def _totals_below(cube: Hypercube) -> list[int]:
-    """Per mask alpha, the total dimension of the nonzero vertices below
-    alpha: one subset-sum sweep per bit, O(n 2^n) in all."""
-    below = [0] * (1 << cube.n)
-    for v, d in cube.dims.items():
+def _totals_below(n: int, dims: dict[int, int]) -> list[int]:
+    """Per mask alpha, the total dimension of the nonzero vertices (``dims``)
+    below alpha: one subset-sum sweep per bit, O(n 2^n) in all."""
+    below = [0] * (1 << n)
+    for v, d in dims.items():
         below[v] = d
-    for i in range(cube.n):
+    for i in range(n):
         bit = 1 << i
-        for m in range(1 << cube.n):
+        for m in range(1 << n):
             if m & bit:
                 below[m] += below[m ^ bit]
     return below
@@ -48,21 +48,27 @@ def _totals_below(cube: Hypercube) -> list[int]:
 
 def support_masks(cube: Hypercube) -> list[int]:
     """Face-ideal masks in the support: upward closure of nonzero vertices."""
-    return sorted((a for a, t in enumerate(_totals_below(cube)) if t), key=mask_key)
+    below = _totals_below(cube.n, cube.dims)
+    return sorted((a for a, t in enumerate(below) if t), key=mask_key)
 
 
 def minimal_support_masks(cube: Hypercube) -> list[int]:
     """Masks of the minimal primes of the support: the nonzero vertices with
     no nonzero vertex strictly below them."""
-    below = _totals_below(cube)
+    below = _totals_below(cube.n, cube.dims)
     return sorted((v for v, d in cube.dims.items() if below[v] == d), key=mask_key)
 
 
-def _bass_work(cube: Hypercube) -> list[int]:
+def _bass_work(cube: Hypercube, dual: bool) -> list[int]:
     """Per mask alpha, the vertex dimensions row alpha of the Bass table
-    assembles (those below alpha); a table whose totals sum above
-    ``MAX_BASS_WORK`` is refused."""
-    below = _totals_below(cube)
+    assembles (those below alpha); with ``dual`` the same for the Matlis
+    dual, read off the flipped vertex dimensions alone.  A table whose
+    totals sum above ``MAX_BASS_WORK`` is refused."""
+    dims = cube.dims
+    if dual:
+        full = full_mask(cube.n)
+        dims = {full ^ a: d for a, d in dims.items()}
+    below = _totals_below(cube.n, dims)
     work = sum(below)
     if work > MAX_BASS_WORK:
         raise ResourceError(
@@ -72,11 +78,22 @@ def _bass_work(cube: Hypercube) -> list[int]:
     return below
 
 
-def _bass_rows(cube: Hypercube) -> dict[int, list[int]]:
-    """mu_p(p_alpha) for every alpha in the support, refused before any row
-    is built when the table is over the cap."""
-    below = _bass_work(cube)
-    return {alpha: bass_row(cube, alpha) for alpha, t in enumerate(below) if t}
+def _table(cube: Hypercube, dual: bool) -> BassTable | DualBassTable:
+    """The cube's Bass table, or with ``dual`` its dual Bass table.
+
+    The cap is checked on every call, so a refusal never depends on what
+    ran before; past it, each table's rows are assembled once and kept on
+    the cube.  The dual table reads pi_p(p_alpha) = mu_p(p_{1-alpha}) off
+    the Matlis dual, which is built for the rows and then dropped.
+    """
+    below = _bass_work(cube, dual)
+    kind = DualBassTable if dual else BassTable
+    rows = cube._bass.get(dual)
+    if rows is None:
+        src, flip = (matlis_dual(cube), full_mask(cube.n)) if dual else (cube, 0)
+        mus = {flip ^ a: bass_row(src, a) for a, t in enumerate(below) if t}
+        rows = cube._bass[dual] = kind.from_rows(cube.r, mus).rows
+    return kind(cube.r, rows)
 
 
 def check_bass_work(ideal: MonomialIdeal, degrees, field: Field, dual: bool = False) -> None:
@@ -84,8 +101,7 @@ def check_bass_work(ideal: MonomialIdeal, degrees, field: Field, dual: bool = Fa
     Bass tables of these degrees (dual Bass tables with ``dual``) that is
     over the cap."""
     for r in degrees:
-        cube = build_hypercube(ideal, r, field)
-        _bass_work(matlis_dual(cube) if dual else cube)
+        _bass_work(build_hypercube(ideal, r, field), dual)
 
 
 def bass_row(cube: Hypercube, alpha: int) -> list[int]:
@@ -134,14 +150,12 @@ def lyubeznik_table(
 
 def bass_table(ideal: MonomialIdeal, r: int, field: Field) -> BassTable:
     """mu_p(p_alpha, H_I^r(R)) for every face ideal in the support."""
-    return BassTable.from_rows(r, _bass_rows(build_hypercube(ideal, r, field)))
+    return _table(build_hypercube(ideal, r, field), dual=False)
 
 
 def dual_bass_table(ideal: MonomialIdeal, r: int, field: Field) -> DualBassTable:
     """pi_p(p_alpha) = mu_p(p_{1-alpha}) of the Matlis-dual hypercube."""
-    rows = _bass_rows(matlis_dual(build_hypercube(ideal, r, field)))
-    full = full_mask(ideal.n)
-    return DualBassTable.from_rows(r, {full ^ delta: mu for delta, mu in rows.items()})
+    return _table(build_hypercube(ideal, r, field), dual=True)
 
 
 def small_support(ideal: MonomialIdeal, r: int, field: Field):

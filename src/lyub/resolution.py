@@ -421,15 +421,17 @@ def lyubeznik_via_strands(ideal: MonomialIdeal, field: Field) -> LyubeznikTable:
     return LyubeznikTable.from_entries(d, values)
 
 
+def strand_defect(homologies) -> int:
+    """Largest positive position p with H_p != 0 among the strand frame
+    homologies given (lists of dimensions by position), or 0."""
+    return max((p for h in homologies for p in range(1, len(h)) if h[p]), default=0)
+
+
 def linearity_defect(ideal: MonomialIdeal, field: Field) -> int:
     """Largest positive position where some strand frame fails exactness."""
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("linearity defect needs a proper nonzero ideal")
-    n = ideal.n
-    worst = 0
-    for r in range(popcount(ideal.gens[0]), n + 1):
-        hdims = strand_homology(ideal, r, field)
-        for p in range(1, len(hdims)):
-            if hdims[p]:
-                worst = max(worst, p)
-    return worst
+    return strand_defect(
+        strand_homology(ideal, r, field)
+        for r in range(popcount(ideal.gens[0]), ideal.n + 1)
+    )

@@ -6,13 +6,23 @@ numbers as reduced cohomology of restrictions of the ideal's own complex.
 Neither touches the hypercube or the Taylor minimization.  ``rank_naive``
 is dense elimination, and ``dense_restricted_complex`` assembles a
 restricted hypercube complex block by block over every subset; both read
-matrices only through ``ExactMatrix.dense``.
+matrices only through ``ExactMatrix.dense``.  ``per_edge_maps`` computes
+the hypercube's edge maps with one ``solve_matrix`` per edge instead of
+one solve per vertex.
 """
 
 import random
 from itertools import combinations
 
-from lyub import ExactMatrix, rank, reduced_cohomology_dim, restriction, stanley_reisner
+from lyub import (
+    ExactMatrix,
+    complex_alexander_dual,
+    rank,
+    reduced_cohomology_dim,
+    restriction,
+    stanley_reisner,
+)
+from lyub.cohomology import cochain_complex, cohomology_space
 from lyub.combinatorics import (
     MonomialIdeal,
     bits_of,
@@ -23,6 +33,7 @@ from lyub.combinatorics import (
     popcount,
     submasks,
 )
+from lyub.linalg import hstack, solve_matrix
 
 
 def brute_membership(ideal, mask):
@@ -159,6 +170,39 @@ def dense_restricted_complex(cube, amask, bmask):
                         out[r0 + a][c0 + b] = field.coerce(sign * x)
         maps.append(out)
     return dims, maps
+
+
+def per_edge_maps(ideal, r, field):
+    """{(alpha, i): edge matrix} of the degree-r hypercube between nonzero
+    vertices, each edge solved on its own.
+
+    The vertex at alpha is H^{r-2} of the alpha-restriction of the dual
+    complex (alpha = 0 pinned to zero).  For an edge, the big vertex's
+    representatives are restricted to the small faces, densely, and
+    ``solve_matrix`` of [image | reps | v] gives their classes; the edge is
+    the transpose of the reps part.
+    """
+    dual = complex_alexander_dual(stanley_reisner(ideal))
+    q = r - 2
+    spaces = {}
+    for alpha in range(1, 1 << ideal.n):
+        cc = cochain_complex(restriction(dual, alpha), field)
+        hsp = cohomology_space(cc, q)
+        if hsp.dim:
+            spaces[alpha] = (hsp, cc.faces(q))
+    edges = {}
+    for alpha, (small, faces_small) in spaces.items():
+        basis = hstack(field, [small.image, small.reps], small.space_dim)
+        for i in range(ideal.n):
+            if alpha >> i & 1 or alpha | 1 << i not in spaces:
+                continue
+            big, faces_big = spaces[alpha | 1 << i]
+            reps = big.reps.dense()
+            at = {f: k for k, f in enumerate(faces_big)}
+            v = ExactMatrix(field, len(faces_small), big.dim, [reps[at[f]] for f in faces_small])
+            x = solve_matrix(basis, v).dense()[small.image.cols:]
+            edges[(alpha, i)] = ExactMatrix(field, small.dim, big.dim, x).transpose()
+    return edges
 
 
 def hochster_betti_counts(ideal, field):

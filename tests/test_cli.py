@@ -230,6 +230,78 @@ def test_main_bass_cap_covers_every_degree(tmp_path, capsys, monkeypatch, comman
     assert f"H^2 on n=4 variables assembles {works[1]} vertex dimensions" in err
 
 
+def test_bass_supp_dims_build_each_bass_row_once(tmp_path, capsys, monkeypatch):
+    # the tables bass builds are the ones supp and dims read
+    from collections import Counter
+
+    from lyub import build_hypercube, hypercube, invariants
+    from lyub.invariants import support_masks
+
+    monkeypatch.setattr(hypercube, "_cache", {})
+    calls = Counter()
+    original = invariants.bass_row
+
+    def counted(cube, alpha):
+        calls[(cube.r, alpha)] += 1
+        return original(cube, alpha)
+
+    monkeypatch.setattr(invariants, "bass_row", counted)
+    path = tmp_path / "a5.ideal"
+    path.write_text(A5_PRIMES)
+    for command in ("bass", "supp", "dims"):
+        assert main([command, str(path), "--json"]) == 0
+    capsys.readouterr()
+    ideal = parse_input(A5_PRIMES).ideal()
+    expected = {
+        (r, alpha)
+        for r in lyub.nonzero_cohomology_degrees(ideal, QQ)
+        for alpha in support_masks(build_hypercube(ideal, r, QQ))
+    }
+    assert set(calls) == expected
+    assert set(calls.values()) == {1}
+
+
+# the Alexander duals of a5 and of the nine-variable ideal
+A5_DUAL_GENS = "n=5;\ngens: x1*x3, x1*x4, x2*x4, x2*x5, x3*x5;\n"
+NINE_DUAL_GENS = (
+    "n=9;\ngens: x1*x2, x3*x4, x5*x6, x7*x8, "
+    + ", ".join(f"x{j}*x9" for j in range(1, 9))
+    + ";\n"
+)
+
+
+@pytest.mark.parametrize("text", [A5_DUAL_GENS, NINE_DUAL_GENS], ids=["a5v", "ninev"])
+def test_run_strands_builds_each_frame_once(monkeypatch, text):
+    from lyub import cli, resolution
+
+    spec = _spec(text, ("strands",))
+    ideal = spec.ideal()
+    degrees = list(range(lyub.combinatorics.popcount(ideal.gens[0]), ideal.n + 1))
+    frames = [(r, lyub.strand_frame(ideal, r, QQ)) for r in degrees]
+    expected = {
+        "n": ideal.n,
+        "field": "q",
+        "strands": [
+            {"r": r, "dims": list(fr.dims), "homology": lyub.homology_dims(fr)}
+            for r, fr in frames
+            if fr.dims
+        ],
+        "linearity_defect": lyub.linearity_defect(ideal, QQ),
+    }
+    calls = []
+    original = resolution.strand_frame
+
+    def counted(ideal, r, field):
+        calls.append(r)
+        return original(ideal, r, field)
+
+    monkeypatch.setattr(cli, "strand_frame", counted)
+    monkeypatch.setattr(resolution, "strand_frame", counted)
+    report = run(spec)
+    assert calls == degrees
+    assert json.dumps(report) == json.dumps(expected)
+
+
 def test_main_strands_rejects_out_of_range_degree(tmp_path, capsys):
     path = tmp_path / "a5.ideal"
     path.write_text(A5_PRIMES)

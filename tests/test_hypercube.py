@@ -23,7 +23,13 @@ from lyub.combinatorics import MonomialIdeal, full_mask, mask_of, popcount
 from lyub.hypercube import Hypercube
 
 from .conftest import gens_ideal, primes_ideal
-from .oracles import cech_vertex_dim, dense_restricted_complex, masks, random_ideal
+from .oracles import (
+    cech_vertex_dim,
+    dense_restricted_complex,
+    masks,
+    per_edge_maps,
+    random_ideal,
+)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -305,7 +311,8 @@ def test_hypercube_cache_holds_every_degree_in_one_entry(monkeypatch, a5):
 
 def test_edges_are_transposed_induced_cohomology_maps(ex53, a5):
     # every stored edge equals the transpose of the inclusion-induced map
-    # between the restricted dual complexes, in the same deterministic bases
+    # between the restricted dual complexes, in the same deterministic bases;
+    # both go through restrict_classes, so per_edge_maps is the independent check
     from lyub import (
         complex_alexander_dual,
         induced_cohomology_map,
@@ -322,3 +329,18 @@ def test_edges_are_transposed_induced_cohomology_maps(ex53, a5):
             big = restriction(dual, alpha | 1 << i)
             induced = induced_cohomology_map(small, big, r - 2, QQ)
             assert mat == induced.transpose()
+
+
+@pytest.mark.parametrize("f", [QQ, F3], ids=["q", "f3"])
+def test_edges_match_per_edge_solve_oracle(a5, ex53, ex57, ex52, f):
+    # one solve per vertex gives exactly the matrices of one solve per edge
+    for ideal in (a5, ex53, ex57, ex52):
+        for r in range(ideal.n + 1):
+            cube = build_hypercube(ideal, r, f)
+            oracle = per_edge_maps(ideal, r, f)
+            assert cube.edge_mats.keys() == oracle.keys()
+            for key, mat in cube.edge_mats.items():
+                assert mat == oracle[key], (ideal.gens, r, key)
+                assert [[type(v) for _, v in row] for row in mat.data] == [
+                    [type(v) for _, v in row] for row in oracle[key].data
+                ]

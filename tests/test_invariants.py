@@ -3,14 +3,18 @@ import random
 import pytest
 
 from lyub import (
+    BassTable,
     ContractError,
+    DualBassTable,
     QQ,
+    ResourceError,
     alexander_dual,
     bass_table,
     betti_matches_hypercube,
     build_hypercube,
     dual_bass_table,
     dual_complex,
+    face_restricted_hypercube,
     growth_bound_check,
     homology_dims,
     injective_dimensions,
@@ -27,6 +31,7 @@ from lyub import (
     strand_homology,
     terai_mustata_consistent,
 )
+from lyub import hypercube, invariants
 from lyub.combinatorics import MonomialIdeal, full_mask, mask_key, mask_of, popcount
 from lyub.hypercube import matlis_dual
 from lyub.invariants import bass_row, minimal_support_masks, support_masks
@@ -199,6 +204,68 @@ def test_dual_bass_consistency_with_dual_complex_and_strands(a4, a5, ex53, ex57,
                     frame_h[p - r] if 0 <= p - r < len(frame_h) else 0
                 )
                 assert from_strand == expected
+
+
+# ---------------------------------------------------------------------------
+# Bass tables kept on their cube
+# ---------------------------------------------------------------------------
+
+
+def _both_tables(ideal, r, field, order):
+    """{dual?: table} for the Bass and dual Bass tables of H^r, requested
+    in ``order``, and the cube that holds them."""
+    tables = {}
+    for dual in order:
+        get = dual_bass_table if dual else bass_table
+        tables[dual] = get(ideal, r, field)
+    return tables, build_hypercube(ideal, r, field)
+
+
+def test_bass_and_dual_tables_are_kept_apart(monkeypatch, ex53, ex57):
+    for ideal in (ex53, ex57):
+        for r in nonzero_cohomology_degrees(ideal, QQ):
+            for order in ((False, True), (True, False)):
+                monkeypatch.setattr(hypercube, "_cache", {})
+                tables, cube = _both_tables(ideal, r, QQ, order)
+                dual = matlis_dual(cube)
+                full = full_mask(ideal.n)
+                assert tables[False] == BassTable.from_rows(
+                    r, {a: bass_row(cube, a) for a in support_masks(cube)}
+                )
+                assert tables[True] == DualBassTable.from_rows(
+                    r, {full ^ a: bass_row(dual, a) for a in support_masks(dual)}
+                )
+                assert cube._bass == {False: tables[False].rows, True: tables[True].rows}
+                assert all(type(rows) is tuple for rows in cube._bass.values())
+                assert bass_table(ideal, r, QQ).rows is tables[False].rows
+                assert dual_bass_table(ideal, r, QQ).rows is tables[True].rows
+
+
+def test_stored_tables_are_still_refused_over_the_cap(monkeypatch, ex57):
+    _, cube = _both_tables(ex57, 2, QQ, (False, True))
+    assert set(cube._bass) == {False, True}
+    # the tables of H^2 assemble 16 and 8 vertex dimensions
+    monkeypatch.setattr(invariants, "MAX_BASS_WORK", 5)
+    for get in (bass_table, dual_bass_table, small_support, injective_dimensions):
+        with pytest.raises(ResourceError, match="exceeds the cap of 5"):
+            get(ex57, 2, QQ)
+
+
+def test_derived_cubes_start_with_nothing_stored(ex57):
+    _, cube = _both_tables(ex57, 3, QQ, (False, True))
+    assert set(cube._bass) == {False, True}
+    assert matlis_dual(cube)._bass == {}
+    for amask in (full_mask(5), masks([1, 2, 3, 4])[0]):
+        assert face_restricted_hypercube(cube, amask)._bass == {}
+
+
+def test_check_bass_work_builds_no_matlis_dual(monkeypatch, a5, ex57):
+    def no_dual(*args):
+        raise AssertionError("a Matlis dual was built")
+
+    monkeypatch.setattr(invariants, "matlis_dual", no_dual)
+    for ideal in (a5, ex57):
+        invariants.check_bass_work(ideal, range(ideal.n + 1), QQ, dual=True)
 
 
 # ---------------------------------------------------------------------------
