@@ -18,15 +18,7 @@ from dataclasses import dataclass
 
 from .combinatorics import SimplicialComplex, bits_of, is_subcomplex
 from .errors import ContractError, InputError
-from .linalg import (
-    ExactMatrix,
-    Field,
-    HomologySpace,
-    check_complex,
-    homology_space,
-    hstack,
-    rank,
-)
+from .linalg import ExactMatrix, Field, check_complex, homology_space, rank
 
 # ---------------------------------------------------------------------------
 # cochain complexes
@@ -143,10 +135,12 @@ def reduced_homology_dim(cx: SimplicialComplex, q: int, field: Field) -> int:
     return h
 
 
-def cohomology_space(cc: CochainComplex, q: int) -> HomologySpace:
-    """Degree-q reduced cohomology with explicit cocycle representatives."""
+def cohomology_space(cc: CochainComplex, q: int, vectors=None):
+    """Degree-q reduced cohomology with explicit cocycle representatives,
+    and the classes of the cocycle columns of ``vectors`` (degree-q
+    cochains, may be None): the pair ``homology_space`` returns."""
     return homology_space(
-        cc.field, cc.space_dim(q), cc.coboundary(q), cc.coboundary(q - 1)
+        cc.field, cc.space_dim(q), cc.coboundary(q), cc.coboundary(q - 1), vectors
     )
 
 
@@ -162,43 +156,20 @@ def face_projection(field, faces_small, faces_big) -> ExactMatrix:
     return ExactMatrix._wrap(field, len(faces_small), len(faces_big), data)
 
 
-def restrict_classes(small: HomologySpace, faces_small, bigs) -> list[ExactMatrix]:
-    """H^q(big) -> H^q(small) for each (big, faces_big) in ``bigs``, induced
-    by restricting cochains on ``faces_big`` to ``faces_small``, in the
-    representative bases.
-
-    The restricted representatives of every big space are expressed in one
-    solve of ``[image | reps] X = [v_1 | ... | v_k]``; the columns of
-    ``[image | reps]`` are independent, so X is unique and its column
-    blocks are the maps one solve per space would give.
-    """
-    field = small.field
-    blocks = [
-        face_projection(field, faces_small, faces_big).matmul(big.reps)
-        for big, faces_big in bigs
-    ]
-    x = small.express(hstack(field, blocks, small.space_dim))
-    out, c0 = [], 0
-    for b in blocks:
-        out.append(x.columns(range(c0, c0 + b.cols)))
-        c0 += b.cols
-    return out
-
-
 def induced_cohomology_map(
     small: SimplicialComplex, big: SimplicialComplex, q: int, field: Field
 ) -> ExactMatrix:
     """Matrix of the restriction-induced map H^q(big) -> H^q(small).
 
     Rows are indexed by the deterministic cohomology basis of ``small``,
-    columns by that of ``big``.
+    columns by that of ``big``: the classes of the big representatives,
+    restricted to the small faces, in the small space.
     """
     if not is_subcomplex(small, big):
         raise InputError("first complex is not a subcomplex of the second")
     small_cc = cochain_complex(small, field)
     big_cc = cochain_complex(big, field)
-    [induced] = restrict_classes(
-        cohomology_space(small_cc, q), small_cc.faces(q),
-        [(cohomology_space(big_cc, q), big_cc.faces(q))],
-    )
+    big_space, _ = cohomology_space(big_cc, q)
+    restricted = face_projection(field, small_cc.faces(q), big_cc.faces(q))
+    _, induced = cohomology_space(small_cc, q, restricted.matmul(big_space.reps))
     return induced

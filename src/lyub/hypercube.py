@@ -10,9 +10,12 @@ transpose.  Square commutativity and d∘d = 0 of every assembled complex are
 verified at build time.
 
 One build serves every degree r: the cochain complex of each restriction is
-formed once (with its d∘d check), its coboundary ranks give the vertex at a
-in all n+1 degrees, and cocycle representatives and edge maps are computed
-only where a vertex is nonzero.
+formed once (with its d∘d check), and its coboundary ranks give the vertex
+at a in all n+1 degrees.  Representatives and edge maps are computed only
+where a vertex is nonzero, visiting the masks top down, from the full mask
+to 1: when a is reached, every nonzero a+e_i of the same degree has its
+representatives, and one reduction at a gives a's representatives and
+every edge map out of a (``linalg.homology_space``).
 
 Degenerate degrees: vertices sit in cohomological degree q = r - 2, and the
 q = -2 and q = -1 conventions of the cohomology module apply.  The vertex at
@@ -31,7 +34,7 @@ from .combinatorics import (
     simplicial_complex,
     submasks,
 )
-from .cohomology import cochain_complex, cohomology_space, restrict_classes
+from .cohomology import cochain_complex, cohomology_space, face_projection
 from .errors import (
     MAX_HYPERCUBE_MASKS,
     ContractError,
@@ -39,7 +42,7 @@ from .errors import (
     InputError,
     ResourceError,
 )
-from .linalg import ExactMatrix, Field, VectorSpaceComplex
+from .linalg import ExactMatrix, Field, VectorSpaceComplex, hstack
 
 # ---------------------------------------------------------------------------
 # the hypercube
@@ -50,14 +53,17 @@ class Hypercube:
     """Vertex dimensions and canonical edge matrices of one H_I^r(R).
 
     Only nonzero vertices and edges between them are stored; ``vertex_dim``
-    and ``edge`` materialize the zero cases.  Vertices and edges never
-    change after construction.  The one thing filled in later is ``_bass``,
-    which starts empty: the first request for the cube's Bass table (or
-    dual Bass table) stores that table's rows there, so each table is
-    assembled once per cube however many commands read it.  The rows are
-    tuples, which no caller can change, and they depend on nothing but the
-    vertices and edges, so sharing the cube, as the cache of
-    ``build_hypercube`` does, stays safe; they go when the cube goes.
+    and ``edge`` materialize the zero cases.  ``build_hypercube`` fills
+    them top down, so an edge alpha -> alpha+e_i is stored when alpha is
+    reached, from the representatives alpha+e_i already has.  Vertices
+    and edges never change after construction.  The one thing filled in
+    later is ``_bass``, which starts empty: the first request for the
+    cube's Bass table (or dual Bass table) stores that table's rows there,
+    so each table is assembled once per cube however many commands read
+    it, one complex per support hull.  The rows are tuples, which no
+    caller can change, and they depend on nothing but the vertices and
+    edges, so sharing the cube, as the cache of ``build_hypercube`` does,
+    stays safe; they go when the cube goes.
     """
 
     __slots__ = ("n", "r", "field", "dims", "edge_mats", "_bass")
@@ -128,37 +134,44 @@ def _build_all_degrees(ideal: MonomialIdeal, field: Field) -> tuple[Hypercube, .
         )
     full = full_mask(n)
     dual = simplicial_complex(full, [full ^ g for g in ideal.gens])
-    # per degree r: alpha -> (cohomology in degree r - 2, its faces).  A
+    # per degree r: the nonzero vertices' dimensions, their (representatives,
+    # faces) in cohomological degree r - 2, and the edges between them.  A
     # complex on |alpha| <= n vertices has no cohomology above degree n - 2.
+    dims: list[dict] = [{} for _ in range(n + 1)]
     spaces: list[dict] = [{} for _ in range(n + 1)]
-    for alpha in range(1, full + 1):  # alpha = 0 is pinned to zero
+    edges: list[dict] = [{} for _ in range(n + 1)]
+    # top down, so each alpha + e_i already has its representatives
+    for alpha in range(full, 0, -1):  # alpha = 0 is pinned to zero
         cc = cochain_complex(restriction(dual, alpha), field)
         for q, h in cc.cohomology_dims().items():
-            hsp = cohomology_space(cc, q)
+            faces, above = cc.faces(q), spaces[q + 2]
+            ups = [
+                i for i in range(n)
+                if not alpha >> i & 1 and alpha | 1 << i in above
+            ]
+            # the big representatives restricted to alpha's faces
+            blocks = []
+            for i in ups:
+                reps, faces_big = above[alpha | 1 << i]
+                blocks.append(face_projection(field, faces, faces_big).matmul(reps))
+            hsp, classes = cohomology_space(cc, q, hstack(field, blocks, len(faces)))
             if hsp.dim != h:
                 raise ContractError("cocycle space disagrees with coboundary ranks")
-            spaces[q + 2][alpha] = (hsp, cc.faces(q))
-    return tuple(_cube(n, r, field, sp) for r, sp in enumerate(spaces))
-
-
-def _cube(n: int, r: int, field: Field, spaces: dict) -> Hypercube:
-    """The degree-r cube from its nonzero vertices' cohomology spaces."""
-    dims = {alpha: hsp.dim for alpha, (hsp, _) in spaces.items()}
-    edge_mats: dict[tuple[int, int], ExactMatrix] = {}
-    for alpha, (hsp, faces) in spaces.items():
-        ups = [
-            i for i in range(n)
-            if not alpha >> i & 1 and alpha | 1 << i in spaces
-        ]
-        if not ups:
-            continue
-        # every edge out of alpha from one reduction of alpha's [image | reps]
-        bigs = [spaces[alpha | 1 << i] for i in ups]
-        for i, induced in zip(ups, restrict_classes(hsp, faces, bigs)):
-            edge_mats[(alpha, i)] = induced.transpose()
-    cube = Hypercube(n, r, field, dims, edge_mats)
-    _verify_commutativity(cube)
-    return cube
+            dims[q + 2][alpha] = h
+            above[alpha] = (hsp.reps, faces)
+            # the edge alpha -> alpha + e_i is the transposed induced map
+            cols, c0 = classes.transpose().data, 0
+            for i, b in zip(ups, blocks):
+                edges[q + 2][(alpha, i)] = ExactMatrix._wrap(
+                    field, b.cols, h, cols[c0:c0 + b.cols]
+                )
+                c0 += b.cols
+    cubes = tuple(
+        Hypercube(n, r, field, dims[r], edges[r]) for r in range(n + 1)
+    )
+    for cube in cubes:
+        _verify_commutativity(cube)
+    return cubes
 
 
 def _verify_commutativity(cube: Hypercube) -> None:

@@ -78,6 +78,21 @@ def _bass_work(cube: Hypercube, dual: bool) -> list[int]:
     return below
 
 
+def _hulls_below(n: int, dims: dict[int, int]) -> list[int]:
+    """Per mask alpha, its support hull: the union of the nonzero vertices
+    (``dims``) below alpha.  It is 0 where there is none, and where 0 is
+    the only one.  One subset-OR sweep per bit, O(n 2^n) in all."""
+    hull = [0] * (1 << n)
+    for v in dims:
+        hull[v] = v
+    for i in range(n):
+        bit = 1 << i
+        for m in range(1 << n):
+            if m & bit:
+                hull[m] |= hull[m ^ bit]
+    return hull
+
+
 def _table(cube: Hypercube, dual: bool) -> BassTable | DualBassTable:
     """The cube's Bass table, or with ``dual`` its dual Bass table.
 
@@ -85,13 +100,34 @@ def _table(cube: Hypercube, dual: bool) -> BassTable | DualBassTable:
     ran before; past it, each table's rows are assembled once and kept on
     the cube.  The dual table reads pi_p(p_alpha) = mu_p(p_{1-alpha}) off
     the Matlis dual, which is built for the rows and then dropped.
+
+    One complex is assembled per support hull h = hull(alpha), because
+    ``bass_row(alpha) == [0] * |alpha \\ h| + bass_row(h)``.  Proof: let
+    c = alpha \\ h.  A summand alpha \\ gamma of the alpha complex is nonzero
+    only if it is a nonzero vertex, so it lies in h and gamma contains c.
+    Writing gamma = c + g with g <= h maps the nonzero summands at
+    position p one to one, in the same order, onto those of the h complex
+    at position p - |c|, with the same vertex h \\ g.  A direction-i map
+    (i in h \\ g) carries the sign of the bits of gamma below i, which is
+    the h complex's sign times s_i = (-1)^{|c & [0, i)|}.  Scaling the
+    summand g by the product of s_i over i in g turns one complex into the
+    other, so their homologies agree, shifted by |c| positions; the first
+    |c| positions hold no summand.
     """
     below = _bass_work(cube, dual)
     kind = DualBassTable if dual else BassTable
     rows = cube._bass.get(dual)
     if rows is None:
         src, flip = (matlis_dual(cube), full_mask(cube.n)) if dual else (cube, 0)
-        mus = {flip ^ a: bass_row(src, a) for a, t in enumerate(below) if t}
+        by_hull: dict[int, list[int]] = {}
+        mus = {}
+        hulls = _hulls_below(cube.n, src.dims)
+        for a, t in enumerate(below):
+            if t:
+                h = hulls[a]
+                if h not in by_hull:
+                    by_hull[h] = bass_row(src, h)
+                mus[flip ^ a] = [0] * popcount(a ^ h) + by_hull[h]
         rows = cube._bass[dual] = kind.from_rows(cube.r, mus).rows
     return kind(cube.r, rows)
 

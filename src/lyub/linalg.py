@@ -418,27 +418,6 @@ def kernel_basis(mat: ExactMatrix) -> ExactMatrix:
     return ExactMatrix._wrap(f, mat.cols, len(free), data)
 
 
-def solve_matrix(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Some X with a @ X = b; raises ContractError if inconsistent."""
-    if a.rows != b.rows:
-        raise InputError("solve shape mismatch")
-    f = a.field
-    n = a.cols
-    red, pivots = rref(hstack(f, [a, b], a.rows))
-    if pivots and pivots[-1] >= n:
-        raise ContractError("inconsistent linear system")
-    data = [()] * n
-    for row, pc in zip(red.data, pivots):
-        data[pc] = tuple((c - n, v) for c, v in row if c >= n)
-    return ExactMatrix._wrap(f, n, b.cols, data)
-
-
-def independent_columns(mat: ExactMatrix) -> list[int]:
-    """Indices of a deterministic maximal independent column subset."""
-    _, pivots = rref(mat)
-    return pivots
-
-
 # ---------------------------------------------------------------------------
 # complexes of based vector spaces
 # ---------------------------------------------------------------------------
@@ -532,38 +511,43 @@ class HomologySpace:
     reps: ExactMatrix
     image: ExactMatrix
 
-    def express(self, vectors: ExactMatrix) -> ExactMatrix:
-        """Classes of cycle columns in the representative basis.
 
-        Solves [image | reps] x = v and returns the reps part; raises
-        ContractError when a column is not a cycle modulo boundaries.
-        """
-        if self.dim == 0:
-            return ExactMatrix(self.field, 0, vectors.cols)
-        basis = hstack(self.field, [self.image, self.reps], self.space_dim)
-        x = solve_matrix(basis, vectors)
-        return ExactMatrix._wrap(
-            self.field, self.dim, vectors.cols, x.data[self.image.cols:]
-        )
-
-
-def homology_space(field, dim, d_out, d_in) -> HomologySpace:
-    """Homology of  <- d_out - [this space] <- d_in -  made explicit.
+def homology_space(field, dim, d_out, d_in, vectors=None):
+    """Homology of  <- d_out - [this space] <- d_in -  made explicit, with
+    the classes of the cycle columns of ``vectors`` (may be None) in it.
 
     d_out maps out of the space (may be None), d_in into it (may be None).
-    Representatives are kernel basis columns completing the image pivots,
-    chosen in canonical column order.
+    One rref of [d_in | ker d_out | vectors] gives everything.  Its pivots
+    in the d_in block pick the image basis, and those in the kernel block
+    the representatives: the kernel columns completing the image, in
+    canonical column order.  A pivot in the vectors block is a column
+    outside the cycles, which is refused.  Every other vector column is the
+    unique combination of the image and representative columns that its
+    reduced entries give, and those at the representative pivots are its
+    class.  Returns (space, classes), classes being (dim x vectors.cols).
     """
     if d_out is not None and d_out.cols != dim:
         raise InputError("d_out shape mismatch")
-    if d_in is not None and d_in.rows != dim:
+    if d_in is None:
+        d_in = ExactMatrix(field, dim, 0)
+    elif d_in.rows != dim:
         raise InputError("d_in shape mismatch")
+    if vectors is None:
+        vectors = ExactMatrix(field, dim, 0)
+    elif vectors.rows != dim:
+        raise InputError("vectors shape mismatch")
     ker = kernel_basis(d_out) if d_out is not None else ExactMatrix.identity(field, dim)
-    if d_in is not None:
-        image = d_in.columns(independent_columns(d_in))
-    else:
-        image = ExactMatrix(field, dim, 0)
-    stacked = hstack(field, [image, ker], dim)
-    piv = independent_columns(stacked)
-    reps = ker.columns([c - image.cols for c in piv if c >= image.cols])
-    return HomologySpace(field, dim, reps.cols, reps, image)
+    k0 = d_in.cols
+    v0 = k0 + ker.cols
+    red, pivots = rref(hstack(field, [d_in, ker, vectors], dim))
+    if pivots and pivots[-1] >= v0:
+        raise ContractError("inconsistent linear system")
+    image = d_in.columns([c for c in pivots if c < k0])
+    reps = ker.columns([c - k0 for c in pivots if c >= k0])
+    classes = [
+        tuple((c - v0, x) for c, x in row if c >= v0)
+        for row, pc in zip(red.data, pivots)
+        if pc >= k0
+    ]
+    space = HomologySpace(field, dim, reps.cols, reps, image)
+    return space, ExactMatrix._wrap(field, reps.cols, vectors.cols, classes)

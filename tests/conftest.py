@@ -75,6 +75,11 @@ def a7():
 
 
 @pytest.fixture(scope="session")
+def a8():
+    return cycle_nonedge_ideal(8)
+
+
+@pytest.fixture(scope="session")
 def ex46():
     return rp2_ideal()
 

@@ -8,14 +8,17 @@ is dense elimination, and ``dense_restricted_complex`` assembles a
 restricted hypercube complex block by block over every subset; both read
 matrices only through ``ExactMatrix.dense``.  ``per_edge_maps`` computes
 the hypercube's edge maps with one ``solve_matrix`` per edge instead of
-one solve per vertex.
+the one reduction per vertex the build uses, and ``brute_hull`` a mask's
+support hull by enumeration instead of the Bass tables' subset sweep.
 """
 
 import random
 from itertools import combinations
 
 from lyub import (
+    ContractError,
     ExactMatrix,
+    InputError,
     complex_alexander_dual,
     rank,
     reduced_cohomology_dim,
@@ -33,7 +36,7 @@ from lyub.combinatorics import (
     popcount,
     submasks,
 )
-from lyub.linalg import hstack, solve_matrix
+from lyub.linalg import hstack, rref
 
 
 def brute_membership(ideal, mask):
@@ -172,6 +175,31 @@ def dense_restricted_complex(cube, amask, bmask):
     return dims, maps
 
 
+def brute_hull(cube, alpha):
+    """The union of the cube's nonzero vertices below alpha, by enumeration."""
+    hull = 0
+    for v in cube.dims:
+        if v & ~alpha == 0:
+            hull |= v
+    return hull
+
+
+def solve_matrix(a, b):
+    """Some X with a @ X = b, from the rref of [a | b]; raises ContractError
+    if the system is inconsistent."""
+    if a.rows != b.rows:
+        raise InputError("solve shape mismatch")
+    f = a.field
+    n = a.cols
+    red, pivots = rref(hstack(f, [a, b], a.rows))
+    if pivots and pivots[-1] >= n:
+        raise ContractError("inconsistent linear system")
+    data = [()] * n
+    for row, pc in zip(red.data, pivots):
+        data[pc] = tuple((c - n, v) for c, v in row if c >= n)
+    return ExactMatrix._wrap(f, n, b.cols, data)
+
+
 def per_edge_maps(ideal, r, field):
     """{(alpha, i): edge matrix} of the degree-r hypercube between nonzero
     vertices, each edge solved on its own.
@@ -187,7 +215,7 @@ def per_edge_maps(ideal, r, field):
     spaces = {}
     for alpha in range(1, 1 << ideal.n):
         cc = cochain_complex(restriction(dual, alpha), field)
-        hsp = cohomology_space(cc, q)
+        hsp, _ = cohomology_space(cc, q)
         if hsp.dim:
             spaces[alpha] = (hsp, cc.faces(q))
     edges = {}

@@ -312,7 +312,8 @@ def test_hypercube_cache_holds_every_degree_in_one_entry(monkeypatch, a5):
 def test_edges_are_transposed_induced_cohomology_maps(ex53, a5):
     # every stored edge equals the transpose of the inclusion-induced map
     # between the restricted dual complexes, in the same deterministic bases;
-    # both go through restrict_classes, so per_edge_maps is the independent check
+    # both go through linalg.homology_space with the restricted representatives
+    # as its vectors, so per_edge_maps is the independent check
     from lyub import (
         complex_alexander_dual,
         induced_cohomology_map,

@@ -38,9 +38,10 @@ from lyub.invariants import bass_row, minimal_support_masks, support_masks
 from lyub.tables import LyubeznikTable
 
 from .conftest import gens_ideal
-from .oracles import masks, random_ideal
+from .oracles import brute_hull, masks, random_ideal
 
 F2 = prime_field(2)
+F3 = prime_field(3)
 
 
 def table_from(d, entries):
@@ -239,6 +240,40 @@ def test_bass_and_dual_tables_are_kept_apart(monkeypatch, ex53, ex57):
                 assert all(type(rows) is tuple for rows in cube._bass.values())
                 assert bass_table(ideal, r, QQ).rows is tables[False].rows
                 assert dual_bass_table(ideal, r, QQ).rows is tables[True].rows
+
+
+@pytest.mark.parametrize("f", [QQ, F3], ids=["q", "f3"])
+def test_tables_by_hull_equal_a_direct_row_at_every_mask(a8, ex52, f):
+    # the tables assemble one complex per hull; every mask of the support
+    # assembled on its own gives the same rows
+    for ideal in (a8, ex52):
+        full = full_mask(ideal.n)
+        for r in nonzero_cohomology_degrees(ideal, f):
+            cube = build_hypercube(ideal, r, f)
+            dual = matlis_dual(cube)
+            assert bass_table(ideal, r, f) == BassTable.from_rows(
+                r, {a: bass_row(cube, a) for a in support_masks(cube)}
+            )
+            assert dual_bass_table(ideal, r, f) == DualBassTable.from_rows(
+                r, {full ^ a: bass_row(dual, a) for a in support_masks(dual)}
+            )
+
+
+def test_bass_row_is_its_hull_row_shifted(a5, ex53):
+    shifted = 0
+    for ideal in (a5, ex53):
+        for r in nonzero_cohomology_degrees(ideal, QQ):
+            cube = build_hypercube(ideal, r, QQ)
+            for c in (cube, matlis_dual(cube)):
+                hulls = invariants._hulls_below(c.n, c.dims)
+                for alpha in support_masks(c):
+                    hull = brute_hull(c, alpha)
+                    assert hulls[alpha] == hull
+                    k = popcount(alpha ^ hull)
+                    row = bass_row(c, hull)
+                    assert bass_row(c, alpha) == [0] * k + row
+                    shifted += k > 0 and any(row)
+    assert shifted
 
 
 def test_stored_tables_are_still_refused_over_the_cap(monkeypatch, ex57):

@@ -16,9 +16,9 @@ from lyub import (
     rank,
 )
 from lyub import hypercube
-from lyub.linalg import Field, rref, solve_matrix, transpose_reverse
+from lyub.linalg import Field, homology_space, hstack, rref, transpose_reverse
 
-from .oracles import random_fraction_matrix, random_matrix, rank_naive
+from .oracles import random_fraction_matrix, random_matrix, rank_naive, solve_matrix
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -128,6 +128,82 @@ def test_solve_matrix_inconsistent_raises():
     b = ExactMatrix.from_rows(QQ, [[1], [2]])
     with pytest.raises(ContractError):
         solve_matrix(a, b)
+
+
+def _space_with_cycles(rng, field):
+    # d_out kills the columns of d_in: it factors through their left kernel
+    dim = 8
+    d_in = random_matrix(rng, field, dim, 3, span=3)
+    left = kernel_basis(d_in.transpose()).transpose()
+    d_out = random_matrix(rng, field, 2, left.rows, span=3).matmul(left)
+    assert d_out.matmul(d_in).is_zero_matrix()
+    if field.p:
+        coeffs = random_matrix(rng, field, dim - rank(d_out), 4, span=3)
+    else:
+        coeffs = random_fraction_matrix(rng, field, dim - rank(d_out), 4)
+    # cycles with a boundary part, so the image block is used
+    cycles = kernel_basis(d_out).matmul(coeffs)
+    return dim, d_out, d_in, cycles
+
+
+@pytest.mark.parametrize("f", [QQ, Field(3)], ids=["q", "f3"])
+def test_homology_space_classes_match_a_solve(f):
+    rng = random.Random(29)
+    for _ in range(12):
+        dim, d_out, d_in, cycles = _space_with_cycles(rng, f)
+        space, classes = homology_space(f, dim, d_out, d_in, cycles)
+        assert space.dim == dim - rank(d_in) - rank(d_out)
+        assert (classes.rows, classes.cols) == (space.dim, cycles.cols)
+        # the reps part of the unique solution of [image | reps] x = v
+        basis = hstack(f, [space.image, space.reps], dim)
+        x = solve_matrix(basis, cycles).dense()[space.image.cols:]
+        assert classes.dense() == x
+        # the vectors change neither the image nor the representatives
+        plain, none = homology_space(f, dim, d_out, d_in)
+        assert (plain.image, plain.reps) == (space.image, space.reps)
+        assert (none.rows, none.cols) == (space.dim, 0)
+
+
+@pytest.mark.parametrize("f", [QQ, Field(3)], ids=["q", "f3"])
+def test_homology_space_refuses_a_vector_that_is_not_a_cycle(f):
+    rng = random.Random(31)
+    dim, d_out, d_in, cycles = _space_with_cycles(rng, f)
+    j = next(c for c in range(dim) if any(c == k for row in d_out.data for k, _ in row))
+    unit = ExactMatrix.from_entries(f, dim, 1, [((j, 0), 1)])
+    with pytest.raises(ContractError):
+        homology_space(f, dim, d_out, d_in, hstack(f, [cycles, unit], dim))
+
+
+def test_homology_space_without_maps_keeps_every_vector():
+    v = ExactMatrix.from_rows(QQ, [[1, Fraction(1, 2)], [0, 3]])
+    space, classes = homology_space(QQ, 2, None, None, v)
+    assert space.reps == ExactMatrix.identity(QQ, 2)
+    assert space.image.cols == 0
+    assert classes == v
+
+
+def test_induced_cohomology_map_is_the_classes_of_one_homology_space(monkeypatch, a5):
+    from lyub import cohomology, complex_alexander_dual, induced_cohomology_map
+    from lyub import restriction, stanley_reisner
+
+    (alpha, i), edge = next(iter(build_hypercube(a5, 2, QQ).edge_mats.items()))
+    calls = []
+    original = cohomology.homology_space
+
+    def spy(*args):
+        out = original(*args)
+        calls.append((args[4], out))
+        return out
+
+    monkeypatch.setattr(cohomology, "homology_space", spy)
+    dual = complex_alexander_dual(stanley_reisner(a5))
+    small, big = restriction(dual, alpha), restriction(dual, alpha | 1 << i)
+    induced = induced_cohomology_map(small, big, 0, QQ)
+    # the big space alone, then the small one with the restricted big reps
+    assert [vectors is None for vectors, _ in calls] == [True, False]
+    assert induced is calls[1][1][1]
+    assert induced.transpose() == edge
+    assert not induced.is_zero_matrix()
 
 
 def _cycle_complex(field):
