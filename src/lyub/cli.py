@@ -126,6 +126,17 @@ class _Parser:
         raise InputError(f"line {tok[2]}, col {tok[3]}: {message}")
 
 
+def _number(digits: str, tok=None) -> int:
+    """The value of a digit string read from token ``tok`` (from ``--field``
+    when None).  One longer than ``int`` converts (4,300 digits by default)
+    is refused."""
+    try:
+        return int(digits)
+    except ValueError:
+        where = f"line {tok[2]}, col {tok[3]}" if tok else "--field"
+        raise InputError(f"{where}: number of {len(digits)} digits is too large") from None
+
+
 def _parse_monomial(p: _Parser, n: int) -> int:
     mask = 0
     while True:
@@ -135,7 +146,7 @@ def _parse_monomial(p: _Parser, n: int) -> int:
             raise InputError(
                 f"line {tok[2]}, col {tok[3]}: expected a variable x1..x{n}, found {tok[1]!r}"
             )
-        i = int(m.group(1))
+        i = _number(m.group(1), tok)
         if not 1 <= i <= n:
             raise InputError(
                 f"line {tok[2]}, col {tok[3]}: variable x{i} outside x1..x{n}"
@@ -156,7 +167,7 @@ def _parse_prime(p: _Parser, n: int) -> int:
     mask = 0
     while True:
         tok = p.take("num")
-        i = int(tok[1])
+        i = _number(tok[1], tok)
         if not 1 <= i <= n:
             raise InputError(f"line {tok[2]}, col {tok[3]}: index {i} outside 1..{n}")
         mask |= 1 << (i - 1)
@@ -172,7 +183,8 @@ def parse_input(text: str) -> ProblemSpec:
     p = _Parser(text)
     p.take("word", "n")
     p.take(value="=")
-    n = int(p.take("num")[1])
+    tok = p.take("num")
+    n = _number(tok[1], tok)
     p.take(value=";")
     tok = p.take("word")
     form = tok[1]
@@ -219,7 +231,7 @@ def parse_field(text: str) -> Field:
         return QQ
     m = re.fullmatch(r"fp:(\d+)", text)
     if m:
-        return prime_field(int(m.group(1)))
+        return prime_field(_number(m.group(1)))
     raise InputError(f"unknown field {text!r}; use 'q' or 'fp:<prime>'")
 
 

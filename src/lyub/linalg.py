@@ -12,7 +12,10 @@ transposes, equality and the one d∘d check (``check_complex``) walk those
 entries alone.  Every elimination copies the rows into mutable {col: int}
 dicts and runs one engine shared by both kinds of field: over Q the rows
 stay integral (fraction-free updates, each rescaled row divided by its
-gcd), over F_p they are reduced mod p.
+gcd), over F_p they are reduced mod p.  ``cancel`` is its pivot loop, and
+both ``rank`` and the minimization of free resolutions run on it;
+``rref`` keeps a column-order loop on the same row update, since the
+canonical bases of kernels and homology need it.
 """
 
 from dataclasses import dataclass
@@ -245,30 +248,33 @@ def hstack(field, blocks, rows):
 # ---------------------------------------------------------------------------
 
 
-def _working_rows(mat: ExactMatrix) -> list[dict]:
-    """One mutable {col: int} dict per row.
+def _working_rows(mat: ExactMatrix) -> tuple[list[dict], dict]:
+    """One mutable {col: int} dict per row, and {row: factor} for the rows
+    it scaled.
 
-    Over Q a row with fractions is scaled by the lcm of its denominators,
-    which leaves its span unchanged.
+    Over Q a row with fractions is multiplied by the lcm of its
+    denominators, which leaves its span unchanged.
     """
     rows = [dict(row) for row in mat.data]
+    factors = {}
     if not mat.field.p and any(type(v) is not int for row in mat.data for _, v in row):
         for k, row in enumerate(rows):
             if any(type(v) is not int for v in row.values()):
-                scale = lcm(*(v.denominator for v in row.values()))
+                scale = factors[k] = lcm(*(v.denominator for v in row.values()))
                 rows[k] = {j: int(v * scale) for j, v in row.items()}
-    return rows
+    return rows, factors
 
 
 def _eliminate(row: dict, rid: int, prow: dict, pc: int, inv: int, p: int,
-               index: dict) -> None:
-    """Clear column ``pc`` of ``row`` (id ``rid``) against the pivot row.
+               index: dict):
+    """Clear column ``pc`` of ``row`` (id ``rid``) against the pivot row;
+    returns the factor the row was multiplied by.
 
-    Over F_p ``inv`` is the inverse of ``prow[pc]``.  Over Q the row stays
-    integral: where the pivot does not divide ``row[pc]`` the row is first
-    scaled, and a scaled row is then divided by the gcd of its entries.
-    ``index`` (col -> ids of the rows with an entry there) follows every
-    entry that appears or cancels.
+    Over F_p ``inv`` is the inverse of ``prow[pc]`` and the factor is 1.
+    Over Q the row stays integral: where the pivot does not divide
+    ``row[pc]`` the row is first scaled, and a scaled row is then divided by
+    the gcd of its entries.  ``index`` (col -> ids of the rows with an entry
+    there) follows every entry that appears or cancels.
     """
     b = row[pc]
     scale = 1
@@ -294,11 +300,13 @@ def _eliminate(row: dict, rid: int, prow: dict, pc: int, inv: int, p: int,
         else:
             del row[c]
             index[c].discard(rid)
-    if scale != 1 and row:
-        g = gcd(*row.values())
-        if g > 1:
-            for c in row:
-                row[c] //= g
+    if scale == 1:
+        return 1
+    g = gcd(*row.values()) if row else 1
+    if g > 1:
+        for c in row:
+            row[c] //= g
+    return Fraction(scale, g)
 
 
 def _column_index(rows: list[dict]) -> dict[int, set]:
@@ -309,45 +317,63 @@ def _column_index(rows: list[dict]) -> dict[int, set]:
     return index
 
 
-def rank(mat: ExactMatrix) -> int:
-    """Exact rank by sparse elimination.
+def cancel(rows: list[dict], p: int, eligible=None) -> tuple[list, dict]:
+    """Sparse elimination of ``rows`` ({col: int} dicts, changed in place)
+    until no row has a pivot left; returns (pivots, factors).
 
-    The shortest remaining row is the pivot row; its pivot is a unit entry
-    (±1 over Q, any nonzero over F_p) where it has one, else its smallest
-    entry, with ties going to the column with the fewest entries.
+    The shortest live row is the pivot row; its pivot is a unit entry (±1
+    over Q, any nonzero over F_p) where it has one, else its smallest
+    entry, with ties going to the column with the fewest entries.  Only an
+    entry (row, col) that ``eligible`` accepts can be a pivot (any entry
+    when it is None).  A row with none stays live, and it is queued again
+    when a later elimination changes it.  Every other live row is cleared
+    in the pivot column, so the live rows end as the Schur complement of
+    the pivots, row k multiplied by ``factors.get(k, 1)``: over Q the
+    product of the scalings that kept it integral, over F_p always 1.
+    ``pivots`` lists the (row, col) pairs in the order taken.
     """
-    if mat.rows == 0 or mat.cols == 0:
-        return 0
-    p = mat.field.p
-    rows = _working_rows(mat)
     index = _column_index(rows)
     live = {i: row for i, row in enumerate(rows) if row}
     heap = [(len(row), i) for i, row in live.items()]
     heapify(heap)
-    r = 0
+    pivots = []
+    factors = {}
     while heap:
         n, i = heappop(heap)
         prow = live.get(i)
         if prow is None or len(prow) != n:
             continue  # eliminated, or queued again at its new length
+        cols = prow if eligible is None else [c for c in prow if eligible(i, c)]
+        if not cols:
+            continue
         del live[i]
         for c in prow:
             index[c].discard(i)
-        if p:
-            pc = min(prow, key=lambda c: len(index[c]))
-            inv = pow(prow[pc], -1, p)
+        if len(cols) == 1:  # the usual case on small matrices; skips min()
+            pc, = cols
+        elif p:
+            pc = min(cols, key=lambda c: len(index[c]))
         else:
-            pc = min(prow, key=lambda c: (abs(prow[c]), len(index[c])))
-            inv = 0
+            pc = min(cols, key=lambda c: (abs(prow[c]), len(index[c])))
+        inv = pow(prow[pc], -1, p) if p else 0
         for k in list(index[pc]):
             row = live[k]
-            _eliminate(row, k, prow, pc, inv, p, index)
+            s = _eliminate(row, k, prow, pc, inv, p, index)
+            if s != 1:
+                factors[k] = factors.get(k, 1) * s
             if row:
                 heappush(heap, (len(row), k))
             else:
                 del live[k]
-        r += 1
-    return r
+        pivots.append((i, pc))
+    return pivots, factors
+
+
+def rank(mat: ExactMatrix) -> int:
+    """Exact rank: the number of pivots ``cancel`` takes."""
+    if mat.rows == 0 or mat.cols == 0:
+        return 0
+    return len(cancel(_working_rows(mat)[0], mat.field.p)[0])
 
 
 def rref(mat: ExactMatrix):
@@ -361,7 +387,7 @@ def rref(mat: ExactMatrix):
     f = mat.field
     p = f.p
     nrows = mat.rows
-    rows = _working_rows(mat)
+    rows = _working_rows(mat)[0]
     index = _column_index(rows)
     order = list(range(nrows))  # order[position] = row id
     pos = list(range(nrows))  # pos[row id] = position

@@ -1,7 +1,9 @@
 """Minimal free resolutions of squarefree monomial ideals.
 
 Route: build the Lyubeznik resolution on the minimal generators, then cancel
-unit entries (nonzero scalars between equal degrees) until none remain.  The
+unit entries (nonzero scalars between equal degrees) until none remain, by
+Gaussian elimination on the complex (Jöllenbeck-Welker, Mem. AMS 197, 2009)
+run on ``linalg.cancel``, the engine behind ``rank``.  The
 Lyubeznik resolution (Lyubeznik, J. Pure Appl. Algebra 51, 1988; Novik,
 J. Algebraic Combin. 16, 2002) is the subcomplex of the Taylor complex on the
 L-admissible generator subsets, with the Taylor signs; it is usually far
@@ -22,10 +24,10 @@ two such entries telescopes, so d∘d = 0 is a plain scalar-matrix statement,
 verified by the same ``check_complex`` as every other complex.
 """
 
-import heapq
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 from .combinatorics import MonomialIdeal, alexander_dual, contains, mask_key, popcount
@@ -34,12 +36,15 @@ from .errors import (
     MAX_RESOLUTION_TESTS,
     ContractError,
     DomainError,
+    InputError,
     ResourceError,
 )
 from .linalg import (
     ExactMatrix,
     Field,
     VectorSpaceComplex,
+    _working_rows,
+    cancel,
     check_complex,
     homology_dims,
     transpose_reverse,
@@ -215,113 +220,61 @@ def minimize(cx: GradedFreeComplex, order: str = "forward") -> GradedFreeComplex
     Each cancellation removes one basis element from two consecutive terms
     and applies the corresponding change of basis to the differential
     between them; the resulting term ranks are the Betti numbers and do not
-    depend on the cancellation order.  Pivots are chosen deterministically:
-    terms are swept in the requested order and within a differential the
-    unit entry with the least (row, col) pair is cancelled first.
+    depend on the cancellation order.  The differentials are swept in the
+    requested order ("forward" or "reverse"), and ``linalg.cancel`` reduces
+    each one, without the cells already cancelled, taking pivots only
+    between equal degrees.  Its row operations are exactly those
+    cancellations.  Over Q it may also multiply a row, which is a diagonal
+    change of basis of that term: column c of d_j is divided by the factor
+    of row c of d_{j+1}, which keeps d∘d = 0.  The survivors are rebuilt
+    in the canonical basis order.
     """
+    if order not in ("forward", "reverse"):
+        raise InputError(f"unknown minimization order {order!r}; use 'forward' or 'reverse'")
     f = cx.field
-    nterms = cx.num_terms()
-    deg = [list(t) for t in cx.degrees]
-    alive = [set(range(len(t))) for t in cx.degrees]
-    bycol: list[dict] = []
-    byrow: list[dict] = []
-    units: list[set] = []
-    heaps: list[list] = []  # lazy-deletion heaps over the unit sets
-    for j, d in enumerate(cx.diffs):
-        bc: dict[int, dict[int, object]] = {}
-        br: dict[int, dict[int, object]] = {}
-        un = set()
-        for r, row in enumerate(d.data):
-            for c, v in row:
-                bc.setdefault(c, {})[r] = v
-                br.setdefault(r, {})[c] = v
-                if deg[j][r] == deg[j + 1][c]:
-                    un.add((r, c))
-        bycol.append(bc)
-        byrow.append(br)
-        units.append(un)
-        heap = sorted(un)
-        heaps.append(heap)
-
-    def set_entry(j, r, c, v):
-        if f.is_zero(v):
-            col = bycol[j].get(c)
-            if col and r in col:
-                del col[r]
-                row = byrow[j][r]
-                del row[c]
-                units[j].discard((r, c))
-        else:
-            bycol[j].setdefault(c, {})[r] = v
-            byrow[j].setdefault(r, {})[c] = v
-            if deg[j][r] == deg[j + 1][c] and (r, c) not in units[j]:
-                units[j].add((r, c))
-                heapq.heappush(heaps[j], (r, c))
-
-    def cancel(j, r, c):
-        colc = dict(bycol[j].get(c, ()))
-        rowr = dict(byrow[j].get(r, ()))
-        u = colc.pop(r)
-        rowr.pop(c)
-        # detach the pivot row and column from differential j
-        for r2 in colc:
-            del byrow[j][r2][c]
-            units[j].discard((r2, c))
-        for c2 in rowr:
-            del bycol[j][c2][r]
-            units[j].discard((r, c2))
-        bycol[j].pop(c, None)
-        byrow[j].pop(r, None)
-        units[j].discard((r, c))
-        # Schur update on the remaining entries
-        uinv = f.inv(u)
-        for r2, vr in colc.items():
-            factor = vr * uinv
-            for c2, vc in rowr.items():
-                old = bycol[j].get(c2, {}).get(r2, 0)
-                set_entry(j, r2, c2, f.coerce(old - factor * vc))
-        # drop basis r from term j and c from term j+1
-        alive[j].discard(r)
-        alive[j + 1].discard(c)
-        if j + 1 < len(bycol):
-            row = byrow[j + 1].pop(c, None)
-            if row:
-                for c3 in row:
-                    del bycol[j + 1][c3][c]
-                    units[j + 1].discard((c, c3))
-        if j - 1 >= 0:
-            col = bycol[j - 1].pop(r, None)
-            if col:
-                for r3 in col:
-                    del byrow[j - 1][r3][r]
-                    units[j - 1].discard((r3, r))
-
-    sweep = range(len(cx.diffs)) if order == "forward" else range(len(cx.diffs) - 1, -1, -1)
-    for j in sweep:
-        heap = heaps[j]
-        live = units[j]
-        while live:
-            r, c = heapq.heappop(heap)
-            if (r, c) in live:
-                cancel(j, r, c)
+    deg = cx.degrees
+    nd = len(cx.diffs)
+    dead = [set() for _ in deg]
+    work = [None] * nd
+    factors = [{} for _ in deg]  # term j: basis element -> factor of its row of d_j
+    for j in range(nd) if order == "forward" else reversed(range(nd)):
+        d = cx.diffs[j]
+        dead_r, dead_c = dead[j], dead[j + 1]
+        data = [
+            () if r in dead_r else tuple(e for e in row if e[0] not in dead_c)
+            for r, row in enumerate(d.data)
+        ]
+        rows, scale = _working_rows(ExactMatrix._wrap(f, d.rows, d.cols, data))
+        deg_r, deg_c = deg[j], deg[j + 1]
+        pivots, scaled = cancel(rows, f.p, lambda r, c: deg_r[r] == deg_c[c])
+        for k, s in scaled.items():
+            scale[k] = scale.get(k, 1) * s
+        for r, c in pivots:
+            dead_r.add(r)
+            dead_c.add(c)
+        work[j], factors[j] = rows, scale
 
     # rebuild with the canonical basis order: degree key, then original order
     new_ids = []
     new_degrees = []
     new_labels = []
-    for j in range(nterms):
-        ids = sorted(alive[j], key=lambda i: (mask_key(deg[j][i]), i))
+    for j, degs in enumerate(deg):
+        ids = sorted(
+            (i for i in range(len(degs)) if i not in dead[j]),
+            key=lambda i: (mask_key(degs[i]), i),
+        )
         new_ids.append({i: k for k, i in enumerate(ids)})
-        new_degrees.append(tuple(deg[j][i] for i in ids))
+        new_degrees.append(tuple(degs[i] for i in ids))
         new_labels.append(tuple(cx.labels[j][i] for i in ids))
-    new_diffs = tuple(
-        ExactMatrix.from_entries(f, len(new_ids[j]), len(new_ids[j + 1]), (
-            ((new_ids[j][r], new_ids[j + 1][c]), v)
-            for c, col in bycol[j].items() for r, v in col.items()
-        ))
-        for j in range(nterms - 1)
-    )
-    out = GradedFreeComplex(f, tuple(new_degrees), tuple(new_labels), new_diffs)
+    new_diffs = []
+    for j, rows in enumerate(work):
+        rid, cid, fac = new_ids[j], new_ids[j + 1], factors[j + 1]
+        new_diffs.append(ExactMatrix.from_entries(f, len(rid), len(cid), (
+            ((rid[r], cid[c]), Fraction(v, fac[c]) if c in fac else v)
+            for r, row in enumerate(rows) if r in rid
+            for c, v in row.items() if c in cid
+        )))
+    out = GradedFreeComplex(f, tuple(new_degrees), tuple(new_labels), tuple(new_diffs))
     if not out.is_minimal():
         raise ContractError("minimization left a unit entry")
     return out

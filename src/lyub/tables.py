@@ -92,25 +92,11 @@ class BassTable:
         return [a for a, _ in self.rows]
 
 
-@dataclass(frozen=True)
-class DualBassTable:
-    """Dual Bass numbers pi_p(p_alpha, H_I^r(R)); zero rows omitted."""
+class DualBassTable(BassTable):
+    """Dual Bass numbers pi_p(p_alpha, H_I^r(R)); zero rows omitted.  Never
+    equal to a ``BassTable`` with the same rows."""
 
-    r: int
-    rows: tuple[tuple[int, tuple[int, ...]], ...]
-
-    @classmethod
-    def from_rows(cls, r: int, rows: dict[int, list[int]]) -> "DualBassTable":
-        return cls(r, _canonical_rows(rows))
-
-    def as_dict(self) -> dict[int, tuple[int, ...]]:
-        return dict(self.rows)
-
-    def pi(self, alpha: int, p: int) -> int:
-        for a, vals in self.rows:
-            if a == alpha:
-                return vals[p] if p < len(vals) else 0
-        return 0
+    pi = BassTable.mu
 
 
 @dataclass(frozen=True)

@@ -402,3 +402,27 @@ def test_main_closed_stdout_exits_quietly(tmp_path):
         os.close(write_end)
     assert proc.returncode == EXIT_BROKEN_PIPE
     assert proc.stderr == b""
+
+
+BIG = "9" * 5000  # past int()'s default 4,300-digit conversion limit
+
+
+@pytest.mark.parametrize("text, where", [
+    (f"n={BIG};\ngens: x1;\n", "line 1, col 3"),
+    (f"n=3;\nprimes: {{1,{BIG}}};\n", "line 2, col 12"),
+    (f"n=3;\ngens: x1*x{BIG};\n", "line 2, col 10"),
+], ids=["n", "prime-index", "variable"])
+def test_main_refuses_an_oversized_literal(tmp_path, capsys, text, where):
+    path = tmp_path / "big.ideal"
+    path.write_text(text)
+    assert main(["table", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: {where}: number of 5000 digits is too large\n"
+
+
+def test_main_refuses_an_oversized_field_modulus(tmp_path, capsys):
+    path = tmp_path / "a4.ideal"
+    path.write_text(A4_GENS)
+    assert main(["table", str(path), "--field", f"fp:{BIG}"]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: --field: number of 5000 digits is too large\n"

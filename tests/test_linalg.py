@@ -16,7 +16,7 @@ from lyub import (
     rank,
 )
 from lyub import hypercube
-from lyub.linalg import Field, homology_space, hstack, rref, transpose_reverse
+from lyub.linalg import Field, cancel, homology_space, hstack, rref, transpose_reverse
 
 from .oracles import random_fraction_matrix, random_matrix, rank_naive, solve_matrix
 
@@ -322,3 +322,58 @@ def test_sparse_engine_cross_check():
             assert rank_naive(k) == k.cols
         rank_drops += ranks["F2"] < ranks["Q"]
     assert rank_drops
+
+
+def test_cancel_pivots_only_where_eligible():
+    # row 1 starts with no eligible entry; eliminating row 0 gives it one.
+    # Row 2 never has one and stays as it is.
+    rows = [{0: 1, 1: 1}, {0: 1}, {2: 5}]
+    accepted = {(0, 0), (1, 1)}
+    pivots, factors = cancel(rows, 0, lambda r, c: (r, c) in accepted)
+    assert pivots == [(0, 0), (1, 1)]
+    assert rows[1] == {1: -1} and rows[2] == {2: 5}
+    assert factors == {}
+    # without a rule every row pivots, as in rank
+    pivots, _ = cancel([{0: 1, 1: 1}, {0: 1}, {2: 5}], 0)
+    mat = ExactMatrix.from_rows(QQ, [[1, 1, 0], [1, 0, 0], [0, 0, 5]])
+    assert len(pivots) == 3 == rank(mat=mat)
+
+
+@pytest.mark.parametrize("p", [0, 2, 5])
+def test_cancel_leaves_scaled_schur_rows(p):
+    # Against plain field elimination in the same pivot order: every row
+    # left is its factor times the reference row, and none has an eligible
+    # entry.
+    rng = random.Random(41 + p)
+    scaled = 0
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        dense = _sparse_int_rows(rng, nrows, ncols)
+        if p:
+            dense = [[v % p for v in row] for row in dense]
+        rows = [{c: v for c, v in enumerate(row) if v} for row in dense]
+        banned = {(r, c) for r in range(nrows) for c in range(ncols) if rng.random() < 0.4}
+
+        def eligible(r, c):
+            return (r, c) not in banned
+
+        pivots, factors = cancel(rows, p, eligible)
+        assert all(eligible(r, c) for r, c in pivots)
+        ref = [[Fraction(v) for v in row] for row in dense]
+        done = set()
+        for r, c in pivots:
+            done.add(r)
+            for k in range(nrows):
+                if k not in done and ref[k][c]:
+                    t = ref[k][c] / ref[r][c]
+                    ref[k] = [x - t * y for x, y in zip(ref[k], ref[r])]
+        for k in range(nrows):
+            if k in done:
+                continue
+            want = [x * factors.get(k, 1) for x in ref[k]]
+            if p:
+                want = [Field(p).coerce(x) for x in want]
+            assert [rows[k].get(c, 0) for c in range(ncols)] == want
+            assert not any(eligible(k, c) for c in rows[k])
+        scaled += len(factors)
+    assert bool(scaled) == (p == 0)

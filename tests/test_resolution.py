@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,7 @@ from lyub import (
     DomainError,
     ExactMatrix,
     GradedFreeComplex,
+    InputError,
     QQ,
     ResourceError,
     alexander_dual,
@@ -25,7 +27,7 @@ from lyub import (
     strand_homology,
     taylor_complex,
 )
-from lyub import resolution
+from lyub import linalg, resolution
 from lyub.combinatorics import MonomialIdeal, mask_of, popcount
 from lyub.tables import BettiTable
 
@@ -112,6 +114,55 @@ def test_minimize_forward_reverse_confluence(a5, ex53, ex57, ex46):
         for f in (QQ, F2):
             lcx = minimize(lyubeznik_complex(ideal, f))
             assert lcx.degrees == minimize(taylor_complex(ideal, f)).degrees
+
+
+def test_minimize_refuses_an_unknown_order(a4):
+    cx = lyubeznik_complex(alexander_dual(a4), QQ)
+    for order in ("backward", "Forward", ""):
+        with pytest.raises(InputError, match="order"):
+            minimize(cx, order=order)
+
+
+SCALES = (2, 3, Fraction(1, 2), Fraction(-2, 3))
+
+
+def _rescaled(cx, rng):
+    """cx under a diagonal change of basis with entries in SCALES."""
+    s = [[rng.choice(SCALES) for _ in degs] for degs in cx.degrees]
+    diffs = tuple(
+        ExactMatrix.from_entries(cx.field, d.rows, d.cols, (
+            ((r, c), Fraction(v) * s[j][r] / s[j + 1][c])
+            for r, row in enumerate(d.data) for c, v in row
+        ))
+        for j, d in enumerate(cx.diffs)
+    )
+    return GradedFreeComplex(cx.field, cx.degrees, cx.labels, diffs)
+
+
+def test_minimize_undoes_a_diagonal_change_of_basis(monkeypatch, a5, ex53):
+    # Fraction-free elimination rescales rows of d_{j+1} here; minimization
+    # must divide the matching columns of d_j, or its d∘d check refuses.
+    scaled_rows = 0
+
+    def counting_cancel(rows, p, eligible=None):
+        nonlocal scaled_rows
+        pivots, factors = linalg.cancel(rows, p, eligible)
+        scaled_rows += len(factors)
+        return pivots, factors
+
+    monkeypatch.setattr(resolution, "cancel", counting_cancel)
+    rng = random.Random(97)
+    ideals = [alexander_dual(i) for i in (a5, ex53)]
+    ideals += [alexander_dual(random_ideal(rng, rng.randint(3, 6))) for _ in range(10)]
+    for ideal in ideals:
+        if not ideal.is_proper_nonzero:
+            continue
+        cx = lyubeznik_complex(ideal, QQ)
+        want = minimize(cx).degrees
+        scaled = _rescaled(cx, rng)
+        for order in ("forward", "reverse"):
+            assert minimize(scaled, order).degrees == want
+    assert scaled_rows
 
 
 def test_betti_two_generator_example():
