@@ -61,6 +61,20 @@ def submasks(mask: int):
         s = (s - 1) & mask
 
 
+def unions_below(n: int, masks) -> list[int]:
+    """Per mask alpha on n bits, the union of the given masks below alpha
+    (0 where there is none): one subset-OR sweep per bit, O(n 2^n) in all."""
+    below = [0] * (1 << n)
+    for m in masks:
+        below[m] = m
+    for i in range(n):
+        bit = 1 << i
+        for m in range(1 << n):
+            if m & bit:
+                below[m] |= below[m ^ bit]
+    return below
+
+
 def mask_vector(mask: int, n: int) -> tuple[int, ...]:
     """0/1 vector (alpha_1, ..., alpha_n)."""
     return tuple((mask >> i) & 1 for i in range(n))

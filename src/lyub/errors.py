@@ -3,18 +3,20 @@
 The free resolutions behind the strand route are built as the Lyubeznik
 resolution and capped by their cell count and by the divisibility tests
 that find the cells, not by the generator count; the Lyubeznik resolution
-stays far below the Taylor size, so ``--check`` reaches n = 8-9.  The
-hypercube route is capped by its vertex count 2^n, and a Bass table by the
-vertex dimensions its rows assemble.
+stays far below the Taylor size, so ``--check`` finishes on the cycle
+ideals up to n = 13.  The hypercube route is capped by its vertex count
+2^n, and a Bass table by the vertex dimensions its rows assemble.
 """
 
 # Everything that enumerates {0,1}^n is exponential in n; this cap keeps the
 # worst case around 16M masks.
 MAX_VARIABLES = 24
 
-# Vertices of one hypercube: building it forms the cochain complex of one
-# restriction per vertex, about 2.2 times the work per added variable, so
-# the 2^n count is refused up front above this (n = 16).
+# Vertices of one hypercube: building it sweeps every vertex and forms the
+# cochain complex of the restriction at each mask of the lcm lattice of the
+# Alexander dual ideal (nearly every vertex on the cycle ideals), about 2.2
+# times the work per added variable, so the 2^n count is refused up front
+# above this (n = 16).
 MAX_HYPERCUBE_MASKS = 2**16
 
 # Vertex dimensions one Bass or dual Bass table may assemble: row alpha

@@ -11,7 +11,10 @@ verified at build time.
 
 One build serves every degree r: the cochain complex of each restriction is
 formed once (with its d∘d check), and its coboundary ranks give the vertex
-at a in all n+1 degrees.  Representatives and edge maps are computed only
+at a in all n+1 degrees.  Only the masks a of the lcm lattice of the
+Alexander dual ideal (the unions of its generators, the minimal primes of
+I) get a complex: at any other a the restriction is a cone, and the vertex
+is zero in every degree.  Representatives and edge maps are computed only
 where a vertex is nonzero, visiting the masks top down, from the full mask
 to 1: when a is reached, every nonzero a+e_i of the same degree has its
 representatives, and one reduction at a gives a's representatives and
@@ -29,10 +32,12 @@ from .combinatorics import (
     contains,
     full_mask,
     mask_of,
+    minimal_primes,
     popcount,
     restriction,
     simplicial_complex,
     submasks,
+    unions_below,
 )
 from .cohomology import cochain_complex, cohomology_space, face_projection
 from .errors import (
@@ -134,6 +139,11 @@ def _build_all_degrees(ideal: MonomialIdeal, field: Field) -> tuple[Hypercube, .
         )
     full = full_mask(n)
     dual = simplicial_complex(full, [full ^ g for g in ideal.gens])
+    # The minimal non-faces of the dual complex are the minimal primes of I.
+    # A vertex of alpha in none of those inside alpha is a cone point of the
+    # restriction to alpha, whose cohomology is then zero in every degree,
+    # so only the masks that are unions of them can be nonzero vertices.
+    lattice = unions_below(n, minimal_primes(ideal))
     # per degree r: the nonzero vertices' dimensions, their (representatives,
     # faces) in cohomological degree r - 2, and the edges between them.  A
     # complex on |alpha| <= n vertices has no cohomology above degree n - 2.
@@ -142,6 +152,8 @@ def _build_all_degrees(ideal: MonomialIdeal, field: Field) -> tuple[Hypercube, .
     edges: list[dict] = [{} for _ in range(n + 1)]
     # top down, so each alpha + e_i already has its representatives
     for alpha in range(full, 0, -1):  # alpha = 0 is pinned to zero
+        if lattice[alpha] != alpha:
+            continue
         cc = cochain_complex(restriction(dual, alpha), field)
         for q, h in cc.cohomology_dims().items():
             faces, above = cc.faces(q), spaces[q + 2]

@@ -13,6 +13,7 @@ from .combinatorics import (
     mask_key,
     popcount,
     stanley_reisner,
+    unions_below,
 )
 from .cohomology import reduced_cohomology_dims_all
 from .errors import MAX_BASS_WORK, ContractError, DomainError, ResourceError
@@ -78,21 +79,6 @@ def _bass_work(cube: Hypercube, dual: bool) -> list[int]:
     return below
 
 
-def _hulls_below(n: int, dims: dict[int, int]) -> list[int]:
-    """Per mask alpha, its support hull: the union of the nonzero vertices
-    (``dims``) below alpha.  It is 0 where there is none, and where 0 is
-    the only one.  One subset-OR sweep per bit, O(n 2^n) in all."""
-    hull = [0] * (1 << n)
-    for v in dims:
-        hull[v] = v
-    for i in range(n):
-        bit = 1 << i
-        for m in range(1 << n):
-            if m & bit:
-                hull[m] |= hull[m ^ bit]
-    return hull
-
-
 def _table(cube: Hypercube, dual: bool) -> BassTable | DualBassTable:
     """The cube's Bass table, or with ``dual`` its dual Bass table.
 
@@ -101,7 +87,8 @@ def _table(cube: Hypercube, dual: bool) -> BassTable | DualBassTable:
     the cube.  The dual table reads pi_p(p_alpha) = mu_p(p_{1-alpha}) off
     the Matlis dual, which is built for the rows and then dropped.
 
-    One complex is assembled per support hull h = hull(alpha), because
+    One complex is assembled per support hull h = hull(alpha), the union
+    of the nonzero vertices below alpha (``unions_below``), because
     ``bass_row(alpha) == [0] * |alpha \\ h| + bass_row(h)``.  Proof: let
     c = alpha \\ h.  A summand alpha \\ gamma of the alpha complex is nonzero
     only if it is a nonzero vertex, so it lies in h and gamma contains c.
@@ -121,7 +108,7 @@ def _table(cube: Hypercube, dual: bool) -> BassTable | DualBassTable:
         src, flip = (matlis_dual(cube), full_mask(cube.n)) if dual else (cube, 0)
         by_hull: dict[int, list[int]] = {}
         mus = {}
-        hulls = _hulls_below(cube.n, src.dims)
+        hulls = unions_below(cube.n, src.dims)
         for a, t in enumerate(below):
             if t:
                 h = hulls[a]

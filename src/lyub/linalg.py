@@ -64,20 +64,8 @@ class Field:
         x = Fraction(x)
         return x.numerator if x.denominator == 1 else x
 
-    def one(self):
-        return 1
-
     def neg(self, a):
         return -a % self.p if self.p else -a
-
-    def inv(self, a):
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of zero")
-        if self.p:
-            return pow(a, -1, self.p)
-        if a == 1 or a == -1:
-            return int(a)
-        return self.coerce(1 / Fraction(a))
 
     def is_zero(self, a):
         return a % self.p == 0 if self.p else a == 0

@@ -8,10 +8,10 @@ Lyubeznik resolution (Lyubeznik, J. Pure Appl. Algebra 51, 1988; Novik,
 J. Algebraic Combin. 16, 2002) is the subcomplex of the Taylor complex on the
 L-admissible generator subsets, with the Taylor signs; it is usually far
 smaller (the 14 generators of the dual of a7: 367 cells against 16,383),
-which lets ``--check`` reach n = 8-9.  The surviving basis counts are the
-Betti numbers; the scalar entries between degree-adjacent basis elements are
-the frames of the linear strands.  ``taylor_complex`` stays as the reference
-construction.
+which lets ``--check`` finish on the cycle ideals up to n = 13.  The
+surviving basis counts are the Betti numbers; the scalar entries between
+degree-adjacent basis elements are the frames of the linear strands.
+``taylor_complex`` stays as the reference construction.
 
 Both constructions are refused with ``ResourceError`` above
 ``MAX_RESOLUTION_CELLS`` basis elements; the Lyubeznik enumeration is also

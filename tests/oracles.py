@@ -13,6 +13,7 @@ support hull by enumeration instead of the Bass tables' subset sweep.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 from lyub import (
@@ -127,7 +128,7 @@ def rank_naive(mat):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = f.inv(m[r][c])
+        inv = pow(m[r][c], -1, f.p) if f.p else 1 / Fraction(m[r][c])
         for i in range(r + 1, mat.rows):
             if not f.is_zero(m[i][c]):
                 factor = m[i][c] * inv

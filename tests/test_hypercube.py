@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from operator import and_
 
 import pytest
 
@@ -19,10 +21,24 @@ from lyub import (
     restricted_complex,
 )
 from lyub import hypercube
-from lyub.combinatorics import MonomialIdeal, full_mask, mask_of, popcount
+from lyub.cohomology import reduced_cohomology_dims_all
+from lyub.combinatorics import (
+    MonomialIdeal,
+    full_mask,
+    mask_of,
+    popcount,
+    restriction,
+    simplicial_complex,
+)
 from lyub.hypercube import Hypercube
 
-from .conftest import gens_ideal, primes_ideal
+from .conftest import (
+    cycle_nonedge_ideal,
+    gens_ideal,
+    nine_vars_ideal,
+    primes_ideal,
+    rp2_ideal,
+)
 from .oracles import (
     cech_vertex_dim,
     dense_restricted_complex,
@@ -307,6 +323,59 @@ def test_hypercube_cache_holds_every_degree_in_one_entry(monkeypatch, a5):
     assert [cube.r for cube in cubes] == list(range(a5.n + 1))
     again = [build_hypercube(a5, r, QQ) for r in range(a5.n + 1)]
     assert all(x is y for x, y in zip(again, cubes))
+
+
+def _record_complexes(monkeypatch):
+    """Make the build record the vertex set of every cochain complex it forms."""
+    formed = []
+    real = hypercube.cochain_complex
+
+    def recording(cx, field):
+        formed.append(cx.vertices)
+        return real(cx, field)
+
+    monkeypatch.setattr(hypercube, "cochain_complex", recording)
+    return formed
+
+
+def test_build_skips_only_cones(monkeypatch, a4, a5, ex53, ex57, field):
+    # Brute force, without minimal primes: every mask the build skips is a
+    # cone (its facets share a vertex) with zero reduced cohomology, and
+    # every other nonzero mask gets exactly one complex.
+    rng = random.Random(4)
+    ideals = [a4, a5, ex53, ex57, nine_vars_ideal(), rp2_ideal()]
+    ideals += [random_ideal(rng, rng.randint(2, 7)) for _ in range(20)]
+    formed = _record_complexes(monkeypatch)
+    skipped_total = 0
+    for ideal in ideals:
+        formed.clear()
+        hypercube._build_all_degrees(ideal, field)
+        full = full_mask(ideal.n)
+        dual = simplicial_complex(full, [full ^ g for g in ideal.gens])
+        once = set(formed)
+        assert len(once) == len(formed)
+        for alpha in range(1, full + 1):
+            rest = restriction(dual, alpha)
+            apex = reduce(and_, rest.facets, alpha)
+            if alpha in once:
+                assert apex == 0
+            else:
+                assert apex != 0
+                assert reduced_cohomology_dims_all(rest, field) == {}
+                skipped_total += 1
+    assert skipped_total
+
+
+@pytest.mark.parametrize(
+    "ideal, complexes",
+    [(cycle_nonedge_ideal(8), 231), (cycle_nonedge_ideal(10), 993), (nine_vars_ideal(), 270)],
+    ids=["a8", "a10", "nine"],
+)
+def test_build_forms_one_complex_per_lattice_mask(monkeypatch, ideal, complexes):
+    # nine: 270 of its 511 nonzero masks are unions of minimal primes
+    formed = _record_complexes(monkeypatch)
+    hypercube._build_all_degrees(ideal, QQ)
+    assert len(formed) == complexes
 
 
 def test_edges_are_transposed_induced_cohomology_maps(ex53, a5):

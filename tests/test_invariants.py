@@ -32,7 +32,14 @@ from lyub import (
     terai_mustata_consistent,
 )
 from lyub import hypercube, invariants
-from lyub.combinatorics import MonomialIdeal, full_mask, mask_key, mask_of, popcount
+from lyub.combinatorics import (
+    MonomialIdeal,
+    full_mask,
+    mask_key,
+    mask_of,
+    popcount,
+    unions_below,
+)
 from lyub.hypercube import matlis_dual
 from lyub.invariants import bass_row, minimal_support_masks, support_masks
 from lyub.tables import LyubeznikTable
@@ -265,7 +272,7 @@ def test_bass_row_is_its_hull_row_shifted(a5, ex53):
         for r in nonzero_cohomology_degrees(ideal, QQ):
             cube = build_hypercube(ideal, r, QQ)
             for c in (cube, matlis_dual(cube)):
-                hulls = invariants._hulls_below(c.n, c.dims)
+                hulls = unions_below(c.n, c.dims)
                 for alpha in support_masks(c):
                     hull = brute_hull(c, alpha)
                     assert hulls[alpha] == hull

@@ -286,7 +286,7 @@ def _assert_reduced_echelon(field, red, pivots):
             continue
         pc = pivots[t]
         assert all(field.is_zero(x) for x in row[:pc])
-        assert row[pc] == field.one()
+        assert row[pc] == 1
         for u, other in enumerate(rows):
             if u != t:
                 assert field.is_zero(other[pc])
