@@ -9,9 +9,7 @@ from .combinatorics import (
     MonomialIdeal,
     SimplicialComplex,
     alexander_dual,
-    complex_alexander_dual,
     full_mask,
-    ideal_of,
     intersect_face_ideals,
     link,
     mask_of,
@@ -23,12 +21,7 @@ from .combinatorics import (
     simplicial_complex,
     stanley_reisner,
 )
-from .cohomology import (
-    cochain_complex,
-    induced_cohomology_map,
-    reduced_cohomology_dim,
-    reduced_homology_dim,
-)
+from .cohomology import cochain_complex
 from .errors import (
     ContractError,
     DomainError,
@@ -40,7 +33,6 @@ from .hypercube import (
     Hypercube,
     build_hypercube,
     dual_complex,
-    face_restricted_hypercube,
     main_complex,
     matlis_dual,
     restricted_complex,
@@ -79,7 +71,6 @@ from .resolution import (
     minimize,
     strand_frame,
     strand_homology,
-    taylor_complex,
 )
 from .tables import BassTable, BettiTable, DualBassTable, LyubeznikTable
 

@@ -66,9 +66,6 @@ class ProblemSpec:
     form: str                      # "gens" | "primes"
     masks: tuple[int, ...]         # canonical input masks
     field: Field = QQ
-    computations: tuple[str, ...] = ()
-    output: str = "text"
-    check: bool = False
 
     def ideal(self) -> MonomialIdeal:
         if self.form == "primes":
@@ -211,21 +208,6 @@ def parse_input(text: str) -> ProblemSpec:
     return ProblemSpec(n=n, form=form, masks=canon)
 
 
-def render_input(spec: ProblemSpec) -> str:
-    """Canonical text form; parse(render(spec)) round-trips."""
-    lines = [f"n={spec.n};"]
-    if spec.form == "gens":
-        body = ", ".join(mask_str(g, spec.n) for g in spec.masks)
-        lines.append(f"gens: {body};")
-    else:
-        body = ", ".join(
-            "{" + ",".join(str(i + 1) for i in range(spec.n) if m >> i & 1) + "}"
-            for m in spec.masks
-        )
-        lines.append(f"primes: {body};")
-    return "\n".join(lines) + "\n"
-
-
 def parse_field(text: str) -> Field:
     if text == "q":
         return QQ
@@ -258,22 +240,26 @@ def _requested_degrees(spec: ProblemSpec, r: int | None, dual: bool = False) -> 
     return degrees
 
 
-# computations that take a single degree from ``--r``
-_READS_R = {"bass", "dual_bass", "strands", "supp", "dims"}
+_COMMANDS = ("table", "bass", "dual-bass", "betti", "strands", "supp", "dims",
+             "seqcm", "check", "info")
+# commands that take a single degree from ``--r``
+_READS_R = {"bass", "dual-bass", "strands", "supp", "dims"}
 
 
-def run(spec: ProblemSpec, r: int | None = None) -> dict:
-    """Execute the requested computations and return the JSON-shaped report."""
+def run(spec: ProblemSpec, command: str, r: int | None = None, check: bool = False) -> dict:
+    """Execute one command and return its JSON-shaped report.  ``check``
+    cross-validates the two routes of ``table``."""
+    if command not in _COMMANDS:
+        raise InputError(f"unknown command {command!r}")
     ideal = spec.ideal()
     report: dict = {"n": spec.n, "field": field_name(spec.field)}
-    want = spec.computations
-    if r is not None and not 0 <= r <= spec.n and _READS_R.intersection(want):
+    if r is not None and not 0 <= r <= spec.n and command in _READS_R:
         raise InputError(f"cohomological degree r={r} outside [0, {spec.n}]")
 
     def maybe_single(items):
         return items[0] if r is not None and len(items) == 1 else items
 
-    if "info" in want:
+    if command == "info":
         report["ideal"] = {
             "gens": [_alpha_json(g, spec.n) for g in ideal.gens],
             "minimal_primes": [_alpha_json(m, spec.n) for m in minimal_primes(ideal)],
@@ -284,13 +270,13 @@ def run(spec: ProblemSpec, r: int | None = None) -> dict:
             "dim": ideal.dim_quotient(),
             "nonzero_r": nonzero_cohomology_degrees(ideal, spec.field),
         }
-    if "table" in want:
-        table = lyubeznik_table(ideal, spec.field, check=spec.check)
+    elif command == "table":
+        table = lyubeznik_table(ideal, spec.field, check=check)
         report["d"] = table.d
         report["lyubeznik"] = [list(row) for row in table.entries]
-        if spec.check:
+        if check:
             report["routes_checked"] = True
-    if "bass" in want:
+    elif command == "bass":
         degrees = _requested_degrees(spec, r)
         items = []
         for rr in degrees:
@@ -305,7 +291,7 @@ def run(spec: ProblemSpec, r: int | None = None) -> dict:
                 }
             )
         report["bass"] = maybe_single(items)
-    if "dual_bass" in want:
+    elif command == "dual-bass":
         degrees = _requested_degrees(spec, r, dual=True)
         items = []
         for rr in degrees:
@@ -320,7 +306,7 @@ def run(spec: ProblemSpec, r: int | None = None) -> dict:
                 }
             )
         report["dual_bass"] = maybe_single(items)
-    if "betti" in want:
+    elif command == "betti":
         bt = betti_numbers(ideal, spec.field)
         report["betti"] = {
             "rows": [
@@ -328,7 +314,7 @@ def run(spec: ProblemSpec, r: int | None = None) -> dict:
                 for j, a, c in bt.entries
             ]
         }
-    if "strands" in want:
+    elif command == "strands":
         degrees = [r] if r is not None else list(
             range(popcount(ideal.gens[0]), spec.n + 1)
         )
@@ -346,7 +332,7 @@ def run(spec: ProblemSpec, r: int | None = None) -> dict:
         else:
             defect = linearity_defect(ideal, spec.field)
         report["linearity_defect"] = defect
-    if "supp" in want:
+    elif command == "supp":
         degrees = _requested_degrees(spec, r)
         items = []
         for rr in degrees:
@@ -360,7 +346,7 @@ def run(spec: ProblemSpec, r: int | None = None) -> dict:
                 }
             )
         report["supp"] = maybe_single(items)
-    if "dims" in want:
+    elif command == "dims":
         degrees = _requested_degrees(spec, r)
         items = []
         for rr in degrees:
@@ -375,9 +361,9 @@ def run(spec: ProblemSpec, r: int | None = None) -> dict:
                 }
             )
         report["dims"] = maybe_single(items)
-    if "seqcm" in want:
+    elif command == "seqcm":
         report["seqcm"] = sequentially_cm(ideal, spec.field)
-    if "check" in want:
+    elif command == "check":
         checks = {
             "routes_agree": routes_agree(ideal, spec.field),
             "terai_mustata": terai_mustata_consistent(ideal, spec.field),
@@ -415,11 +401,11 @@ def _render_mu_rows(rows, key: str) -> list[str]:
     if not rows:
         return ["  (zero module)"]
     depth = max(len(row[key]) for row in rows)
-    labels = [_mask_label(row["alpha"]) for row in rows]
-    width = max(len(s) for s in labels)
+    row_labels = [_mask_label(row["alpha"]) for row in rows]
+    width = max(len(s) for s in row_labels)
     head = "  " + " " * width + "".join(f"  {key}_{p}" for p in range(depth))
     out = [head]
-    for label, row in zip(labels, rows):
+    for label, row in zip(row_labels, rows):
         vals = row[key]
         cells = []
         for p in range(depth):
@@ -431,7 +417,7 @@ def _render_mu_rows(rows, key: str) -> list[str]:
     return out
 
 
-def render_report(spec: ProblemSpec, report: dict) -> str:
+def render_report(report: dict) -> str:
     lines = []
     fname = report["field"]
     if "ideal" in report:
@@ -507,20 +493,6 @@ def render_report(spec: ProblemSpec, report: dict) -> str:
 # entry point
 # ---------------------------------------------------------------------------
 
-_COMMANDS = {
-    "table": ("table",),
-    "bass": ("bass",),
-    "dual-bass": ("dual_bass",),
-    "betti": ("betti",),
-    "strands": ("strands",),
-    "supp": ("supp",),
-    "dims": ("dims",),
-    "seqcm": ("seqcm",),
-    "check": ("check",),
-    "info": ("info",),
-}
-
-
 def _build_argparser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="lyub",
@@ -553,22 +525,14 @@ def _read_text(path: str) -> str:
 
 def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
-    computations = _COMMANDS[args.command]
     try:
-        if args.r is not None and not _READS_R.intersection(computations):
+        if args.r is not None and args.command not in _READS_R:
             raise InputError(f"--r does not apply to {args.command}")
         if args.check and args.command != "table":
             raise InputError(f"--check applies to table only, not {args.command}")
         text = _read_text(args.file)
-        spec = parse_input(text)
-        spec = replace(
-            spec,
-            field=parse_field(args.field),
-            computations=computations,
-            output="json" if args.json else "text",
-            check=args.check,
-        )
-        report = run(spec, r=args.r)
+        spec = replace(parse_input(text), field=parse_field(args.field))
+        report = run(spec, args.command, r=args.r, check=args.check)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -579,10 +543,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        if spec.output == "json":
+        if args.json:
             print(json.dumps(report, indent=2))
         else:
-            print(render_report(spec, report))
+            print(render_report(report))
         sys.stdout.flush()
     except BrokenPipeError:
         # The unwritten report is still buffered; send it to devnull so the

@@ -1,10 +1,9 @@
-"""Reduced simplicial cochain complexes, their cohomology, and the maps on
-cohomology induced by inclusions.
+"""Reduced simplicial cochain complexes and their cohomology.
 
 ``cochain_complex`` is the one place where a simplicial complex becomes
-linear algebra: every cohomology dimension, cocycle space and induced map
-in the package is read off the complex it returns, so each of them comes
-with its d∘d check.
+linear algebra: every cohomology dimension and cocycle space in the
+package, and so every hypercube edge map, is read off the complex it
+returns, so each of them comes with its d∘d check.
 
 The reduced complex always includes the empty face in degree -1; the void
 complex has no cochains at all, so every one of its cohomology groups is
@@ -16,8 +15,8 @@ vertex, so every matrix here is deterministic.
 
 from dataclasses import dataclass
 
-from .combinatorics import SimplicialComplex, bits_of, is_subcomplex
-from .errors import ContractError, InputError
+from .combinatorics import SimplicialComplex, bits_of
+from .errors import ContractError
 from .linalg import ExactMatrix, Field, check_complex, homology_space, rank
 
 # ---------------------------------------------------------------------------
@@ -110,31 +109,6 @@ def reduced_cohomology_dims_all(cx: SimplicialComplex, field: Field) -> dict[int
     return cochain_complex(cx, field).cohomology_dims()
 
 
-def reduced_cohomology_dim(cx: SimplicialComplex, q: int, field: Field) -> int:
-    """dim of reduced cohomology in degree q.
-
-    Conventions: void complex -> 0 everywhere; irrelevant complex -> 1 at
-    q = -1; q = -2 -> 0 unconditionally.
-    """
-    if q < -2:
-        raise InputError(f"cohomological degree {q} below -2")
-    return reduced_cohomology_dims_all(cx, field).get(q, 0)
-
-
-def reduced_homology_dim(cx: SimplicialComplex, q: int, field: Field) -> int:
-    """Reduced simplicial homology via the transposed (chain) matrices."""
-    if q < -2:
-        raise InputError(f"homological degree {q} below -2")
-    cc = cochain_complex(cx, field)
-    h = cc.space_dim(q)
-    for d in (cc.coboundary(q), cc.coboundary(q - 1)):
-        if d is not None:
-            h -= rank(d.transpose())
-    if h < 0:
-        raise ContractError("negative homology dimension")
-    return h
-
-
 def cohomology_space(cc: CochainComplex, q: int, vectors=None):
     """Degree-q reduced cohomology with explicit cocycle representatives,
     and the classes of the cocycle columns of ``vectors`` (degree-q
@@ -145,7 +119,7 @@ def cohomology_space(cc: CochainComplex, q: int, vectors=None):
 
 
 # ---------------------------------------------------------------------------
-# inclusion-induced maps
+# restriction along an inclusion
 # ---------------------------------------------------------------------------
 
 
@@ -155,21 +129,3 @@ def face_projection(field, faces_small, faces_big) -> ExactMatrix:
     data = [((index[f], 1),) for f in faces_small]
     return ExactMatrix._wrap(field, len(faces_small), len(faces_big), data)
 
-
-def induced_cohomology_map(
-    small: SimplicialComplex, big: SimplicialComplex, q: int, field: Field
-) -> ExactMatrix:
-    """Matrix of the restriction-induced map H^q(big) -> H^q(small).
-
-    Rows are indexed by the deterministic cohomology basis of ``small``,
-    columns by that of ``big``: the classes of the big representatives,
-    restricted to the small faces, in the small space.
-    """
-    if not is_subcomplex(small, big):
-        raise InputError("first complex is not a subcomplex of the second")
-    small_cc = cochain_complex(small, field)
-    big_cc = cochain_complex(big, field)
-    big_space, _ = cohomology_space(big_cc, q)
-    restricted = face_projection(field, small_cc.faces(q), big_cc.faces(q))
-    _, induced = cohomology_space(small_cc, q, restricted.matmul(big_space.reps))
-    return induced

@@ -253,10 +253,6 @@ class SimplicialComplex:
     def is_void(self) -> bool:
         return not self.facets
 
-    @property
-    def is_irrelevant(self) -> bool:
-        return self.facets == (0,)
-
     def has_face(self, mask: int) -> bool:
         return any(contains(f, mask) for f in self.facets)
 
@@ -320,21 +316,6 @@ def stanley_reisner(ideal: MonomialIdeal) -> SimplicialComplex:
     return SimplicialComplex(full, tuple(sorted(facets, key=mask_key)))
 
 
-def ideal_of(cx: SimplicialComplex, n: int | None = None) -> MonomialIdeal:
-    """Inverse of stanley_reisner: the ideal of minimal non-faces.
-
-    The complex must live on the full vertex set of k[x1..xn].
-    """
-    if n is None:
-        n = cx.vertices.bit_length()
-    if cx.vertices != full_mask(n):
-        raise InputError("ideal_of needs a complex on the full vertex set")
-    if cx.is_void:
-        return MonomialIdeal(n, (0,))
-    nonface_gens = minimal_transversals([cx.vertices ^ f for f in cx.facets])
-    return MonomialIdeal(n, tuple(nonface_gens))
-
-
 def restriction(cx: SimplicialComplex, alpha: int) -> SimplicialComplex:
     """Faces contained in alpha, on vertex set alpha."""
     if not contains(cx.vertices, alpha):
@@ -356,22 +337,3 @@ def link(cx: SimplicialComplex, alpha: int) -> SimplicialComplex:
         rest, [f & ~alpha for f in cx.facets if contains(f, alpha)]
     )
 
-
-def complex_alexander_dual(cx: SimplicialComplex) -> SimplicialComplex:
-    """{sigma <= V : V\\sigma not a face}, on the same vertex set; involution.
-
-    Facets are complements of minimal non-faces, so the dual of the void
-    complex is the full simplex and the dual of the full simplex is void.
-    """
-    v = cx.vertices
-    if cx.is_void:
-        return full_simplex(v)
-    nonfaces = minimal_transversals([v & ~f for f in cx.facets])
-    return SimplicialComplex(v, tuple(sorted((v ^ t for t in nonfaces), key=mask_key)))
-
-
-def is_subcomplex(small: SimplicialComplex, big: SimplicialComplex) -> bool:
-    """Every face of small is a face of big, on compatible vertex sets."""
-    if not contains(big.vertices, small.vertices):
-        return False
-    return all(big.has_face(f) for f in small.facets)

@@ -201,9 +201,6 @@ class ExactMatrix:
             data.append(_pack(acc, p))
         return ExactMatrix._wrap(self.field, self.rows, other.cols, data)
 
-    def is_zero_matrix(self) -> bool:
-        return not any(self.data)
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -482,9 +479,6 @@ class VectorSpaceComplex:
 
     def __len__(self):
         return len(self.dims)
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** p * d for p, d in enumerate(self.dims))
 
 
 def homology_dims(cx: VectorSpaceComplex) -> list[int]:

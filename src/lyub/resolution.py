@@ -11,11 +11,10 @@ smaller (the 14 generators of the dual of a7: 367 cells against 16,383),
 which lets ``--check`` finish on the cycle ideals up to n = 13.  The
 surviving basis counts are the Betti numbers; the scalar entries between
 degree-adjacent basis elements are the frames of the linear strands.
-``taylor_complex`` stays as the reference construction.
 
-Both constructions are refused with ``ResourceError`` above
-``MAX_RESOLUTION_CELLS`` basis elements; the Lyubeznik enumeration is also
-refused when its admissibility tests could pass ``MAX_RESOLUTION_TESTS``.
+The construction is refused with ``ResourceError`` above
+``MAX_RESOLUTION_CELLS`` basis elements, or when its admissibility tests
+could pass ``MAX_RESOLUTION_TESTS``.
 
 Each differential is an ``ExactMatrix`` of the scalar parts of its
 entries; the monomial is determined by the two degree masks, and a scalar
@@ -28,7 +27,6 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .combinatorics import MonomialIdeal, alexander_dual, contains, mask_key, popcount
 from .errors import (
@@ -61,14 +59,12 @@ class GradedFreeComplex:
     """Free complex with squarefree-degree-labeled basis.
 
     ``degrees[j]`` is the degree mask of each basis element of the j-th
-    term; ``labels[j]`` carries the originating generator subsets.
-    ``diffs[j]`` is the scalar part of the map from term j+1 to term j:
-    rows index term j, columns term j+1.
+    term.  ``diffs[j]`` is the scalar part of the map from term j+1 to term
+    j: rows index term j, columns term j+1.
     """
 
     field: Field
     degrees: tuple[tuple[int, ...], ...]
-    labels: tuple[tuple[tuple[int, ...], ...], ...]
     diffs: tuple[ExactMatrix, ...]
 
     def __post_init__(self):
@@ -79,9 +75,6 @@ class GradedFreeComplex:
                 for c, _ in row:
                     if not contains(degs_col[c], deg_row):
                         raise ContractError("entry violates degree divisibility")
-
-    def num_terms(self) -> int:
-        return len(self.degrees)
 
     def is_minimal(self) -> bool:
         for j, d in enumerate(self.diffs):
@@ -109,38 +102,6 @@ def _taylor_boundary(field: Field, faces, subs) -> ExactMatrix:
     return ExactMatrix._wrap(field, len(faces), len(subs), list(map(tuple, rows)))
 
 
-def taylor_complex(ideal: MonomialIdeal, field: Field) -> GradedFreeComplex:
-    """The Taylor complex on the minimal generators.
-
-    Term j has one basis element per generator subset of size j+1 with the
-    lcm mask as degree; dropping the t-th element of a subset carries the
-    sign (-1)^t.
-    """
-    if ideal.is_unit:
-        raise DomainError("Taylor complex undefined for the unit ideal")
-    gens = ideal.gens
-    q = len(gens)
-    if (1 << q) - 1 > MAX_RESOLUTION_CELLS:
-        raise ResourceError(
-            f"the Taylor complex on {q} generators has 2^{q} - 1 cells, "
-            f"which exceeds the cap of {MAX_RESOLUTION_CELLS}"
-        )
-    degrees = []
-    labels = []
-    for j in range(q):
-        subs = tuple(combinations(range(q), j + 1))
-        labels.append(subs)
-        degs = []
-        for s in subs:
-            m = 0
-            for t in s:
-                m |= gens[t]
-            degs.append(m)
-        degrees.append(tuple(degs))
-    diffs = tuple(_taylor_boundary(field, labels[j - 1], labels[j]) for j in range(1, q))
-    return GradedFreeComplex(field, tuple(degrees), tuple(labels), diffs)
-
-
 def lyubeznik_complex(ideal: MonomialIdeal, field: Field) -> GradedFreeComplex:
     """The Lyubeznik resolution: Taylor restricted to L-admissible subsets.
 
@@ -150,13 +111,14 @@ def lyubeznik_complex(ideal: MonomialIdeal, field: Field) -> GradedFreeComplex:
     complex, so the Taylor signs restrict unchanged.  The family is closed
     under dropping the least element, so it is built level by level:
     prepend i < min(J) to an admissible J when no m_k with k < i divides
-    m_i * lcm(J).  Each level comes out in lexicographic order.
+    m_i * lcm(J).  Each level comes out in lexicographic order, and the
+    complex ends at the last nonempty level.
     """
     if ideal.is_unit:
         raise DomainError("Lyubeznik complex undefined for the unit ideal")
     gens = ideal.gens
     if not gens:
-        return GradedFreeComplex(field, (), (), ())
+        return GradedFreeComplex(field, (), ())
     q = len(gens)
     # Level s holds each admissible s-subset as its least element, the index
     # of the rest in level s-1, and its lcm, in compact arrays: a problem
@@ -171,7 +133,7 @@ def lyubeznik_complex(ideal: MonomialIdeal, field: Field) -> GradedFreeComplex:
     # against the i generators below it, so a level of many candidates and
     # few admissible sets is refused before it runs.
     tests = 0
-    for _ in range(1, q):  # one term per subset size, as in Taylor
+    for _ in range(1, q):  # one term per subset size, up to the first empty one
         prev_firsts, prev_degs = firsts[-1], degrees[-1]
         tests += sum(f * (f - 1) // 2 for f in prev_firsts)
         if tests > MAX_RESOLUTION_TESTS:
@@ -194,19 +156,19 @@ def lyubeznik_complex(ideal: MonomialIdeal, field: Field) -> GradedFreeComplex:
                             f"the Lyubeznik complex on {q} generators "
                             f"exceeds the cap of {MAX_RESOLUTION_CELLS} cells"
                         )
+        if not new_firsts:  # no larger subset is admissible either
+            break
         firsts.append(new_firsts)
         rests.append(new_rests)
         degrees.append(new_degs)
-    labels = [tuple((i,) for i in range(q))]
+    # the subsets of one level at a time, to look up the faces of the next
+    subs = tuple((i,) for i in range(q))
     diffs = []
     for level_firsts, level_rests in zip(firsts[1:], rests):
-        prev = labels[-1]
+        prev = subs
         subs = tuple((i,) + prev[k] for i, k in zip(level_firsts, level_rests))
         diffs.append(_taylor_boundary(field, prev, subs))
-        labels.append(subs)
-    return GradedFreeComplex(
-        field, tuple(map(tuple, degrees)), tuple(labels), tuple(diffs)
-    )
+    return GradedFreeComplex(field, tuple(map(tuple, degrees)), tuple(diffs))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +219,6 @@ def minimize(cx: GradedFreeComplex, order: str = "forward") -> GradedFreeComplex
     # rebuild with the canonical basis order: degree key, then original order
     new_ids = []
     new_degrees = []
-    new_labels = []
     for j, degs in enumerate(deg):
         ids = sorted(
             (i for i in range(len(degs)) if i not in dead[j]),
@@ -265,7 +226,6 @@ def minimize(cx: GradedFreeComplex, order: str = "forward") -> GradedFreeComplex
         )
         new_ids.append({i: k for k, i in enumerate(ids)})
         new_degrees.append(tuple(degs[i] for i in ids))
-        new_labels.append(tuple(cx.labels[j][i] for i in ids))
     new_diffs = []
     for j, rows in enumerate(work):
         rid, cid, fac = new_ids[j], new_ids[j + 1], factors[j + 1]
@@ -274,7 +234,7 @@ def minimize(cx: GradedFreeComplex, order: str = "forward") -> GradedFreeComplex
             for r, row in enumerate(rows) if r in rid
             for c, v in row.items() if c in cid
         )))
-    out = GradedFreeComplex(f, tuple(new_degrees), tuple(new_labels), tuple(new_diffs))
+    out = GradedFreeComplex(f, tuple(new_degrees), tuple(new_diffs))
     if not out.is_minimal():
         raise ContractError("minimization left a unit entry")
     return out

@@ -31,11 +31,6 @@ class LyubeznikTable:
         if self.entries[self.d][self.d] < 1:
             raise ContractError("lambda_{d,d} must be at least 1")
 
-    def entry(self, p: int, i: int) -> int:
-        if 0 <= p <= self.d and 0 <= i <= self.d:
-            return self.entries[p][i]
-        return 0
-
     @property
     def is_trivial(self) -> bool:
         """A single 1 at (d, d)."""
@@ -121,12 +116,6 @@ class BettiTable:
 
     def total(self, j: int) -> int:
         return sum(c for jj, _, c in self.entries if jj == j)
-
-    def level_total(self, j: int, size: int) -> int:
-        """Sum of beta_{j,alpha} over |alpha| = size."""
-        return sum(
-            c for jj, aa, c in self.entries if jj == j and aa.bit_count() == size
-        )
 
     def dominates(self, other: "BettiTable") -> bool:
         """Entrywise >= comparison."""

@@ -10,6 +10,16 @@ matrices only through ``ExactMatrix.dense``.  ``per_edge_maps`` computes
 the hypercube's edge maps with one ``solve_matrix`` per edge instead of
 the one reduction per vertex the build uses, and ``brute_hull`` a mask's
 support hull by enumeration instead of the Bass tables' subset sweep.
+
+Reference constructions that the package itself does not need:
+``taylor_complex`` (the full Taylor complex, signs written entry by entry)
+and ``brute_lyubeznik_cells`` (every generator subset tested against the
+definition of L-admissibility) check ``lyubeznik_complex`` and
+``minimize``; ``induced_cohomology_map`` is the map on cohomology induced
+by an inclusion of complexes, and ``reduced_homology_dim`` reads homology
+off the transposed coboundaries; ``complex_alexander_dual``, ``ideal_of``
+(the inverse of ``stanley_reisner``) and ``face_restricted_hypercube``
+state the duality and restriction identities that the tests check.
 """
 
 import random
@@ -19,24 +29,33 @@ from itertools import combinations
 from lyub import (
     ContractError,
     ExactMatrix,
+    GradedFreeComplex,
     InputError,
-    complex_alexander_dual,
     rank,
-    reduced_cohomology_dim,
     restriction,
     stanley_reisner,
 )
-from lyub.cohomology import cochain_complex, cohomology_space
+from lyub.cohomology import (
+    cochain_complex,
+    cohomology_space,
+    face_projection,
+    reduced_cohomology_dims_all,
+)
 from lyub.combinatorics import (
     MonomialIdeal,
+    SimplicialComplex,
     bits_of,
     contains,
     full_mask,
+    full_simplex,
+    mask_key,
     mask_of,
+    minimal_transversals,
     minimalize,
     popcount,
     submasks,
 )
+from lyub.hypercube import Hypercube
 from lyub.linalg import hstack, rref
 
 
@@ -239,16 +258,130 @@ def hochster_betti_counts(ideal, field):
     cx = stanley_reisner(ideal)
     counts = {}
     for a in range(1 << ideal.n):
-        rest = restriction(cx, a)
+        dims = reduced_cohomology_dims_all(restriction(cx, a), field)
         size = popcount(a)
         for j in range(size + 1):
-            q = size - j - 2
-            if q < -2:
-                continue
-            d = reduced_cohomology_dim(rest, q, field)
+            d = dims.get(size - j - 2, 0)
             if d:
                 counts[(j, a)] = d
     return counts
+
+
+def taylor_complex(ideal, field):
+    """The Taylor complex on the minimal generators of a proper nonzero ideal.
+
+    Term j has one cell per (j+1)-subset of generator indices, in the order
+    of ``itertools.combinations``, with the lcm mask as degree; dropping the
+    t-th element of a subset carries the sign (-1)^t.
+    """
+    gens = ideal.gens
+    levels = [list(combinations(range(len(gens)), j + 1)) for j in range(len(gens))]
+    degrees = tuple(tuple(mask_of(b for t in s for b in bits_of(gens[t])) for s in level)
+                    for level in levels)
+    diffs = []
+    for faces, cells in zip(levels, levels[1:]):
+        at = {s: i for i, s in enumerate(faces)}
+        entries = [
+            ((at[s[:t] + s[t + 1 :]], c), (-1) ** t)
+            for c, s in enumerate(cells)
+            for t in range(len(s))
+        ]
+        diffs.append(ExactMatrix.from_entries(field, len(faces), len(cells), entries))
+    return GradedFreeComplex(field, degrees, tuple(diffs))
+
+
+def brute_lyubeznik_cells(ideal):
+    """The L-admissible generator subsets by size (level s holds the
+    admissible (s+1)-subsets, in lexicographic order), up to the last
+    nonempty level.
+
+    Every subset is tested against the definition: (i_1 < ... < i_s) is
+    admissible when, for every t < s, no generator m_k with k < i_t divides
+    lcm(m_{i_t}, ..., m_{i_s}).
+    """
+    gens = ideal.gens
+    levels = [[] for _ in gens]
+    for size in range(1, len(gens) + 1):
+        for s in combinations(range(len(gens)), size):
+            admissible = True
+            for t in range(size - 1):
+                lcm = 0
+                for i in s[t:]:
+                    lcm |= gens[i]
+                if any(contains(lcm, gens[k]) for k in range(s[t])):
+                    admissible = False
+            if admissible:
+                levels[size - 1].append(s)
+    while levels and not levels[-1]:
+        levels.pop()
+    return levels
+
+
+def reduced_homology_dim(cx, q, field):
+    """Reduced simplicial homology in degree q, from the ranks of the
+    transposed (chain) matrices of the cochain complex."""
+    cc = cochain_complex(cx, field)
+    h = cc.space_dim(q)
+    for d in (cc.coboundary(q), cc.coboundary(q - 1)):
+        if d is not None:
+            h -= rank(d.transpose())
+    if h < 0:
+        raise ContractError("negative homology dimension")
+    return h
+
+
+def induced_cohomology_map(small, big, q, field):
+    """Matrix of the restriction-induced map H^q(big) -> H^q(small).
+
+    Rows are indexed by the deterministic cohomology basis of ``small``,
+    columns by that of ``big``: the classes of the big representatives,
+    restricted to the small faces, in the small space.
+    """
+    small_cc = cochain_complex(small, field)
+    big_cc = cochain_complex(big, field)
+    big_space, _ = cohomology_space(big_cc, q)
+    restricted = face_projection(field, small_cc.faces(q), big_cc.faces(q))
+    _, induced = cohomology_space(small_cc, q, restricted.matmul(big_space.reps))
+    return induced
+
+
+def complex_alexander_dual(cx):
+    """{sigma <= V : V\\sigma not a face}, on the same vertex set; involution.
+
+    Facets are complements of minimal non-faces, so the dual of the void
+    complex is the full simplex and the dual of the full simplex is void.
+    """
+    v = cx.vertices
+    if cx.is_void:
+        return full_simplex(v)
+    nonfaces = minimal_transversals([v & ~f for f in cx.facets])
+    return SimplicialComplex(v, tuple(sorted((v ^ t for t in nonfaces), key=mask_key)))
+
+
+def ideal_of(cx):
+    """Inverse of stanley_reisner: the ideal of minimal non-faces, for a
+    complex on the full vertex set of k[x1..xn]."""
+    n = cx.vertices.bit_length()
+    if cx.is_void:
+        return MonomialIdeal(n, (0,))
+    return MonomialIdeal(n, tuple(minimal_transversals([cx.vertices ^ f for f in cx.facets])))
+
+
+def face_restricted_hypercube(cube, amask):
+    """The |a|-hypercube of vertices below amask, bits renumbered."""
+    positions = bits_of(amask)
+    local = {b: t for t, b in enumerate(positions)}
+
+    def compress(mask):
+        return mask_of(local[b] for b in bits_of(mask))
+
+    dims = {compress(a): d for a, d in cube.dims.items() if contains(amask, a)}
+    edges = {
+        (compress(a), local[i]): m
+        for (a, i), m in cube.edge_mats.items()
+        if contains(amask, a) and amask >> i & 1
+    }
+    return Hypercube(len(positions), cube.r, cube.field, dims, edges)
 
 
 def random_ideal(rng: random.Random, n: int) -> MonomialIdeal:

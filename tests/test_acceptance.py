@@ -27,7 +27,6 @@ from lyub import (
     rank,
     routes_agree,
     small_support,
-    taylor_complex,
     terai_mustata_consistent,
 )
 from lyub.combinatorics import full_mask, mask_of
@@ -41,7 +40,7 @@ from .conftest import (
     small_supp_ideal,
     three_component_ideal,
 )
-from .oracles import hochster_betti_counts, masks, random_ideal
+from .oracles import hochster_betti_counts, masks, random_ideal, taylor_complex
 
 F2 = prime_field(2)
 BOTH_FIELDS = (QQ, F2)

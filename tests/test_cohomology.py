@@ -1,16 +1,6 @@
 import random
 
-import pytest
-
-from lyub import (
-    InputError,
-    QQ,
-    induced_cohomology_map,
-    prime_field,
-    reduced_cohomology_dim,
-    reduced_homology_dim,
-    stanley_reisner,
-)
+from lyub import QQ, prime_field, stanley_reisner
 from lyub.cohomology import cochain_complex, reduced_cohomology_dims_all
 from lyub.combinatorics import (
     full_mask,
@@ -21,7 +11,7 @@ from lyub.combinatorics import (
 )
 
 from .conftest import rp2_ideal
-from .oracles import masks, random_ideal
+from .oracles import induced_cohomology_map, masks, random_ideal, reduced_homology_dim
 
 F2 = prime_field(2)
 
@@ -36,27 +26,25 @@ FOUR_CYCLE = _complex(4, [1, 2], [2, 3], [3, 4], [1, 4])
 
 
 def test_basic_conventions():
-    assert reduced_cohomology_dim(TWO_POINTS, 0, QQ) == 1
-    assert reduced_cohomology_dim(HOLLOW_TRIANGLE, 1, QQ) == 1
-    assert reduced_cohomology_dim(HOLLOW_TRIANGLE, 0, QQ) == 0
+    assert reduced_cohomology_dims_all(TWO_POINTS, QQ).get(0, 0) == 1
+    assert reduced_cohomology_dims_all(HOLLOW_TRIANGLE, QQ).get(1, 0) == 1
+    assert reduced_cohomology_dims_all(HOLLOW_TRIANGLE, QQ).get(0, 0) == 0
     void = void_complex(0b111)
     for q in (-2, -1, 0, 1):
-        assert reduced_cohomology_dim(void, q, QQ) == 0
+        assert reduced_cohomology_dims_all(void, QQ).get(q, 0) == 0
     irrelevant = simplicial_complex(0b11, [0])
-    assert reduced_cohomology_dim(irrelevant, -1, QQ) == 1
-    assert reduced_cohomology_dim(irrelevant, 0, QQ) == 0
-    assert reduced_cohomology_dim(FOUR_CYCLE, -2, QQ) == 0
-    assert reduced_cohomology_dim(full_simplex(0b1111), 1, QQ) == 0
-    with pytest.raises(InputError):
-        reduced_cohomology_dim(FOUR_CYCLE, -3, QQ)
+    assert reduced_cohomology_dims_all(irrelevant, QQ).get(-1, 0) == 1
+    assert reduced_cohomology_dims_all(irrelevant, QQ).get(0, 0) == 0
+    assert reduced_cohomology_dims_all(FOUR_CYCLE, QQ).get(-2, 0) == 0
+    assert reduced_cohomology_dims_all(full_simplex(0b1111), QQ).get(1, 0) == 0
 
 
 def test_projective_plane_depends_on_characteristic():
     cx = stanley_reisner(rp2_ideal())
-    assert reduced_cohomology_dim(cx, 1, QQ) == 0
-    assert reduced_cohomology_dim(cx, 1, F2) == 1
-    assert reduced_cohomology_dim(cx, 2, QQ) == 0
-    assert reduced_cohomology_dim(cx, 2, F2) == 1
+    assert reduced_cohomology_dims_all(cx, QQ).get(1, 0) == 0
+    assert reduced_cohomology_dims_all(cx, F2).get(1, 0) == 1
+    assert reduced_cohomology_dims_all(cx, QQ).get(2, 0) == 0
+    assert reduced_cohomology_dims_all(cx, F2).get(2, 0) == 1
 
 
 def test_cochain_complex_squares_to_zero_and_dims():
@@ -75,9 +63,8 @@ def test_chain_and_cochain_dims_agree():
     for cx in complexes:
         for field in (QQ, F2):
             for q in range(-1, 5):
-                assert reduced_cohomology_dim(cx, q, field) == reduced_homology_dim(
-                    cx, q, field
-                )
+                h = reduced_cohomology_dims_all(cx, field).get(q, 0)
+                assert h == reduced_homology_dim(cx, q, field)
 
 
 def test_induced_map_identity_and_zero_cases():

@@ -12,7 +12,6 @@ from lyub import (
     QQ,
     build_hypercube,
     dual_complex,
-    face_restricted_hypercube,
     homology_dims,
     main_complex,
     matlis_dual,
@@ -41,7 +40,10 @@ from .conftest import (
 )
 from .oracles import (
     cech_vertex_dim,
+    complex_alexander_dual,
     dense_restricted_complex,
+    face_restricted_hypercube,
+    induced_cohomology_map,
     masks,
     per_edge_maps,
     random_ideal,
@@ -383,12 +385,7 @@ def test_edges_are_transposed_induced_cohomology_maps(ex53, a5):
     # between the restricted dual complexes, in the same deterministic bases;
     # both go through linalg.homology_space with the restricted representatives
     # as its vectors, so per_edge_maps is the independent check
-    from lyub import (
-        complex_alexander_dual,
-        induced_cohomology_map,
-        restriction,
-        stanley_reisner,
-    )
+    from lyub import stanley_reisner
 
     for ideal, r in ((ex53, 4), (a5, 2)):
         cube = build_hypercube(ideal, r, QQ)

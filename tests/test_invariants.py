@@ -14,7 +14,6 @@ from lyub import (
     build_hypercube,
     dual_bass_table,
     dual_complex,
-    face_restricted_hypercube,
     growth_bound_check,
     homology_dims,
     injective_dimensions,
@@ -45,7 +44,7 @@ from lyub.invariants import bass_row, minimal_support_masks, support_masks
 from lyub.tables import LyubeznikTable
 
 from .conftest import gens_ideal
-from .oracles import brute_hull, masks, random_ideal
+from .oracles import brute_hull, face_restricted_hypercube, masks, random_ideal
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -409,6 +408,10 @@ def test_mu0_summand_report(a5, ex53, ex57):
     assert mu0_summand_report(a5, 2, QQ) == []
 
 
+def _euler_characteristic(cx):
+    return sum((-1) ** p * d for p, d in enumerate(cx.dims))
+
+
 def test_euler_characteristic_additivity(a5, ex53, ex57):
     # chi(main) = chi(below alpha) + chi(above 1-alpha) for |alpha| = n-1
     for ideal in (a5, ex53, ex57):
@@ -416,14 +419,14 @@ def test_euler_characteristic_additivity(a5, ex53, ex57):
         full = full_mask(n)
         for r in nonzero_cohomology_degrees(ideal, QQ):
             cube = build_hypercube(ideal, r, QQ)
-            chi_main = main_complex(cube).euler_characteristic()
+            chi_main = _euler_characteristic(main_complex(cube))
             for j in range(n):
                 alpha = full ^ (1 << j)
                 # the restricted complex indexes M_b at position |alpha|-|b|;
                 # inside the main complex the same vertex sits at n-|b|
-                chi_below = (-1) ** (n - popcount(alpha)) * restricted_complex(
-                    cube, alpha, alpha
-                ).euler_characteristic()
+                chi_below = (-1) ** (n - popcount(alpha)) * _euler_characteristic(
+                    restricted_complex(cube, alpha, alpha)
+                )
                 chi_above = sum(
                     (-1) ** (n - popcount(b)) * d
                     for b, d in cube.dims.items()

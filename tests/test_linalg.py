@@ -107,7 +107,7 @@ def test_rank_equals_rank_of_transpose():
 def test_kernel_of_all_ones_row():
     k = kernel_basis(ExactMatrix.from_rows(QQ, [[1, 1, 1]]))
     assert k.cols == 2
-    assert ExactMatrix.from_rows(QQ, [[1, 1, 1]]).matmul(k).is_zero_matrix()
+    assert not any(ExactMatrix.from_rows(QQ, [[1, 1, 1]]).matmul(k).data)
 
 
 def test_kernel_of_identity_is_empty():
@@ -120,7 +120,7 @@ def test_kernel_random_f2():
         m = random_matrix(rng, F2, 6, 9, span=1)
         k = kernel_basis(m)
         assert k.cols == 9 - rank(m)
-        assert m.matmul(k).is_zero_matrix()
+        assert not any(m.matmul(k).data)
 
 
 def test_solve_matrix_inconsistent_raises():
@@ -136,7 +136,7 @@ def _space_with_cycles(rng, field):
     d_in = random_matrix(rng, field, dim, 3, span=3)
     left = kernel_basis(d_in.transpose()).transpose()
     d_out = random_matrix(rng, field, 2, left.rows, span=3).matmul(left)
-    assert d_out.matmul(d_in).is_zero_matrix()
+    assert not any(d_out.matmul(d_in).data)
     if field.p:
         coeffs = random_matrix(rng, field, dim - rank(d_out), 4, span=3)
     else:
@@ -183,8 +183,9 @@ def test_homology_space_without_maps_keeps_every_vector():
 
 
 def test_induced_cohomology_map_is_the_classes_of_one_homology_space(monkeypatch, a5):
-    from lyub import cohomology, complex_alexander_dual, induced_cohomology_map
-    from lyub import restriction, stanley_reisner
+    from lyub import cohomology, restriction, stanley_reisner
+
+    from .oracles import complex_alexander_dual, induced_cohomology_map
 
     (alpha, i), edge = next(iter(build_hypercube(a5, 2, QQ).edge_mats.items()))
     calls = []
@@ -203,7 +204,7 @@ def test_induced_cohomology_map_is_the_classes_of_one_homology_space(monkeypatch
     assert [vectors is None for vectors, _ in calls] == [True, False]
     assert induced is calls[1][1][1]
     assert induced.transpose() == edge
-    assert not induced.is_zero_matrix()
+    assert any(induced.data)
 
 
 def _cycle_complex(field):
@@ -236,7 +237,7 @@ def test_euler_characteristic_matches_homology():
     for _ in range(15):
         cx = _random_complex(rng, QQ)
         h = homology_dims(cx)
-        assert cx.euler_characteristic() == sum(
+        assert sum((-1) ** p * d for p, d in enumerate(cx.dims)) == sum(
             (-1) ** p * v for p, v in enumerate(h)
         )
 
@@ -318,7 +319,7 @@ def test_sparse_engine_cross_check():
 
             k = kernel_basis(m)
             assert k.rows == cols and k.cols == cols - r
-            assert m.matmul(k).is_zero_matrix()
+            assert not any(m.matmul(k).data)
             assert rank_naive(k) == k.cols
         rank_drops += ranks["F2"] < ranks["Q"]
     assert rank_drops

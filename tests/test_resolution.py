@@ -25,14 +25,18 @@ from lyub import (
     rank,
     strand_frame,
     strand_homology,
-    taylor_complex,
 )
 from lyub import linalg, resolution
 from lyub.combinatorics import MonomialIdeal, mask_of, popcount
 from lyub.tables import BettiTable
 
 from .conftest import cycle_nonedge_ideal, gens_ideal
-from .oracles import hochster_betti_counts, random_ideal
+from .oracles import (
+    brute_lyubeznik_cells,
+    hochster_betti_counts,
+    random_ideal,
+    taylor_complex,
+)
 
 F2 = prime_field(2)
 
@@ -55,9 +59,8 @@ def test_taylor_single_generator():
 def _free_complex(field, degrees, mats):
     """A hand-built free complex on the given degree masks, one dense
     scalar matrix per differential."""
-    labels = tuple(tuple((i,) for i in range(len(t))) for t in degrees)
     diffs = tuple(ExactMatrix.from_rows(field, m) for m in mats)
-    return GradedFreeComplex(field, degrees, labels, diffs)
+    return GradedFreeComplex(field, degrees, diffs)
 
 
 def test_free_complex_refuses_nonzero_composite(field):
@@ -69,7 +72,7 @@ def test_free_complex_composite_summing_to_two():
     # the one entry of d∘d is 1 + 1: zero over F_2 only
     degrees = ((0b1,), (0b11, 0b101), (0b111,))
     mats = ([[1, 1]], [[1], [1]])
-    assert _free_complex(F2, degrees, mats).num_terms() == 3
+    assert len(_free_complex(F2, degrees, mats).degrees) == 3
     with pytest.raises(ContractError, match="d∘d"):
         _free_complex(QQ, degrees, mats)
 
@@ -82,17 +85,6 @@ def test_free_complex_refuses_entry_violating_divisibility(field):
 def test_taylor_dual_a5_has_31_subsets(a5):
     cx = taylor_complex(alexander_dual(a5), QQ)
     assert sum(len(d) for d in cx.degrees) == 31
-
-
-def test_taylor_generator_cap():
-    gens = tuple(1 << i for i in range(21))
-    with pytest.raises(ResourceError):
-        taylor_complex(MonomialIdeal(21, gens), QQ)
-
-
-def test_taylor_unit_ideal_rejected():
-    with pytest.raises(DomainError):
-        taylor_complex(MonomialIdeal(2, (0,)), QQ)
 
 
 def test_minimize_leaves_minimal_complex_alone(a4):
@@ -112,8 +104,11 @@ def test_minimize_forward_reverse_confluence(a5, ex53, ex57, ex46):
         rev = minimize(cx, order="reverse")
         assert fwd.degrees == rev.degrees
         for f in (QQ, F2):
+            # the same Betti numbers; Taylor's longer tail minimizes away
             lcx = minimize(lyubeznik_complex(ideal, f))
-            assert lcx.degrees == minimize(taylor_complex(ideal, f)).degrees
+            taylor = minimize(taylor_complex(ideal, f)).degrees
+            cut = len(lcx.degrees)
+            assert lcx.degrees == taylor[:cut] and not any(taylor[cut:])
 
 
 def test_minimize_refuses_an_unknown_order(a4):
@@ -136,7 +131,7 @@ def _rescaled(cx, rng):
         ))
         for j, d in enumerate(cx.diffs)
     )
-    return GradedFreeComplex(cx.field, cx.degrees, cx.labels, diffs)
+    return GradedFreeComplex(cx.field, cx.degrees, diffs)
 
 
 def test_minimize_undoes_a_diagonal_change_of_basis(monkeypatch, a5, ex53):
@@ -177,8 +172,8 @@ def test_betti_two_generator_example():
 
 def test_betti_dual_a5_level_sums(a5):
     bt = betti_numbers(alexander_dual(a5), QQ)
-    assert bt.level_total(0, 2) == 5
-    assert bt.level_total(1, 3) == 5
+    assert sum(c for j, a, c in bt.entries if (j, popcount(a)) == (0, 2)) == 5
+    assert sum(c for j, a, c in bt.entries if (j, popcount(a)) == (1, 3)) == 5
     assert bt.total(0) == 5 and bt.total(1) == 5 and bt.total(2) == 1
 
 
@@ -271,7 +266,7 @@ def test_frame_homology_matches_hypercube_levels(a5):
         frame = strand_frame(dual, r, QQ)
         cube = build_hypercube(a5, r, QQ)
         for j, dim in enumerate(frame.dims):
-            assert dim == cube.total_dim_at_level(j + r)
+            assert dim == sum(d for a, d in cube.dims.items() if popcount(a) == j + r)
 
 
 def test_minimal_resolution_cached(a5):
@@ -286,7 +281,7 @@ def test_minimized_complex_invariants(ex53, ex57):
         # d∘d = 0 and divisibility are checked at construction; spot-check
         # matrix composition as well
         for j in range(len(res.diffs) - 1):
-            assert res.diffs[j].matmul(res.diffs[j + 1]).is_zero_matrix()
+            assert not any(res.diffs[j].matmul(res.diffs[j + 1]).data)
 
 
 def test_lyubeznik_complex_cell_counts():
@@ -296,18 +291,23 @@ def test_lyubeznik_complex_cell_counts():
 
 
 def test_lyubeznik_complex_is_taylor_restricted(a4, a5, ex53, ex57, ex46):
+    # the Lyubeznik complex is the Taylor complex restricted to the subsets
+    # that pass the definition of L-admissibility, level for level and sign
+    # for sign, and it ends at the last level with an admissible subset
     rng = random.Random(29)
     ideals = [alexander_dual(i) for i in (a4, a5, ex53, ex57, ex46)]
     ideals += [random_ideal(rng, rng.randint(2, 6)) for _ in range(15)]
     for ideal in ideals:
+        cells = brute_lyubeznik_cells(ideal)
+        q = len(ideal.gens)
         for f in (QQ, F2):
             lcx = lyubeznik_complex(ideal, f)
             tcx = taylor_complex(ideal, f)
-            assert lcx.num_terms() == tcx.num_terms()
+            assert len(lcx.degrees) == len(cells)
             positions = []
-            for j in range(tcx.num_terms()):
-                where = {s: i for i, s in enumerate(tcx.labels[j])}
-                pos = [where[s] for s in lcx.labels[j]]
+            for j, level in enumerate(cells):
+                where = {s: i for i, s in enumerate(combinations(range(q), j + 1))}
+                pos = [where[s] for s in level]
                 assert [tcx.degrees[j][i] for i in pos] == list(lcx.degrees[j])
                 positions.append(pos)
             for j, d in enumerate(lcx.diffs):
