@@ -28,7 +28,10 @@ and the pin is what makes degree r = 1 (height-one ideals) come out right.
 
 from .combinatorics import (
     MonomialIdeal,
+    bits_of,
+    contains,
     full_mask,
+    mask_of,
     minimal_primes,
     popcount,
     restriction,
@@ -298,3 +301,22 @@ def dual_complex(cube: Hypercube) -> VectorSpaceComplex:
     """Positions p = 0..n with the level p vertices and transposed maps."""
     return main_complex(matlis_dual(cube))
 
+
+def face_restricted_hypercube(cube: Hypercube, amask: int) -> Hypercube:
+    """The |a|-hypercube of vertices below amask, bits renumbered.  No
+    command calls it; the tests check the restriction identities with it."""
+    if amask >> cube.n:
+        raise InputError("mask does not fit the hypercube")
+    positions = bits_of(amask)
+    local = {b: t for t, b in enumerate(positions)}
+
+    def compress(mask: int) -> int:
+        return mask_of(local[b] for b in bits_of(mask))
+
+    dims = {compress(a): d for a, d in cube.dims.items() if contains(amask, a)}
+    edges = {
+        (compress(a), local[i]): m
+        for (a, i), m in cube.edge_mats.items()
+        if contains(amask, a) and amask >> i & 1
+    }
+    return Hypercube(len(positions), cube.r, cube.field, dims, edges)

@@ -11,10 +11,12 @@ smaller (the 14 generators of the dual of a7: 367 cells against 16,383),
 which lets ``--check`` finish on the cycle ideals up to n = 13.  The
 surviving basis counts are the Betti numbers; the scalar entries between
 degree-adjacent basis elements are the frames of the linear strands.
+``taylor_complex`` is the reference the tests check the Lyubeznik cells
+and ``minimize`` against; no command calls it.
 
-The construction is refused with ``ResourceError`` above
-``MAX_RESOLUTION_CELLS`` basis elements, or when its admissibility tests
-could pass ``MAX_RESOLUTION_TESTS``.
+Both constructions are refused with ``ResourceError`` above
+``MAX_RESOLUTION_CELLS`` basis elements; the Lyubeznik enumeration is also
+refused when its admissibility tests could pass ``MAX_RESOLUTION_TESTS``.
 
 Each differential is an ``ExactMatrix`` of the scalar parts of its
 entries; the monomial is determined by the two degree masks, and a scalar
@@ -27,6 +29,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .combinatorics import MonomialIdeal, alexander_dual, contains, mask_key, popcount
 from .errors import (
@@ -100,6 +103,36 @@ def _taylor_boundary(field: Field, faces, subs) -> ExactMatrix:
             rows[face].append((c, sign))
             sign = minus if sign == 1 else 1
     return ExactMatrix._wrap(field, len(faces), len(subs), list(map(tuple, rows)))
+
+
+def taylor_complex(ideal: MonomialIdeal, field: Field) -> GradedFreeComplex:
+    """The Taylor complex on the minimal generators.
+
+    Term j has one basis element per generator subset of size j+1, in the
+    order of ``itertools.combinations``, with the lcm mask as degree;
+    dropping the t-th element of a subset carries the sign (-1)^t.
+    """
+    if ideal.is_unit:
+        raise DomainError("Taylor complex undefined for the unit ideal")
+    gens = ideal.gens
+    q = len(gens)
+    if (1 << q) - 1 > MAX_RESOLUTION_CELLS:
+        raise ResourceError(
+            f"the Taylor complex on {q} generators has 2^{q} - 1 cells, "
+            f"which exceeds the cap of {MAX_RESOLUTION_CELLS}"
+        )
+    levels = [tuple(combinations(range(q), j + 1)) for j in range(q)]
+    degrees = []
+    for subs in levels:
+        degs = []
+        for s in subs:
+            m = 0
+            for t in s:
+                m |= gens[t]
+            degs.append(m)
+        degrees.append(tuple(degs))
+    diffs = tuple(_taylor_boundary(field, levels[j - 1], levels[j]) for j in range(1, q))
+    return GradedFreeComplex(field, tuple(degrees), diffs)
 
 
 def lyubeznik_complex(ideal: MonomialIdeal, field: Field) -> GradedFreeComplex:

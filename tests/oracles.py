@@ -12,14 +12,13 @@ the one reduction per vertex the build uses, and ``brute_hull`` a mask's
 support hull by enumeration instead of the Bass tables' subset sweep.
 
 Reference constructions that the package itself does not need:
-``taylor_complex`` (the full Taylor complex, signs written entry by entry)
-and ``brute_lyubeznik_cells`` (every generator subset tested against the
-definition of L-admissibility) check ``lyubeznik_complex`` and
-``minimize``; ``induced_cohomology_map`` is the map on cohomology induced
-by an inclusion of complexes, and ``reduced_homology_dim`` reads homology
-off the transposed coboundaries; ``complex_alexander_dual``, ``ideal_of``
-(the inverse of ``stanley_reisner``) and ``face_restricted_hypercube``
-state the duality and restriction identities that the tests check.
+``brute_lyubeznik_cells`` tests every generator subset against the
+definition of L-admissibility, to check ``lyubeznik_complex`` against the
+restricted ``resolution.taylor_complex``; ``induced_cohomology_map`` is the
+map on cohomology induced by an inclusion of complexes, and
+``reduced_homology_dim`` reads homology off the transposed coboundaries;
+``complex_alexander_dual`` and ``ideal_of`` (the inverse of
+``stanley_reisner``) state the duality identities that the tests check.
 """
 
 import random
@@ -29,7 +28,6 @@ from itertools import combinations
 from lyub import (
     ContractError,
     ExactMatrix,
-    GradedFreeComplex,
     InputError,
     rank,
     restriction,
@@ -55,7 +53,6 @@ from lyub.combinatorics import (
     popcount,
     submasks,
 )
-from lyub.hypercube import Hypercube
 from lyub.linalg import hstack, rref
 
 
@@ -267,29 +264,6 @@ def hochster_betti_counts(ideal, field):
     return counts
 
 
-def taylor_complex(ideal, field):
-    """The Taylor complex on the minimal generators of a proper nonzero ideal.
-
-    Term j has one cell per (j+1)-subset of generator indices, in the order
-    of ``itertools.combinations``, with the lcm mask as degree; dropping the
-    t-th element of a subset carries the sign (-1)^t.
-    """
-    gens = ideal.gens
-    levels = [list(combinations(range(len(gens)), j + 1)) for j in range(len(gens))]
-    degrees = tuple(tuple(mask_of(b for t in s for b in bits_of(gens[t])) for s in level)
-                    for level in levels)
-    diffs = []
-    for faces, cells in zip(levels, levels[1:]):
-        at = {s: i for i, s in enumerate(faces)}
-        entries = [
-            ((at[s[:t] + s[t + 1 :]], c), (-1) ** t)
-            for c, s in enumerate(cells)
-            for t in range(len(s))
-        ]
-        diffs.append(ExactMatrix.from_entries(field, len(faces), len(cells), entries))
-    return GradedFreeComplex(field, degrees, tuple(diffs))
-
-
 def brute_lyubeznik_cells(ideal):
     """The L-admissible generator subsets by size (level s holds the
     admissible (s+1)-subsets, in lexicographic order), up to the last
@@ -365,23 +339,6 @@ def ideal_of(cx):
     if cx.is_void:
         return MonomialIdeal(n, (0,))
     return MonomialIdeal(n, tuple(minimal_transversals([cx.vertices ^ f for f in cx.facets])))
-
-
-def face_restricted_hypercube(cube, amask):
-    """The |a|-hypercube of vertices below amask, bits renumbered."""
-    positions = bits_of(amask)
-    local = {b: t for t, b in enumerate(positions)}
-
-    def compress(mask):
-        return mask_of(local[b] for b in bits_of(mask))
-
-    dims = {compress(a): d for a, d in cube.dims.items() if contains(amask, a)}
-    edges = {
-        (compress(a), local[i]): m
-        for (a, i), m in cube.edge_mats.items()
-        if contains(amask, a) and amask >> i & 1
-    }
-    return Hypercube(len(positions), cube.r, cube.field, dims, edges)
 
 
 def random_ideal(rng: random.Random, n: int) -> MonomialIdeal:

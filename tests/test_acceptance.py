@@ -31,6 +31,7 @@ from lyub import (
 )
 from lyub.combinatorics import full_mask, mask_of
 from lyub.invariants import bass_row, minimal_support_masks
+from lyub.resolution import taylor_complex
 from lyub.tables import BettiTable, LyubeznikTable
 
 from .conftest import (
@@ -40,7 +41,7 @@ from .conftest import (
     small_supp_ideal,
     three_component_ideal,
 )
-from .oracles import hochster_betti_counts, masks, random_ideal, taylor_complex
+from .oracles import hochster_betti_counts, masks, random_ideal
 
 F2 = prime_field(2)
 BOTH_FIELDS = (QQ, F2)

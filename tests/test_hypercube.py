@@ -29,7 +29,7 @@ from lyub.combinatorics import (
     restriction,
     simplicial_complex,
 )
-from lyub.hypercube import Hypercube
+from lyub.hypercube import Hypercube, face_restricted_hypercube
 
 from .conftest import (
     cycle_nonedge_ideal,
@@ -42,7 +42,6 @@ from .oracles import (
     cech_vertex_dim,
     complex_alexander_dual,
     dense_restricted_complex,
-    face_restricted_hypercube,
     induced_cohomology_map,
     masks,
     per_edge_maps,

@@ -39,12 +39,12 @@ from lyub.combinatorics import (
     popcount,
     unions_below,
 )
-from lyub.hypercube import matlis_dual
+from lyub.hypercube import face_restricted_hypercube, matlis_dual
 from lyub.invariants import bass_row, minimal_support_masks, support_masks
 from lyub.tables import LyubeznikTable
 
 from .conftest import gens_ideal
-from .oracles import brute_hull, face_restricted_hypercube, masks, random_ideal
+from .oracles import brute_hull, masks, random_ideal
 
 F2 = prime_field(2)
 F3 = prime_field(3)

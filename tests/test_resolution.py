@@ -28,6 +28,7 @@ from lyub import (
 )
 from lyub import linalg, resolution
 from lyub.combinatorics import MonomialIdeal, mask_of, popcount
+from lyub.resolution import taylor_complex
 from lyub.tables import BettiTable
 
 from .conftest import cycle_nonedge_ideal, gens_ideal
@@ -35,7 +36,6 @@ from .oracles import (
     brute_lyubeznik_cells,
     hochster_betti_counts,
     random_ideal,
-    taylor_complex,
 )
 
 F2 = prime_field(2)
@@ -85,6 +85,17 @@ def test_free_complex_refuses_entry_violating_divisibility(field):
 def test_taylor_dual_a5_has_31_subsets(a5):
     cx = taylor_complex(alexander_dual(a5), QQ)
     assert sum(len(d) for d in cx.degrees) == 31
+
+
+def test_taylor_generator_cap():
+    gens = tuple(1 << i for i in range(21))
+    with pytest.raises(ResourceError):
+        taylor_complex(MonomialIdeal(21, gens), QQ)
+
+
+def test_taylor_unit_ideal_rejected():
+    with pytest.raises(DomainError):
+        taylor_complex(MonomialIdeal(2, (0,)), QQ)
 
 
 def test_minimize_leaves_minimal_complex_alone(a4):
