@@ -303,8 +303,8 @@ def dual_complex(cube: Hypercube) -> VectorSpaceComplex:
 
 
 def face_restricted_hypercube(cube: Hypercube, amask: int) -> Hypercube:
-    """The |a|-hypercube of vertices below amask, bits renumbered.  No
-    command calls it; the tests check the restriction identities with it."""
+    """The |a|-hypercube of vertices below amask, bits renumbered.  Only the
+    tests (restriction identities) and the benchmark tracer name it."""
     if amask >> cube.n:
         raise InputError("mask does not fit the hypercube")
     positions = bits_of(amask)

@@ -12,7 +12,8 @@ which lets ``--check`` finish on the cycle ideals up to n = 13.  The
 surviving basis counts are the Betti numbers; the scalar entries between
 degree-adjacent basis elements are the frames of the linear strands.
 ``taylor_complex`` is the reference the tests check the Lyubeznik cells
-and ``minimize`` against; no command calls it.
+and ``minimize`` against; no command calls it, and it stays here while
+the benchmark tracer (``perfbench/tracer.py``) names it.
 
 Both constructions are refused with ``ResourceError`` above
 ``MAX_RESOLUTION_CELLS`` basis elements; the Lyubeznik enumeration is also
