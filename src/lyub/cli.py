@@ -24,7 +24,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .combinatorics import (
     MonomialIdeal,
@@ -112,14 +112,13 @@ class _Parser:
         tok = self.tokens[self.pos]
         if kind is not None and tok[0] != kind or value is not None and tok[1] != value:
             want = value if value is not None else kind
-            raise InputError(
-                f"line {tok[2]}, col {tok[3]}: expected {want!r}, found {tok[1]!r}"
-            )
+            self.error(f"expected {want!r}, found {tok[1]!r}", tok)
         self.pos += 1
         return tok
 
-    def error(self, message):
-        tok = self.peek()
+    def error(self, message, tok=None):
+        """Refuse the input at ``tok``, or at the next token when None."""
+        tok = tok or self.peek()
         raise InputError(f"line {tok[2]}, col {tok[3]}: {message}")
 
 
@@ -140,19 +139,13 @@ def _parse_monomial(p: _Parser, n: int) -> int:
         tok = p.take("word")
         m = re.fullmatch(r"x(\d+)", tok[1])
         if not m:
-            raise InputError(
-                f"line {tok[2]}, col {tok[3]}: expected a variable x1..x{n}, found {tok[1]!r}"
-            )
+            p.error(f"expected a variable x1..x{n}, found {tok[1]!r}", tok)
         i = _number(m.group(1), tok)
         if not 1 <= i <= n:
-            raise InputError(
-                f"line {tok[2]}, col {tok[3]}: variable x{i} outside x1..x{n}"
-            )
+            p.error(f"variable x{i} outside x1..x{n}", tok)
         bit = 1 << (i - 1)
         if mask & bit:
-            raise InputError(
-                f"line {tok[2]}, col {tok[3]}: repeated variable x{i} (monomials must be squarefree)"
-            )
+            p.error(f"repeated variable x{i} (monomials must be squarefree)", tok)
         mask |= bit
         if p.peek()[1] != "*":
             return mask
@@ -166,7 +159,7 @@ def _parse_prime(p: _Parser, n: int) -> int:
         tok = p.take("num")
         i = _number(tok[1], tok)
         if not 1 <= i <= n:
-            raise InputError(f"line {tok[2]}, col {tok[3]}: index {i} outside 1..{n}")
+            p.error(f"index {i} outside 1..{n}", tok)
         mask |= 1 << (i - 1)
         if p.peek()[1] == ",":
             p.take(value=",")
@@ -186,9 +179,7 @@ def parse_input(text: str) -> ProblemSpec:
     tok = p.take("word")
     form = tok[1]
     if form not in ("gens", "primes"):
-        raise InputError(
-            f"line {tok[2]}, col {tok[3]}: expected 'gens' or 'primes', found {form!r}"
-        )
+        p.error(f"expected 'gens' or 'primes', found {form!r}", tok)
     p.take(value=":")
     masks = []
     while True:
@@ -230,20 +221,35 @@ def _alpha_json(mask: int, n: int) -> list[int]:
     return list(mask_vector(mask, n))
 
 
-def _requested_degrees(spec: ProblemSpec, r: int | None, dual: bool = False) -> list[int]:
-    """The degrees a Bass-type command reports.  Each one's table (its dual
-    Bass table with ``dual``) is checked against the work cap before any
-    row of any degree is built."""
-    ideal = spec.ideal()
-    degrees = [r] if r is not None else nonzero_cohomology_degrees(ideal, spec.field)
-    check_bass_work(ideal, degrees, spec.field, dual)
-    return degrees
+def _bass_item(ideal: MonomialIdeal, r: int, field: Field, dual: bool = False) -> dict:
+    table, key = (dual_bass_table, "pi") if dual else (bass_table, "mu")
+    rows = table(ideal, r, field).rows
+    return {"rows": [{"alpha": _alpha_json(a, ideal.n), key: list(v)} for a, v in rows]}
+
+
+def _supp_item(ideal: MonomialIdeal, r: int, field: Field) -> dict:
+    small, big = small_support(ideal, r, field)
+    return {
+        "small": [_alpha_json(a, ideal.n) for a in small],
+        "support": [_alpha_json(a, ideal.n) for a in big],
+        "equal": small == big,
+    }
 
 
 _COMMANDS = ("table", "bass", "dual-bass", "betti", "strands", "supp", "dims",
              "seqcm", "check", "info")
+# commands reporting one item per degree of a nonzero H^r (the one from
+# ``--r`` if given): command -> (JSON key, the item of degree r).  The
+# builders look the invariants up in this module when called, so a
+# wrapper bound here later (as perfbench's tracer binds one) sees them.
+_PER_DEGREE = {
+    "bass": ("bass", _bass_item),
+    "dual-bass": ("dual_bass", lambda ideal, r, field: _bass_item(ideal, r, field, dual=True)),
+    "supp": ("supp", _supp_item),
+    "dims": ("dims", lambda ideal, r, field: asdict(injective_dimensions(ideal, r, field))),
+}
 # commands that take a single degree from ``--r``
-_READS_R = {"bass", "dual-bass", "strands", "supp", "dims"}
+_READS_R = {*_PER_DEGREE, "strands"}
 
 
 def run(spec: ProblemSpec, command: str, r: int | None = None, check: bool = False) -> dict:
@@ -276,36 +282,12 @@ def run(spec: ProblemSpec, command: str, r: int | None = None, check: bool = Fal
         report["lyubeznik"] = [list(row) for row in table.entries]
         if check:
             report["routes_checked"] = True
-    elif command == "bass":
-        degrees = _requested_degrees(spec, r)
-        items = []
-        for rr in degrees:
-            bt = bass_table(ideal, rr, spec.field)
-            items.append(
-                {
-                    "r": rr,
-                    "rows": [
-                        {"alpha": _alpha_json(a, spec.n), "mu": list(mu)}
-                        for a, mu in bt.rows
-                    ],
-                }
-            )
-        report["bass"] = maybe_single(items)
-    elif command == "dual-bass":
-        degrees = _requested_degrees(spec, r, dual=True)
-        items = []
-        for rr in degrees:
-            dt = dual_bass_table(ideal, rr, spec.field)
-            items.append(
-                {
-                    "r": rr,
-                    "rows": [
-                        {"alpha": _alpha_json(a, spec.n), "pi": list(pi)}
-                        for a, pi in dt.rows
-                    ],
-                }
-            )
-        report["dual_bass"] = maybe_single(items)
+    elif command in _PER_DEGREE:
+        key, item = _PER_DEGREE[command]
+        degrees = [r] if r is not None else nonzero_cohomology_degrees(ideal, spec.field)
+        # every degree's table is checked against the cap before any row
+        check_bass_work(ideal, degrees, spec.field, command == "dual-bass")
+        report[key] = maybe_single([{"r": rr} | item(ideal, rr, spec.field) for rr in degrees])
     elif command == "betti":
         bt = betti_numbers(ideal, spec.field)
         report["betti"] = {
@@ -326,41 +308,12 @@ def run(spec: ProblemSpec, command: str, r: int | None = None, check: bool = Fal
             items.append(
                 {"r": rr, "dims": list(frame.dims), "homology": homology_dims(frame)}
             )
-        report["strands"] = maybe_single(items) if items else items
+        report["strands"] = maybe_single(items)
         if r is None:  # every strand is in the report already
             defect = strand_defect(item["homology"] for item in items)
         else:
             defect = linearity_defect(ideal, spec.field)
         report["linearity_defect"] = defect
-    elif command == "supp":
-        degrees = _requested_degrees(spec, r)
-        items = []
-        for rr in degrees:
-            small, big = small_support(ideal, rr, spec.field)
-            items.append(
-                {
-                    "r": rr,
-                    "small": [_alpha_json(a, spec.n) for a in small],
-                    "support": [_alpha_json(a, spec.n) for a in big],
-                    "equal": small == big,
-                }
-            )
-        report["supp"] = maybe_single(items)
-    elif command == "dims":
-        degrees = _requested_degrees(spec, r)
-        items = []
-        for rr in degrees:
-            rec = injective_dimensions(ideal, rr, spec.field)
-            items.append(
-                {
-                    "r": rr,
-                    "star_id": rec.star_id,
-                    "id_ungraded": rec.id_ungraded,
-                    "dim_module": rec.dim_module,
-                    "dim_small_supp": rec.dim_small_supp,
-                }
-            )
-        report["dims"] = maybe_single(items)
     elif command == "seqcm":
         report["seqcm"] = sequentially_cm(ideal, spec.field)
     elif command == "check":
@@ -397,14 +350,16 @@ def _mask_label(alpha: list[int]) -> str:
     return f"{prod}  ({','.join(str(v) for v in alpha)})"
 
 
-def _render_mu_rows(rows, key: str) -> list[str]:
+def _render_mu_rows(item, fname: str, what: str, key: str) -> list[str]:
+    title = f"{what} numbers of H^{item['r']}, field {fname}:"
+    rows = item["rows"]
     if not rows:
-        return ["  (zero module)"]
+        return [title, "  (zero module)"]
     depth = max(len(row[key]) for row in rows)
     row_labels = [_mask_label(row["alpha"]) for row in rows]
     width = max(len(s) for s in row_labels)
     head = "  " + " " * width + "".join(f"  {key}_{p}" for p in range(depth))
-    out = [head]
+    out = [title, head]
     for label, row in zip(row_labels, rows):
         vals = row[key]
         cells = []
@@ -415,6 +370,30 @@ def _render_mu_rows(rows, key: str) -> list[str]:
             "  " + label.ljust(width) + "".join(c.rjust(len(f"  {key}_{p}")) for p, c in enumerate(cells))
         )
     return out
+
+
+def _render_supp(item, fname: str) -> list[str]:
+    out = [f"small support of H^{item['r']}, field {fname}:"]
+    out.extend(f"  {_mask_label(a)}" for a in item["small"])
+    extra = [a for a in item["support"] if a not in item["small"]]
+    if extra:
+        out.append("in Supp but not in supp:")
+        out.extend(f"  {_mask_label(a)}" for a in extra)
+    out.append(f"  supp == Supp: {'yes' if item['equal'] else 'no'}")
+    return out
+
+
+# JSON key of a per-degree report -> the text lines of one of its items
+_RENDER_ITEM = {
+    "bass": lambda item, fname: _render_mu_rows(item, fname, "Bass", "mu"),
+    "dual_bass": lambda item, fname: _render_mu_rows(item, fname, "dual Bass", "pi"),
+    "strands": lambda item, fname: [
+        f"strand r={item['r']}: dims {item['dims']}, frame homology {item['homology']}"],
+    "supp": _render_supp,
+    "dims": lambda item, fname: [
+        f"H^{item['r']}: *id = {item['star_id']}, id = {item['id_ungraded']}, "
+        f"dim = {item['dim_module']}, dim supp = {item['dim_small_supp']}"],
+}
 
 
 def render_report(report: dict) -> str:
@@ -439,45 +418,16 @@ def render_report(report: dict) -> str:
         lines.extend(_render_lyubeznik(report["lyubeznik"]))
         if report.get("routes_checked"):
             lines.append("  (hypercube and strand routes agree)")
-    for key, label, valkey in (
-        ("bass", "Bass numbers of H^{r}, field " + fname, "mu"),
-        ("dual_bass", "dual Bass numbers of H^{r}, field " + fname, "pi"),
-    ):
-        if key in report:
-            items = report[key]
-            for item in items if isinstance(items, list) else [items]:
-                lines.append(label.replace("{r}", str(item["r"])) + ":")
-                lines.extend(_render_mu_rows(item["rows"], valkey))
     if "betti" in report:
         lines.append(f"Betti numbers, field {fname}:")
         for row in report["betti"]["rows"]:
             lines.append(f"  j={row['j']}  {_mask_label(row['alpha'])}  beta={row['beta']}")
-    if "strands" in report:
-        items = report["strands"]
+    for key, render in _RENDER_ITEM.items():
+        items = report.get(key, [])
         for item in items if isinstance(items, list) else [items]:
-            lines.append(
-                f"strand r={item['r']}: dims {item['dims']}, frame homology {item['homology']}"
-            )
+            lines.extend(render(item, fname))
+    if "linearity_defect" in report:
         lines.append(f"linearity defect: {report['linearity_defect']}")
-    if "supp" in report:
-        items = report["supp"]
-        for item in items if isinstance(items, list) else [items]:
-            lines.append(f"small support of H^{item['r']}, field {fname}:")
-            for a in item["small"]:
-                lines.append(f"  {_mask_label(a)}")
-            extra = [a for a in item["support"] if a not in item["small"]]
-            if extra:
-                lines.append("in Supp but not in supp:")
-                for a in extra:
-                    lines.append(f"  {_mask_label(a)}")
-            lines.append(f"  supp == Supp: {'yes' if item['equal'] else 'no'}")
-    if "dims" in report:
-        items = report["dims"]
-        for item in items if isinstance(items, list) else [items]:
-            lines.append(
-                f"H^{item['r']}: *id = {item['star_id']}, id = {item['id_ungraded']}, "
-                f"dim = {item['dim_module']}, dim supp = {item['dim_small_supp']}"
-            )
     if "seqcm" in report:
         verdict = "yes" if report["seqcm"] else "no"
         lines.append(f"sequentially Cohen-Macaulay over {fname}: {verdict}")
@@ -501,8 +451,8 @@ def _build_argparser() -> argparse.ArgumentParser:
     ap.add_argument("command", choices=_COMMANDS)
     ap.add_argument("file", help="ideal file, or - for stdin")
     ap.add_argument("--field", default="q", help="q (default) or fp:<prime>")
-    ap.add_argument("--r", type=int, default=None,
-                    help="cohomological degree (bass, dual-bass, strands, supp, dims)")
+    reads_r = ", ".join(c for c in _COMMANDS if c in _READS_R)
+    ap.add_argument("--r", type=int, default=None, help=f"cohomological degree ({reads_r})")
     ap.add_argument("--json", action="store_true", help="emit JSON")
     ap.add_argument("--check", action="store_true",
                     help="table only: cross-validate the two Lyubeznik routes")

@@ -15,7 +15,7 @@ vertex, so every matrix here is deterministic.
 
 from dataclasses import dataclass
 
-from .combinatorics import SimplicialComplex, bits_of
+from .combinatorics import SimplicialComplex, bits_of, popcount
 from .errors import ContractError
 from .linalg import ExactMatrix, Field, check_complex, homology_space, rank
 
@@ -53,7 +53,6 @@ class CochainComplex:
     ``coboundaries[s]`` maps degree s-1 cochains to degree s cochains.
     """
 
-    source: SimplicialComplex
     field: Field
     basis: tuple[tuple[int, ...], ...]
     coboundaries: tuple[ExactMatrix, ...]
@@ -92,16 +91,19 @@ class CochainComplex:
 def cochain_complex(cx: SimplicialComplex, field: Field) -> CochainComplex:
     """Full reduced cochain complex; verifies coboundary∘coboundary = 0."""
     if cx.is_void:
-        return CochainComplex(cx, field, (), ())
+        return CochainComplex(field, (), ())
     top = cx.dim() + 1
-    basis = tuple(tuple(cx.faces_of_size(s)) for s in range(top + 1))
+    by_size = [[] for _ in range(top + 1)]
+    for f in cx.faces():
+        by_size[popcount(f)].append(f)
+    basis = tuple(tuple(sorted(faces, key=bits_of)) for faces in by_size)
     cobs = tuple(
         coboundary_matrix(field, basis[s], basis[s + 1]) for s in range(top)
     )
     # in reverse order the coboundaries form a chain complex whose position
     # p holds the faces of size top - p
     check_complex(tuple(map(len, reversed(basis))), tuple(reversed(cobs)))
-    return CochainComplex(cx, field, basis, cobs)
+    return CochainComplex(field, basis, cobs)
 
 
 def reduced_cohomology_dims_all(cx: SimplicialComplex, field: Field) -> dict[int, int]:

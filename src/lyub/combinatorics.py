@@ -7,7 +7,6 @@ positions where alpha is 1) is ``beta & ~alpha``.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import MAX_VARIABLES, DomainError, InputError
 
@@ -265,21 +264,6 @@ class SimplicialComplex:
             for s in submasks(f):
                 out.add(s)
         return out
-
-    def faces_of_size(self, size: int) -> list[int]:
-        """Faces with ``size`` vertices, sorted by their vertex tuples."""
-        if size < 0 or self.is_void:
-            return []
-        if size == 0:
-            return [0]
-        found = set()
-        for f in self.facets:
-            bits = bits_of(f)
-            if len(bits) < size:
-                continue
-            for combo in combinations(bits, size):
-                found.add(mask_of(combo))
-        return sorted(found, key=lambda m: tuple(bits_of(m)))
 
     def dim(self) -> int:
         """Dimension: -1 for the irrelevant complex; undefined (-2) if void."""

@@ -477,9 +477,6 @@ class VectorSpaceComplex:
         self.dims = dims
         self.maps = maps
 
-    def __len__(self):
-        return len(self.dims)
-
 
 def homology_dims(cx: VectorSpaceComplex) -> list[int]:
     """H_p = dim ker(maps[p-1]) - rank(maps[p]) with boundary conventions."""

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -422,3 +423,99 @@ def test_main_refuses_an_oversized_field_modulus(tmp_path, capsys):
     assert main(["table", str(path), "--field", f"fp:{BIG}"]) == 2
     err = capsys.readouterr().err
     assert err == "input error: --field: number of 5000 digits is too large\n"
+
+
+# ---------------------------------------------------------------------------
+# the whole output of every command, pinned
+# ---------------------------------------------------------------------------
+
+IDEALS = Path(__file__).resolve().parents[1] / "demos" / "ideals"
+COMMANDS = ("table", "bass", "dual-bass", "betti", "strands", "supp", "dims",
+            "seqcm", "check", "info")
+READS_R = ("bass", "dual-bass", "strands", "supp", "dims")
+
+
+def _invoke(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``lyub`` run in-process on argv."""
+    from contextlib import redirect_stderr, redirect_stdout
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's --help and usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _transcript_sha256(invocations) -> str:
+    """sha256 over each (label, argv) invocation's label, exit code,
+    stdout and stderr; the label stands in for a machine-dependent path."""
+    digest = hashlib.sha256()
+    for label, argv in invocations:
+        code, out, err = _invoke(argv)
+        digest.update(f"{label}\0{code}\0{out}\0{err}\0".encode())
+    return digest.hexdigest()
+
+
+def _per_file_invocations(path: Path, field: str):
+    for command in COMMANDS:
+        for extra in ([], ["--json"]):
+            yield [command, *extra], [command, str(path), "--field", field, *extra]
+    for command in READS_R:
+        for r in ("0", "2"):
+            for extra in ([], ["--json"]):
+                args = [command, "--r", r, *extra]
+                yield args, [command, str(path), "--field", field, "--r", r, *extra]
+
+
+OUTPUT_SHA256 = {
+    ("a4", "q"): "d601a899cb9ec54c3d08936dda3d869618745abb42cd1ee1ff1297e22fb45a8b",
+    ("a4", "fp:2"): "3ad888e458f01789c4bbc4401a96e94bc912e1a628816c3bb81f0e0ad7b9a076",
+    ("a5", "q"): "25254c9d21ec5a8a1e8b2f56908481763b2b3249c6ffce3f1c1e6bd2ef10b6af",
+    ("a5", "fp:2"): "2737285f26962e0bb55665a8ee124e27acee013b7d6153b0feea8d2856442426",
+    ("ex53", "q"): "e4eece80452a23cd891584ee1b04a70f10dae6614460dc4efdc255608c3069ad",
+    ("ex53", "fp:2"): "904b1b3252ce3728abefcc9fd8c137442620d1ff4dd34ea7b5399f7c95836c7e",
+    ("ex57", "q"): "974759c2f234443181a138c1101b30e3ecbdad333308558acfeeb0ed3776d2c4",
+    ("ex57", "fp:2"): "3b40773a179415ff44f5e0481fdb9bbc23fc6f34365ddcdee0c5d4e296344f22",
+    ("nine", "q"): "223bbf2c63ce12e242d132ecc7aaf254cb66e45e84e526c2053d03c1a0cf79a8",
+    ("nine", "fp:2"): "62628afbee97ba2d3064234640eb7cfa7c78fe6d364dffce3ece5bd2678eecfc",
+    ("rp2", "q"): "98aac2a914510cc43c49050df11859bd2bab6f4bd0e9f81e7162615d5b99e9b1",
+    ("rp2", "fp:2"): "94c101ef6e615c01b4892b0868423a16c1c72eb1335c9adf0dd0821b07b05a9b",
+}
+HELP_SHA256 = "cfcf8dc554c9ca6fc5a431d01f862a7f8d2db51ffb704c00f595c17cb6b09e65"
+
+
+@pytest.mark.parametrize("name, field", sorted(OUTPUT_SHA256))
+def test_every_command_prints_the_recorded_output(name, field):
+    # every command plain and --json, and --r 0 / --r 2 where it applies;
+    # the sha256 was taken over exit code, stdout and stderr of each run
+    invocations = _per_file_invocations(IDEALS / f"{name}.ideal", field)
+    assert _transcript_sha256(invocations) == OUTPUT_SHA256[name, field]
+
+
+def test_help_and_usage_errors_print_the_recorded_text(monkeypatch):
+    # argparse's own wording, as Python 3.11 prints it
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    invocations = [
+        (["--help"], ["--help"]),
+        (["nope", "FILE"], ["nope", "FILE"]),
+    ]
+    assert _transcript_sha256(invocations) == HELP_SHA256
+
+
+def test_readme_command_table_matches_the_cli():
+    from lyub import cli
+
+    readme = (IDEALS.parents[1] / "README.md").read_text(encoding="utf-8")
+    # the first table of the section: command, output, flags
+    section = readme.split("\n## Command line\n", 1)[1]
+    table = section[section.index("\n| command"):].split("\n\n", 1)[0]
+    rows = [
+        [cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+        for line in table.splitlines()
+        if line.startswith("| `")
+    ]
+    assert tuple(row[0] for row in rows) == cli._COMMANDS
+    assert {row[0] for row in rows if "--r" in row[2]} == cli._READS_R
+    assert [row[0] for row in rows if "--check" in row[2]] == ["table"]

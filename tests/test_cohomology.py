@@ -3,14 +3,25 @@ import random
 from lyub import QQ, prime_field, stanley_reisner
 from lyub.cohomology import cochain_complex, reduced_cohomology_dims_all
 from lyub.combinatorics import (
+    alexander_dual,
+    bits_of,
     full_mask,
     full_simplex,
+    link,
+    popcount,
     restriction,
     simplicial_complex,
+    submasks,
     void_complex,
 )
 
-from .conftest import rp2_ideal
+from .conftest import (
+    cycle_nonedge_ideal,
+    nine_vars_ideal,
+    rp2_ideal,
+    small_supp_ideal,
+    three_component_ideal,
+)
 from .oracles import induced_cohomology_map, masks, random_ideal, reduced_homology_dim
 
 F2 = prime_field(2)
@@ -52,6 +63,31 @@ def test_cochain_complex_squares_to_zero_and_dims():
     assert [len(b) for b in cc.basis] == [1, 4, 4]
     dims = reduced_cohomology_dims_all(FOUR_CYCLE, QQ)
     assert dims == {1: 1}
+
+
+def _brute_basis(cx):
+    """Every submask of the vertex set that is a face, by size, each size
+    sorted by vertex tuple; () for the void complex."""
+    faces = [s for s in submasks(cx.vertices) if cx.has_face(s)]
+    sizes = range(max(map(popcount, faces), default=-1) + 1)
+    return tuple(
+        tuple(sorted((f for f in faces if popcount(f) == s), key=lambda f: tuple(bits_of(f))))
+        for s in sizes
+    )
+
+
+def test_cochain_basis_is_every_face_by_size_in_vertex_order():
+    ideals = [cycle_nonedge_ideal(n) for n in range(4, 9)] + [
+        rp2_ideal(), nine_vars_ideal(), three_component_ideal(), small_supp_ideal(),
+    ]
+    checked = 0
+    for ideal in ideals:
+        for cx in (stanley_reisner(ideal), stanley_reisner(alexander_dual(ideal))):
+            for alpha in range(1 << ideal.n):
+                for sub in (restriction(cx, alpha), link(cx, alpha)):
+                    assert cochain_complex(sub, QQ).basis == _brute_basis(sub)
+                    checked += not sub.is_void
+    assert checked > 3000
 
 
 def test_chain_and_cochain_dims_agree():
