@@ -3,7 +3,8 @@
 ``cochain_complex`` is the one place where a simplicial complex becomes
 linear algebra: every cohomology dimension and cocycle space in the
 package, and so every hypercube edge map, is read off the complex it
-returns, so each of them comes with its d∘d check.
+returns, or off a restriction that ``restrict_cochains`` selects from it,
+so each of them comes with its d∘d check.
 
 The reduced complex always includes the empty face in degree -1; the void
 complex has no cochains at all, so every one of its cohomology groups is
@@ -104,6 +105,32 @@ def cochain_complex(cx: SimplicialComplex, field: Field) -> CochainComplex:
     # p holds the faces of size top - p
     check_complex(tuple(map(len, reversed(basis))), tuple(reversed(cobs)))
     return CochainComplex(field, basis, cobs)
+
+
+def restrict_cochains(cc: CochainComplex, alpha: int) -> CochainComplex:
+    """The reduced cochain complex of the restriction to ``alpha`` of the
+    simplicial complex behind ``cc``, read off ``cc`` by keeping the faces
+    inside alpha in each size; verifies coboundary∘coboundary = 0.
+
+    Kept faces stay in their order, and a coboundary sign depends only on
+    the pair of faces, so the bases and matrices are exactly those that
+    ``cochain_complex`` forms for the restriction.  The columns of a kept
+    row tau are faces of tau, so they are kept too and only renumbered.
+    """
+    outside = ~alpha
+    basis, cobs, index = [], [], None
+    for s, faces in enumerate(cc.basis):
+        kept = [i for i, f in enumerate(faces) if not f & outside]
+        if not kept:  # the faces inside alpha form a simplicial complex
+            break
+        if index is not None:
+            rows = cc.coboundaries[s - 1].data
+            data = [tuple([(index[c], x) for c, x in rows[i]]) for i in kept]
+            cobs.append(ExactMatrix._wrap(cc.field, len(kept), len(index), data))
+        index = dict(zip(kept, range(len(kept))))
+        basis.append(tuple([faces[i] for i in kept]))
+    check_complex(tuple(map(len, reversed(basis))), tuple(reversed(cobs)))
+    return CochainComplex(cc.field, tuple(basis), tuple(cobs))
 
 
 def reduced_cohomology_dims_all(cx: SimplicialComplex, field: Field) -> dict[int, int]:

@@ -12,19 +12,20 @@ ideals up to n = 13.  The hypercube route is capped by its vertex count
 # worst case around 16M masks.
 MAX_VARIABLES = 24
 
-# Vertices of one hypercube: building it sweeps every vertex and forms the
-# cochain complex of the restriction at each mask of the lcm lattice of the
-# Alexander dual ideal (nearly every vertex on the cycle ideals), about 2.2
-# times the work per added variable, so the 2^n count is refused up front
-# above this (n = 16).
+# Vertices of one hypercube: building it sweeps every vertex and selects the
+# cochain complex of the restriction, from the one complex of the Alexander
+# dual complex, at each mask of the lcm lattice of the Alexander dual ideal
+# (nearly every vertex on the cycle ideals), about 2.2 times the work per
+# added variable, so the 2^n count is refused up front above this (n = 16).
 MAX_HYPERCUBE_MASKS = 2**16
 
 # Vertex dimensions one Bass or dual Bass table may assemble: row alpha
 # walks the nonzero vertices below alpha, so a table costs the sum of their
 # total dimension over the support, found by an O(n 2^n) sweep before any
-# row is built.  A table takes about 25 us per unit over Q on a 2-core Xeon
-# (a12's degree-2 table: 889,832 units in 22 s), so this cap (about 26 s)
-# admits a12 and refuses a13 (3,019,692 units).
+# row is built.  A table takes about 12-20 us per unit over Q on a 2-core
+# Xeon (a12's degree-2 table: 889,832 units in 10.3-17.5 s, four single
+# runs), so this cap (about 13-21 s) admits a12 and refuses a13 (3,019,692
+# units).
 MAX_BASS_WORK = 2**20
 
 # Basis elements (cells) of one free complex before minimization: the Taylor

@@ -9,12 +9,15 @@ cochain restriction; the canonical map u_{a,i} between vertices is its
 transpose.  Square commutativity and d∘d = 0 of every assembled complex are
 verified at build time.
 
-One build serves every degree r: the cochain complex of each restriction is
-formed once (with its d∘d check), and its coboundary ranks give the vertex
-at a in all n+1 degrees.  Only the masks a of the lcm lattice of the
-Alexander dual ideal (the unions of its generators, the minimal primes of
-I) get a complex: at any other a the restriction is a cone, and the vertex
-is zero in every degree.  Representatives and edge maps are computed only
+One build serves every degree r.  The cochain complex of D^v is formed
+once, and each mask a selects the cochain complex of its restriction from
+it (``cohomology.restrict_cochains``): the faces inside a in each size,
+with the same bases and matrices as a complex formed for the restriction
+alone, and its own d∘d check.  Its coboundary ranks give the vertex at a
+in all n+1 degrees.  Only the masks a of the lcm lattice of the Alexander
+dual ideal (the unions of its generators, the minimal primes of I) get a
+complex: at any other a the restriction is a cone, and the vertex is zero
+in every degree.  Representatives and edge maps are computed only
 where a vertex is nonzero, visiting the masks top down, from the full mask
 to 1: when a is reached, every nonzero a+e_i of the same degree has its
 representatives, and one reduction at a gives a's representatives and
@@ -34,12 +37,16 @@ from .combinatorics import (
     mask_of,
     minimal_primes,
     popcount,
-    restriction,
     simplicial_complex,
     submasks,
     unions_below,
 )
-from .cohomology import cochain_complex, cohomology_space, face_projection
+from .cohomology import (
+    cochain_complex,
+    cohomology_space,
+    face_projection,
+    restrict_cochains,
+)
 from .errors import (
     MAX_HYPERCUBE_MASKS,
     ContractError,
@@ -65,10 +72,11 @@ class Hypercube:
     later is ``_bass``, which starts empty: the first request for the
     cube's Bass table (or dual Bass table) stores that table's rows there,
     so each table is assembled once per cube however many commands read
-    it, one complex per support hull.  The rows are tuples, which no
-    caller can change, and they depend on nothing but the vertices and
-    edges, so sharing the cube, as the cache of ``build_hypercube`` does,
-    stays safe; they go when the cube goes.
+    it: one main complex, and one complex per support hull selected from
+    it.  The rows are tuples, which no caller can change, and they depend
+    on nothing but the vertices and edges, so sharing the cube, as the
+    cache of ``build_hypercube`` does, stays safe; they go when the cube
+    goes.
     """
 
     __slots__ = ("n", "r", "field", "dims", "edge_mats", "_bass")
@@ -136,6 +144,7 @@ def _build_all_degrees(ideal: MonomialIdeal, field: Field) -> tuple[Hypercube, .
         )
     full = full_mask(n)
     dual = simplicial_complex(full, [full ^ g for g in ideal.gens])
+    cochains = cochain_complex(dual, field)  # each mask selects from this
     # The minimal non-faces of the dual complex are the minimal primes of I.
     # A vertex of alpha in none of those inside alpha is a cone point of the
     # restriction to alpha, whose cohomology is then zero in every degree,
@@ -151,7 +160,7 @@ def _build_all_degrees(ideal: MonomialIdeal, field: Field) -> tuple[Hypercube, .
     for alpha in range(full, 0, -1):  # alpha = 0 is pinned to zero
         if lattice[alpha] != alpha:
             continue
-        cc = cochain_complex(restriction(dual, alpha), field)
+        cc = restrict_cochains(cochains, alpha)
         for q, h in cc.cohomology_dims().items():
             faces, above = cc.faces(q), spaces[q + 2]
             ups = [
@@ -284,6 +293,67 @@ def main_complex(cube: Hypercube) -> VectorSpaceComplex:
     """Positions p = 0..n with the level n-p vertices; H_p gives mu_p(m)."""
     full = full_mask(cube.n)
     return restricted_complex(cube, full, full)
+
+
+def summand_starts(cube: Hypercube) -> dict[int, int]:
+    """Per nonzero vertex v, the first basis index of its summand at
+    position n - |v| of ``main_complex(cube)``."""
+    full = full_mask(cube.n)
+    dims, starts, sizes = cube.dims, {}, [0] * (cube.n + 1)
+    for v in sorted(dims, key=full.__xor__):  # gamma = full \ v increasing
+        p = cube.n - popcount(v)
+        starts[v] = sizes[p]
+        sizes[p] += dims[v]
+    return starts
+
+
+def hull_complex(
+    cube: Hypercube, main: VectorSpaceComplex, starts: dict[int, int], hull: int
+) -> VectorSpaceComplex:
+    """The complex of ``restricted_complex(cube, hull, hull)`` up to summand
+    signs, selected from ``main = main_complex(cube)`` with ``starts =
+    summand_starts(cube)``, so it has the same homology.
+
+    Position p keeps the summands of main's position p + n - |hull| whose
+    vertex lies in hull.  They come in the same order as in the hull
+    complex, since the gammas of main are those of the hull complex joined
+    with full \\ hull.  Every entry of a kept row lies in the column of a
+    vertex in hull (the vertex minus one bit), so the columns are only
+    renumbered.  A direction-i map carries the hull complex's sign times
+    s_i = (-1)^(bits of full \\ hull below i), and scaling the summand
+    gamma by the product of s_i over i in gamma turns one complex into the
+    other.  Only the nonzero vertices in hull are visited.
+    """
+    if hull >> cube.n:
+        raise InputError("mask does not fit the hypercube")
+    dims, k = cube.dims, popcount(hull)
+    if 1 << k < len(dims):
+        verts = [v for v in submasks(hull) if v in dims]
+    else:
+        verts = [v for v in dims if not v & ~hull]
+    levels: list[list[int]] = [[] for _ in range(k + 1)]
+    for v in verts:
+        levels[k - popcount(v)].append(v)
+    shift = cube.n - k
+    sizes, maps, index = [], [], None
+    for p in range(k, -1, -1):  # sources before targets
+        lv = sorted(levels[p], key=starts.__getitem__)
+        cols, t = {}, 0
+        for v in lv:
+            s, d = starts[v], dims[v]
+            cols.update(zip(range(s, s + d), range(t, t + d)))
+            t += d
+        if index is not None:
+            rows = main.maps[p + shift].data
+            data = [
+                tuple([(index[c], x) for c, x in rows[i]])
+                for v in lv
+                for i in range(starts[v], starts[v] + dims[v])
+            ]
+            maps.append(ExactMatrix._wrap(cube.field, t, sizes[-1], data))
+        index = cols
+        sizes.append(t)
+    return VectorSpaceComplex(cube.field, sizes[::-1], maps[::-1])
 
 
 def matlis_dual(cube: Hypercube) -> Hypercube:

@@ -20,9 +20,10 @@ from .errors import MAX_BASS_WORK, ContractError, DomainError, ResourceError
 from .hypercube import (
     Hypercube,
     build_hypercube,
+    hull_complex,
     main_complex,
     matlis_dual,
-    restricted_complex,
+    summand_starts,
 )
 from .linalg import Field, homology_dims
 from .resolution import betti_numbers, lyubeznik_via_strands
@@ -87,9 +88,11 @@ def _table(cube: Hypercube, dual: bool) -> BassTable | DualBassTable:
     the cube.  The dual table reads pi_p(p_alpha) = mu_p(p_{1-alpha}) off
     the Matlis dual, which is built for the rows and then dropped.
 
-    One complex is assembled per support hull h = hull(alpha), the union
-    of the nonzero vertices below alpha (``unions_below``), because
-    ``bass_row(alpha) == [0] * |alpha \\ h| + bass_row(h)``.  Proof: let
+    One complex is reduced per support hull h = hull(alpha), the union of
+    the nonzero vertices below alpha (``unions_below``), because row alpha
+    is row h shifted: ``[0] * |alpha \\ h|`` followed by row h.  The hull
+    complexes are selected from one main complex per table
+    (``hypercube.hull_complex``).  Proof of the shift: let
     c = alpha \\ h.  A summand alpha \\ gamma of the alpha complex is nonzero
     only if it is a nonzero vertex, so it lies in h and gamma contains c.
     Writing gamma = c + g with g <= h maps the nonzero summands at
@@ -106,6 +109,7 @@ def _table(cube: Hypercube, dual: bool) -> BassTable | DualBassTable:
     rows = cube._bass.get(dual)
     if rows is None:
         src, flip = (matlis_dual(cube), full_mask(cube.n)) if dual else (cube, 0)
+        main, starts = main_complex(src), summand_starts(src)
         by_hull: dict[int, list[int]] = {}
         mus = {}
         hulls = unions_below(cube.n, src.dims)
@@ -113,7 +117,7 @@ def _table(cube: Hypercube, dual: bool) -> BassTable | DualBassTable:
             if t:
                 h = hulls[a]
                 if h not in by_hull:
-                    by_hull[h] = bass_row(src, h)
+                    by_hull[h] = homology_dims(hull_complex(src, main, starts, h))
                 mus[flip ^ a] = [0] * popcount(a ^ h) + by_hull[h]
         rows = cube._bass[dual] = kind.from_rows(cube.r, mus).rows
     return kind(cube.r, rows)
@@ -125,11 +129,6 @@ def check_bass_work(ideal: MonomialIdeal, degrees, field: Field, dual: bool = Fa
     over the cap."""
     for r in degrees:
         _bass_work(build_hypercube(ideal, r, field), dual)
-
-
-def bass_row(cube: Hypercube, alpha: int) -> list[int]:
-    """mu_p(p_alpha) for p = 0..|alpha|."""
-    return homology_dims(restricted_complex(cube, alpha, alpha))
 
 
 # ---------------------------------------------------------------------------

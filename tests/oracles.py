@@ -8,8 +8,11 @@ is dense elimination, and ``dense_restricted_complex`` assembles a
 restricted hypercube complex block by block over every subset; both read
 matrices only through ``ExactMatrix.dense``.  ``per_edge_maps`` computes
 the hypercube's edge maps with one ``solve_matrix`` per edge instead of
-the one reduction per vertex the build uses, and ``brute_hull`` a mask's
-support hull by enumeration instead of the Bass tables' subset sweep.
+the one reduction per vertex the build uses, on cochain complexes formed
+per restriction instead of selected from one complex; ``bass_row``
+assembles a Bass row's complex on its own instead of selecting a support
+hull's from one main complex, and ``brute_hull`` finds a mask's support
+hull by enumeration instead of the Bass tables' subset sweep.
 
 Reference constructions that the package itself does not need:
 ``brute_lyubeznik_cells`` tests every generator subset against the
@@ -53,7 +56,8 @@ from lyub.combinatorics import (
     popcount,
     submasks,
 )
-from lyub.linalg import hstack, rref
+from lyub.hypercube import restricted_complex
+from lyub.linalg import homology_dims, hstack, rref
 
 
 def brute_membership(ideal, mask):
@@ -190,6 +194,12 @@ def dense_restricted_complex(cube, amask, bmask):
                         out[r0 + a][c0 + b] = field.coerce(sign * x)
         maps.append(out)
     return dims, maps
+
+
+def bass_row(cube, alpha):
+    """mu_p(p_alpha) for p = 0..|alpha|, from the complex of alpha assembled
+    on its own: the direct reference for the Bass tables' hull selections."""
+    return homology_dims(restricted_complex(cube, alpha, alpha))
 
 
 def brute_hull(cube, alpha):

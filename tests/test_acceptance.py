@@ -30,7 +30,7 @@ from lyub import (
     terai_mustata_consistent,
 )
 from lyub.combinatorics import full_mask, mask_of
-from lyub.invariants import bass_row, minimal_support_masks
+from lyub.invariants import minimal_support_masks
 from lyub.resolution import taylor_complex
 from lyub.tables import BettiTable, LyubeznikTable
 
@@ -41,7 +41,7 @@ from .conftest import (
     small_supp_ideal,
     three_component_ideal,
 )
-from .oracles import hochster_betti_counts, masks, random_ideal
+from .oracles import bass_row, hochster_betti_counts, masks, random_ideal
 
 F2 = prime_field(2)
 BOTH_FIELDS = (QQ, F2)

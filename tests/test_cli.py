@@ -161,10 +161,11 @@ def test_main_resource_cap(tmp_path, capsys):
 def test_main_hypercube_cap_refuses_before_any_restriction(tmp_path, capsys, monkeypatch):
     from lyub import hypercube
 
-    def no_restriction(*args):
-        raise AssertionError("a restriction was built")
+    def no_complex(*args):
+        raise AssertionError("a cochain complex was formed")
 
-    monkeypatch.setattr(hypercube, "restriction", no_restriction)
+    monkeypatch.setattr(hypercube, "cochain_complex", no_complex)
+    monkeypatch.setattr(hypercube, "restrict_cochains", no_complex)
     path = tmp_path / "wide.ideal"
     path.write_text("n=17;\ngens: x1*x2, x16*x17;\n")
     assert main(["table", str(path)]) == 1
@@ -178,10 +179,11 @@ def test_main_bass_cap_refuses_before_any_row(tmp_path, capsys, monkeypatch, com
     from lyub import build_hypercube, invariants
     from lyub.hypercube import matlis_dual
 
-    def no_row(*args):
-        raise AssertionError("a Bass row was built")
+    def no_complex(*args):
+        raise AssertionError("a Bass complex was assembled")
 
-    monkeypatch.setattr(invariants, "bass_row", no_row)
+    monkeypatch.setattr(invariants, "main_complex", no_complex)
+    monkeypatch.setattr(invariants, "hull_complex", no_complex)
     monkeypatch.setattr(invariants, "MAX_BASS_WORK", 10)
     path = tmp_path / "a5.ideal"
     path.write_text(A5_PRIMES)
@@ -205,7 +207,7 @@ def test_main_bass_cap_covers_every_degree(tmp_path, capsys, monkeypatch, comman
     from lyub.hypercube import matlis_dual
 
     def no_complex(*args):
-        raise AssertionError("a Bass row complex was assembled")
+        raise AssertionError("a Bass complex was assembled")
 
     text = "n=4;\nprimes: {2}, {1,4}, {3,4};\n"
     ideal = parse_input(text).ideal()
@@ -217,7 +219,8 @@ def test_main_bass_cap_covers_every_degree(tmp_path, capsys, monkeypatch, comman
         works.append(sum(d for a in range(16) for v, d in cube.dims.items() if v & ~a == 0))
     assert lyub.nonzero_cohomology_degrees(ideal, QQ) == [1, 2]
     assert works[1] > works[0]
-    monkeypatch.setattr(invariants, "restricted_complex", no_complex)
+    monkeypatch.setattr(invariants, "main_complex", no_complex)
+    monkeypatch.setattr(invariants, "hull_complex", no_complex)
     monkeypatch.setattr(invariants, "MAX_BASS_WORK", works[0])
     path = tmp_path / "mixed.ideal"
     path.write_text(text)
@@ -229,22 +232,27 @@ def test_main_bass_cap_covers_every_degree(tmp_path, capsys, monkeypatch, comman
 
 def test_bass_supp_dims_build_each_bass_row_once(tmp_path, capsys, monkeypatch):
     # the tables bass builds are the ones supp and dims read, and each
-    # assembles one row per support hull: the union of the nonzero vertices
-    # below a support mask
+    # selects one complex per support hull (the union of the nonzero
+    # vertices below a support mask) from one main complex
     from collections import Counter
 
     from lyub import build_hypercube, hypercube, invariants
     from lyub.invariants import support_masks
 
     monkeypatch.setattr(hypercube, "_cache", {})
-    calls = Counter()
-    original = invariants.bass_row
+    calls, mains = Counter(), Counter()
+    original, original_main = invariants.hull_complex, invariants.main_complex
 
-    def counted(cube, alpha):
-        calls[(cube.r, alpha)] += 1
-        return original(cube, alpha)
+    def counted(cube, main, starts, hull):
+        calls[(cube.r, hull)] += 1
+        return original(cube, main, starts, hull)
 
-    monkeypatch.setattr(invariants, "bass_row", counted)
+    def counted_main(cube):
+        mains[cube.r] += 1
+        return original_main(cube)
+
+    monkeypatch.setattr(invariants, "hull_complex", counted)
+    monkeypatch.setattr(invariants, "main_complex", counted_main)
     path = tmp_path / "a5.ideal"
     path.write_text(A5_PRIMES)
     for command in ("bass", "supp", "dims"):
@@ -257,6 +265,8 @@ def test_bass_supp_dims_build_each_bass_row_once(tmp_path, capsys, monkeypatch):
         expected |= {(r, brute_hull(cube, alpha)) for alpha in support_masks(cube)}
     assert set(calls) == expected
     assert set(calls.values()) == {1}
+    assert set(mains) == {r for r, _ in expected}
+    assert set(mains.values()) == {1}
 
 
 # the Alexander duals of a5 and of the nine-variable ideal

@@ -1,7 +1,11 @@
 import random
 
 from lyub import QQ, prime_field, stanley_reisner
-from lyub.cohomology import cochain_complex, reduced_cohomology_dims_all
+from lyub.cohomology import (
+    cochain_complex,
+    reduced_cohomology_dims_all,
+    restrict_cochains,
+)
 from lyub.combinatorics import (
     alexander_dual,
     bits_of,
@@ -88,6 +92,34 @@ def test_cochain_basis_is_every_face_by_size_in_vertex_order():
                     assert cochain_complex(sub, QQ).basis == _brute_basis(sub)
                     checked += not sub.is_void
     assert checked > 3000
+
+
+def _entries(mat):
+    return [[(c, x, type(x)) for c, x in row] for row in mat.data]
+
+
+def test_selected_restriction_is_the_restrictions_own_complex():
+    # selecting the faces inside alpha gives the bases, shapes, entries and
+    # scalar types that forming the restriction's complex alone gives
+    rng = random.Random(7)
+    ideals = [cycle_nonedge_ideal(6), rp2_ideal(), three_component_ideal()]
+    ideals += [random_ideal(rng, rng.randint(2, 7)) for _ in range(10)]
+    checked = 0
+    for ideal in ideals:
+        for cx in (stanley_reisner(ideal), stanley_reisner(alexander_dual(ideal))):
+            for field in (QQ, F2):
+                whole = cochain_complex(cx, field)
+                for alpha in range(1 << ideal.n):
+                    got = restrict_cochains(whole, alpha)
+                    want = cochain_complex(restriction(cx, alpha), field)
+                    assert got.field == want.field
+                    assert got.basis == want.basis
+                    assert len(got.coboundaries) == len(want.coboundaries)
+                    for a, b in zip(got.coboundaries, want.coboundaries):
+                        assert (a.rows, a.cols) == (b.rows, b.cols)
+                        assert _entries(a) == _entries(b)
+                    checked += 1
+    assert checked > 2000
 
 
 def test_chain_and_cochain_dims_agree():

@@ -23,13 +23,19 @@ from lyub import hypercube
 from lyub.cohomology import reduced_cohomology_dims_all
 from lyub.combinatorics import (
     MonomialIdeal,
+    bits_of,
     full_mask,
     mask_of,
     popcount,
     restriction,
     simplicial_complex,
 )
-from lyub.hypercube import Hypercube, face_restricted_hypercube
+from lyub.hypercube import (
+    Hypercube,
+    face_restricted_hypercube,
+    hull_complex,
+    summand_starts,
+)
 
 from .conftest import (
     cycle_nonedge_ideal,
@@ -166,6 +172,50 @@ def test_restricted_complex_matches_dense_assembly(a5, ex53, ex57):
                     cx = restricted_complex(cube, amask, bmask)
                     assert list(cx.dims) == dims
                     assert [m.dense() for m in cx.maps] == maps, (r, amask, bmask)
+
+
+def _summand_signs(cube, hull):
+    """Per position of ``restricted_complex(cube, hull, hull)``, the sign of
+    each basis element: over the bits j of its gamma, the product of
+    (-1)^(bits of full \\ hull below j)."""
+    outside = full_mask(cube.n) & ~hull
+    levels = [[] for _ in range(popcount(hull) + 1)]
+    for v in cube.dims:
+        if not v & ~hull:
+            levels[popcount(hull & ~v)].append(hull & ~v)
+    signs = []
+    for lv in levels:
+        row = []
+        for g in sorted(lv):
+            flips = sum(popcount(outside & ((1 << j) - 1)) for j in bits_of(g))
+            row += [(-1) ** flips] * cube.dims[hull & ~g]
+        signs.append(row)
+    return signs
+
+
+@pytest.mark.parametrize("f", [QQ, F3], ids=["q", "f3"])
+def test_hull_complex_is_the_restricted_complex_up_to_summand_signs(a5, ex53, ex57, f):
+    # at every mask h, of the cube and of its Matlis dual, the selection from
+    # the main complex is restricted_complex(h, h) with each basis element
+    # scaled by its summand's sign
+    for ideal in (a5, ex53, ex57):
+        for r in range(ideal.n + 1):
+            cube = build_hypercube(ideal, r, f)
+            for c in (cube, matlis_dual(cube)):
+                main, starts = main_complex(c), summand_starts(c)
+                for h in range(1 << ideal.n):
+                    got = hull_complex(c, main, starts, h)
+                    want = restricted_complex(c, h, h)
+                    assert got.dims == want.dims
+                    signs = _summand_signs(c, h)
+                    for p, (a, b) in enumerate(zip(got.maps, want.maps)):
+                        scaled = [
+                            [f.coerce(s * t * x) for t, x in zip(signs[p + 1], row)]
+                            for s, row in zip(signs[p], b.dense())
+                        ]
+                        assert a.dense() == scaled, (r, h, p)
+                with pytest.raises(InputError):
+                    hull_complex(c, main, starts, 1 << ideal.n)
 
 
 def test_checks_catch_one_changed_edge_entry(ex57):
@@ -327,16 +377,22 @@ def test_hypercube_cache_holds_every_degree_in_one_entry(monkeypatch, a5):
 
 
 def _record_complexes(monkeypatch):
-    """Make the build record the vertex set of every cochain complex it forms."""
-    formed = []
-    real = hypercube.cochain_complex
+    """Make the build record the mask of every restriction whose cochain
+    complex it selects, and the vertex set of every complex it forms."""
+    formed, selected = [], []
+    real_form, real_select = hypercube.cochain_complex, hypercube.restrict_cochains
 
-    def recording(cx, field):
+    def forming(cx, field):
         formed.append(cx.vertices)
-        return real(cx, field)
+        return real_form(cx, field)
 
-    monkeypatch.setattr(hypercube, "cochain_complex", recording)
-    return formed
+    def selecting(cc, alpha):
+        selected.append(alpha)
+        return real_select(cc, alpha)
+
+    monkeypatch.setattr(hypercube, "cochain_complex", forming)
+    monkeypatch.setattr(hypercube, "restrict_cochains", selecting)
+    return formed, selected
 
 
 def test_build_skips_only_cones(monkeypatch, a4, a5, ex53, ex57, field):
@@ -346,15 +402,17 @@ def test_build_skips_only_cones(monkeypatch, a4, a5, ex53, ex57, field):
     rng = random.Random(4)
     ideals = [a4, a5, ex53, ex57, nine_vars_ideal(), rp2_ideal()]
     ideals += [random_ideal(rng, rng.randint(2, 7)) for _ in range(20)]
-    formed = _record_complexes(monkeypatch)
+    formed, selected = _record_complexes(monkeypatch)
     skipped_total = 0
     for ideal in ideals:
         formed.clear()
+        selected.clear()
         hypercube._build_all_degrees(ideal, field)
         full = full_mask(ideal.n)
         dual = simplicial_complex(full, [full ^ g for g in ideal.gens])
-        once = set(formed)
-        assert len(once) == len(formed)
+        assert formed == [full]
+        once = set(selected)
+        assert len(once) == len(selected)
         for alpha in range(1, full + 1):
             rest = restriction(dual, alpha)
             apex = reduce(and_, rest.facets, alpha)
@@ -373,10 +431,12 @@ def test_build_skips_only_cones(monkeypatch, a4, a5, ex53, ex57, field):
     ids=["a8", "a10", "nine"],
 )
 def test_build_forms_one_complex_per_lattice_mask(monkeypatch, ideal, complexes):
-    # nine: 270 of its 511 nonzero masks are unions of minimal primes
-    formed = _record_complexes(monkeypatch)
+    # nine: 270 of its 511 nonzero masks are unions of minimal primes; each
+    # selects its restriction's complex from the one complex of D^v
+    formed, selected = _record_complexes(monkeypatch)
     hypercube._build_all_degrees(ideal, QQ)
-    assert len(formed) == complexes
+    assert len(selected) == complexes
+    assert formed == [full_mask(ideal.n)]
 
 
 def test_edges_are_transposed_induced_cohomology_maps(ex53, a5):
@@ -397,10 +457,14 @@ def test_edges_are_transposed_induced_cohomology_maps(ex53, a5):
             assert mat == induced.transpose()
 
 
-@pytest.mark.parametrize("f", [QQ, F3], ids=["q", "f3"])
+@pytest.mark.parametrize("f", [QQ, F2, F3], ids=["q", "f2", "f3"])
 def test_edges_match_per_edge_solve_oracle(a5, ex53, ex57, ex52, f):
-    # one solve per vertex gives exactly the matrices of one solve per edge
-    for ideal in (a5, ex53, ex57, ex52):
+    # one solve per vertex, on cochain complexes selected from the one
+    # complex of D^v, gives exactly the matrices of one solve per edge on
+    # complexes formed per restriction
+    rng = random.Random(14)
+    randoms = [random_ideal(rng, n) for n in (4, 4, 5, 5, 5, 6, 6, 6, 7, 7)]
+    for ideal in (a5, ex53, ex57, ex52, *randoms):
         for r in range(ideal.n + 1):
             cube = build_hypercube(ideal, r, f)
             oracle = per_edge_maps(ideal, r, f)

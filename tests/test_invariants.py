@@ -40,11 +40,11 @@ from lyub.combinatorics import (
     unions_below,
 )
 from lyub.hypercube import face_restricted_hypercube, matlis_dual
-from lyub.invariants import bass_row, minimal_support_masks, support_masks
+from lyub.invariants import minimal_support_masks, support_masks
 from lyub.tables import LyubeznikTable
 
 from .conftest import gens_ideal
-from .oracles import brute_hull, masks, random_ideal
+from .oracles import bass_row, brute_hull, masks, random_ideal
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -248,11 +248,11 @@ def test_bass_and_dual_tables_are_kept_apart(monkeypatch, ex53, ex57):
                 assert dual_bass_table(ideal, r, QQ).rows is tables[True].rows
 
 
-@pytest.mark.parametrize("f", [QQ, F3], ids=["q", "f3"])
-def test_tables_by_hull_equal_a_direct_row_at_every_mask(a8, ex52, f):
-    # the tables assemble one complex per hull; every mask of the support
-    # assembled on its own gives the same rows
-    for ideal in (a8, ex52):
+@pytest.mark.parametrize("f", [QQ, F2, F3], ids=["q", "f2", "f3"])
+def test_tables_by_hull_equal_a_direct_row_at_every_mask(a5, a8, ex52, ex53, ex57, f):
+    # the tables select one complex per hull from one main complex; every
+    # mask of the support assembled on its own gives the same rows
+    for ideal in (a5, a8, ex52, ex53, ex57):
         full = full_mask(ideal.n)
         for r in nonzero_cohomology_degrees(ideal, f):
             cube = build_hypercube(ideal, r, f)
