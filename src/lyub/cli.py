@@ -471,6 +471,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except OSError as exc:  # missing, a directory, not readable
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
 
 
 def main(argv=None) -> int:
@@ -483,9 +485,6 @@ def main(argv=None) -> int:
         text = _read_text(args.file)
         spec = replace(parse_input(text), field=parse_field(args.field))
         report = run(spec, args.command, r=args.r, check=args.check)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

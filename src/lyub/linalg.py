@@ -364,10 +364,13 @@ def rank(mat: ExactMatrix) -> int:
 def rref(mat: ExactMatrix):
     """Reduced row echelon form; returns (rref ExactMatrix, pivot columns).
 
-    Deterministic: columns scanned left to right, first nonzero row used as
-    pivot (rows swap into place as in dense elimination).  The reduced form
-    of a matrix is unique, so the rows come out exactly as a dense
-    elimination over the field would give them.
+    Columns are scanned left to right.  In each, the pivot row is the
+    candidate with the fewest entries, ties going to the earliest position
+    (rows swap into place as in dense elimination), which keeps the fill-in
+    of a wide sparse matrix low where dense elimination's first candidate
+    would spread its entries.  The reduced form of a matrix is unique, so
+    the choice moves neither rows nor pivots: they come out exactly as a
+    dense elimination over the field would give them.
     """
     f = mat.field
     p = f.p
@@ -384,7 +387,7 @@ def rref(mat: ExactMatrix):
         cand = [i for i in index[c] if pos[i] >= r]
         if not cand:
             continue
-        i = min(cand, key=pos.__getitem__)
+        i = min(cand, key=lambda k: (len(rows[k]), pos[k]))
         j, at = order[r], pos[i]
         order[r], order[at] = i, j
         pos[i], pos[j] = r, at
@@ -414,19 +417,27 @@ def rref(mat: ExactMatrix):
     return ExactMatrix._wrap(f, nrows, mat.cols, data), pivots
 
 
-def kernel_basis(mat: ExactMatrix) -> ExactMatrix:
-    """Columns form a deterministic basis of ker(mat); A @ K = 0."""
+def _kernel(mat: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
+    """``kernel_basis(mat)`` and the free (non-pivot) columns of mat, in
+    increasing order, from one rref.  Row free[k] of the basis is the unit
+    vector e_k."""
     f = mat.field
     red, pivots = rref(mat)
     pivset = set(pivots)
-    free = {c: k for k, c in enumerate(c for c in range(mat.cols) if c not in pivset)}
+    free = [c for c in range(mat.cols) if c not in pivset]
+    at = {c: k for k, c in enumerate(free)}
     data = [()] * mat.cols
-    for c, k in free.items():
+    for c, k in at.items():
         data[c] = ((k, 1),)
     # a reduced row has entries only at its pivot and at free columns
     for row, pc in zip(red.data, pivots):
-        data[pc] = tuple((free[c], f.neg(v)) for c, v in row if c != pc)
-    return ExactMatrix._wrap(f, mat.cols, len(free), data)
+        data[pc] = tuple((at[c], f.neg(v)) for c, v in row if c != pc)
+    return ExactMatrix._wrap(f, mat.cols, len(free), data), free
+
+
+def kernel_basis(mat: ExactMatrix) -> ExactMatrix:
+    """Columns form a deterministic basis of ker(mat); A @ K = 0."""
+    return _kernel(mat)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -521,14 +532,22 @@ def homology_space(field, dim, d_out, d_in, vectors=None):
     """Homology of  <- d_out - [this space] <- d_in -  made explicit, with
     the classes of the cycle columns of ``vectors`` (may be None) in it.
 
-    d_out maps out of the space (may be None), d_in into it (may be None).
-    One rref of [d_in | ker d_out | vectors] gives everything.  Its pivots
-    in the d_in block pick the image basis, and those in the kernel block
-    the representatives: the kernel columns completing the image, in
-    canonical column order.  A pivot in the vectors block is a column
-    outside the cycles, which is refused.  Every other vector column is the
+    d_out maps out of the space (may be None), d_in into it (may be None);
+    d_out @ d_in must be zero, as it is in a checked complex.  A column of
+    ``vectors`` that d_out does not kill is refused.
+
+    One rref of d_out gives K = ker d_out and its free (non-pivot)
+    coordinates.  Every column of [d_in | K | vectors] lies in ker d_out,
+    and keeping only the free coordinates is injective there, so the rows
+    at the free coordinates have the null space, and so the nonzero
+    reduced rows and pivots, of the whole matrix; K's block in them is
+    the identity.  One rref of those rows gives everything.  Its pivots in
+    the d_in block pick the image basis, and those in the kernel block the
+    representatives: the kernel columns completing the image, in canonical
+    column order.  The identity block spans the free coordinates, so no
+    pivot falls in the vectors block, and every vector column is the
     unique combination of the image and representative columns that its
-    reduced entries give, and those at the representative pivots are its
+    reduced entries give; those at the representative pivots are its
     class.  Returns (space, classes), classes being (dim x vectors.cols).
     """
     if d_out is not None and d_out.cols != dim:
@@ -541,12 +560,19 @@ def homology_space(field, dim, d_out, d_in, vectors=None):
         vectors = ExactMatrix(field, dim, 0)
     elif vectors.rows != dim:
         raise InputError("vectors shape mismatch")
-    ker = kernel_basis(d_out) if d_out is not None else ExactMatrix.identity(field, dim)
+    if d_out is None:
+        ker, free = ExactMatrix.identity(field, dim), range(dim)
+    elif vectors.cols and any(d_out.matmul(vectors).data):
+        raise ContractError("inconsistent linear system")
+    else:
+        ker, free = _kernel(d_out)
     k0 = d_in.cols
     v0 = k0 + ker.cols
-    red, pivots = rref(hstack(field, [d_in, ker, vectors], dim))
-    if pivots and pivots[-1] >= v0:
-        raise ContractError("inconsistent linear system")
+    rows = [
+        (*d_in.data[c], (k0 + k, 1), *[(v0 + j, x) for j, x in vectors.data[c]])
+        for k, c in enumerate(free)
+    ]
+    red, pivots = rref(ExactMatrix._wrap(field, ker.cols, v0 + vectors.cols, rows))
     image = d_in.columns([c for c in pivots if c < k0])
     reps = ker.columns([c - k0 for c in pivots if c >= k0])
     classes = [

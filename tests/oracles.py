@@ -4,9 +4,13 @@ The Cech oracle computes graded pieces of H_I^r(R) straight from the
 generator-indexed Cech covering complex; the Hochster oracle computes Betti
 numbers as reduced cohomology of restrictions of the ideal's own complex.
 Neither touches the hypercube or the Taylor minimization.  ``rank_naive``
-is dense elimination, and ``dense_restricted_complex`` assembles a
-restricted hypercube complex block by block over every subset; both read
-matrices only through ``ExactMatrix.dense``.  ``per_edge_maps`` computes
+and ``rref_naive`` are dense elimination, and ``dense_restricted_complex``
+assembles a restricted hypercube complex block by block over every subset;
+they read matrices only through ``ExactMatrix.dense``.
+``homology_space_full_rows`` reduces every coordinate of a space where
+``homology_space`` reduces only the free coordinates of d_out, and
+``squares_commute`` multiplies out every square of a hypercube where the
+build checks them as d∘d of its main complex.  ``per_edge_maps`` computes
 the hypercube's edge maps with one ``solve_matrix`` per edge instead of
 the one reduction per vertex the build uses, on cochain complexes formed
 per restriction instead of selected from one complex; ``bass_row``
@@ -57,7 +61,7 @@ from lyub.combinatorics import (
     submasks,
 )
 from lyub.hypercube import restricted_complex
-from lyub.linalg import homology_dims, hstack, rref
+from lyub.linalg import HomologySpace, homology_dims, hstack, kernel_basis, rref
 
 
 def brute_membership(ideal, mask):
@@ -155,6 +159,79 @@ def rank_naive(mat):
                 m[i] = [f.coerce(x - factor * y) for x, y in zip(m[i], m[r])]
         r += 1
     return r
+
+
+def rref_naive(mat):
+    """(reduced rows as dense lists of canonical scalars, pivot columns) by
+    plain dense Gauss-Jordan elimination: the first nonzero row in each
+    column is the pivot.
+
+    Shares no code with ``rref``, so it can cross-check the sparse engine.
+    """
+    f = mat.field
+    m = mat.dense()
+    pivots = []
+    for c in range(mat.cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, mat.rows) if not f.is_zero(m[i][c])), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], -1, f.p) if f.p else 1 / Fraction(m[r][c])
+        m[r] = [f.coerce(x * inv) for x in m[r]]
+        for i in range(mat.rows):
+            if i != r and not f.is_zero(m[i][c]):
+                factor = m[i][c]
+                m[i] = [f.coerce(x - factor * y) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def homology_space_full_rows(field, dim, d_out, d_in, vectors=None):
+    """``homology_space`` by one rref of the full dim-row matrix [d_in |
+    ker d_out | vectors], with ker d_out stacked as a matrix: a pivot in
+    the vectors block is a column outside the cycles, which is refused.
+    The reference for the production reduction on the free coordinates of
+    d_out alone."""
+    if d_in is None:
+        d_in = ExactMatrix(field, dim, 0)
+    if vectors is None:
+        vectors = ExactMatrix(field, dim, 0)
+    ker = kernel_basis(d_out) if d_out is not None else ExactMatrix.identity(field, dim)
+    k0 = d_in.cols
+    v0 = k0 + ker.cols
+    red, pivots = rref(hstack(field, [d_in, ker, vectors], dim))
+    if pivots and pivots[-1] >= v0:
+        raise ContractError("inconsistent linear system")
+    image = d_in.columns([c for c in pivots if c < k0])
+    reps = ker.columns([c - k0 for c in pivots if c >= k0])
+    classes = [
+        tuple((c - v0, x) for c, x in row if c >= v0)
+        for row, pc in zip(red.data, pivots)
+        if pc >= k0
+    ]
+    space = HomologySpace(field, dim, reps.cols, reps, image)
+    return space, ExactMatrix._wrap(field, reps.cols, vectors.cols, classes)
+
+
+def squares_commute(cube):
+    """u_{a+e_i,j} u_{a,i} == u_{a+e_j,i} u_{a,j} on every square from a
+    nonzero vertex a to a nonzero vertex a+e_i+e_j, by two products per
+    square."""
+    for alpha in cube.dims:
+        for i in range(cube.n):
+            if alpha >> i & 1:
+                continue
+            for j in range(i + 1, cube.n):
+                if alpha >> j & 1:
+                    continue
+                if not cube.vertex_dim(alpha | 1 << i | 1 << j):
+                    continue
+                via_i = cube.edge(alpha | 1 << i, j).matmul(cube.edge(alpha, i))
+                via_j = cube.edge(alpha | 1 << j, i).matmul(cube.edge(alpha, j))
+                if via_i != via_j:
+                    return False
+    return True
 
 
 def dense_restricted_complex(cube, amask, bmask):

@@ -140,7 +140,12 @@ def test_main_exit_codes(tmp_path, capsys):
     bad.write_text("n=4;\ngens: x1*x1;\n")
     assert main(["table", str(bad)]) == 2
     assert "input error" in capsys.readouterr().err
-    assert main(["table", str(tmp_path / "missing.ideal")]) == 2
+    # a missing file and a directory: one input-error line, no errno text
+    for unreadable in (tmp_path / "missing.ideal", tmp_path):
+        assert main(["table", str(unreadable)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {unreadable}: ") and err.count("\n") == 1
+        assert "Errno" not in err
     good = tmp_path / "a4.ideal"
     good.write_text(A4_GENS)
     assert main(["check", str(good)]) == 0

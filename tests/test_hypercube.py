@@ -52,6 +52,7 @@ from .oracles import (
     masks,
     per_edge_maps,
     random_ideal,
+    squares_commute,
 )
 
 F2 = prime_field(2)
@@ -247,6 +248,64 @@ def test_checks_catch_one_changed_edge_entry(ex57):
         restricted_complex(broken, full, full)
     with pytest.raises(ContractError):
         hypercube._verify_commutativity(broken)
+
+
+def _zero_middle_paths(cube):
+    """{edge key: squares (alpha, i, j)} for the edges on the one path of a
+    square whose ends are nonzero and one of whose middle vertices is zero."""
+    out = {}
+    for alpha in cube.dims:
+        for i in range(cube.n):
+            for j in range(i + 1, cube.n):
+                end = alpha | 1 << i | 1 << j
+                if alpha & (1 << i | 1 << j) or end not in cube.dims:
+                    continue
+                mids = [k for k in (i, j) if alpha | 1 << k in cube.dims]
+                if len(mids) == 1:
+                    k, = mids
+                    for key in ((alpha, k), (alpha | 1 << k, i + j - k)):
+                        out.setdefault(key, []).append((alpha, k, i + j - k))
+    return out
+
+
+@pytest.mark.parametrize("f", [QQ, F2, F3], ids=["q", "f2", "f3"])
+def test_square_check_agrees_with_the_square_loop(ex57, a5, ex52, f):
+    # Add 1 to one entry of one stored edge at a time: the build's check,
+    # d∘d of the main complex, refuses the cube exactly when the loop over
+    # every square finds one that does not commute.  nine's degree-2 cube
+    # has squares with a zero middle vertex, where one path alone carries
+    # a map; of its 1,020 edges every edge on such a path is changed, and
+    # every 16th other one.
+    cubes = [build_hypercube(ex57, 3, f), build_hypercube(a5, 2, f)]
+    cubes += [build_hypercube(ex52, r, f) for r in range(2, 6)]
+    outcomes, zero_middle_broken = set(), 0
+    for cube in cubes:
+        assert squares_commute(cube)
+        hypercube._verify_commutativity(cube)
+        paths = _zero_middle_paths(cube)
+        for t, key in enumerate(sorted(cube.edge_mats)):
+            if key not in paths and t % 16:
+                continue
+            mat = cube.edge_mats[key]
+            entries = mat.dense()
+            entries[t % mat.rows][t % mat.cols] += 1
+            edges = dict(cube.edge_mats)
+            edges[key] = ExactMatrix(f, mat.rows, mat.cols, entries)
+            broken = Hypercube(cube.n, cube.r, f, cube.dims, edges)
+            commute = squares_commute(broken)
+            try:
+                hypercube._verify_commutativity(broken)
+            except ContractError as exc:
+                assert not commute, (cube.r, key)
+                assert f"r={cube.r}" in str(exc) and "position" in str(exc)
+            else:
+                assert commute, (cube.r, key)
+            outcomes.add(commute)
+            for alpha, k, m in paths.get(key, ()):
+                one_path = broken.edge(alpha | 1 << k, m).matmul(broken.edge(alpha, k))
+                zero_middle_broken += any(one_path.data)
+    assert outcomes == {True, False}
+    assert zero_middle_broken
 
 
 def test_restricted_complex_general_degrees_on_simple_modules():

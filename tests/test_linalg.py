@@ -18,7 +18,14 @@ from lyub import (
 from lyub import hypercube
 from lyub.linalg import Field, cancel, homology_space, hstack, rref, transpose_reverse
 
-from .oracles import random_fraction_matrix, random_matrix, rank_naive, solve_matrix
+from .oracles import (
+    homology_space_full_rows,
+    random_fraction_matrix,
+    random_matrix,
+    rank_naive,
+    rref_naive,
+    solve_matrix,
+)
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -164,14 +171,66 @@ def test_homology_space_classes_match_a_solve(f):
         assert (none.rows, none.cols) == (space.dim, 0)
 
 
-@pytest.mark.parametrize("f", [QQ, Field(3)], ids=["q", "f3"])
+@pytest.mark.parametrize("f", [QQ, F2, Field(3)], ids=["q", "f2", "f3"])
 def test_homology_space_refuses_a_vector_that_is_not_a_cycle(f):
     rng = random.Random(31)
     dim, d_out, d_in, cycles = _space_with_cycles(rng, f)
     j = next(c for c in range(dim) if any(c == k for row in d_out.data for k, _ in row))
+    # the first column d_out touches is its first pivot, so the unit vector
+    # there is zero at every free coordinate of d_out: only the explicit
+    # d_out @ vectors test can see that it is not a cycle
+    assert rref(d_out)[1][0] == j
     unit = ExactMatrix.from_entries(f, dim, 1, [((j, 0), 1)])
-    with pytest.raises(ContractError):
-        homology_space(f, dim, d_out, d_in, hstack(f, [cycles, unit], dim))
+    for space in (homology_space, homology_space_full_rows):
+        with pytest.raises(ContractError, match="inconsistent linear system"):
+            space(f, dim, d_out, d_in, hstack(f, [cycles, unit], dim))
+
+
+def _typed(mat):
+    return mat.rows, mat.cols, [[(c, type(x), x) for c, x in row] for row in mat.data]
+
+
+def _assert_same_space(got, want):
+    (space, classes), (ref, ref_classes) = got, want
+    assert space.dim == ref.dim
+    for a, b in ((space.image, ref.image), (space.reps, ref.reps), (classes, ref_classes)):
+        assert _typed(a) == _typed(b)
+
+
+def _cochain_inputs(ideal, field):
+    """(dim, d_out, d_in, vectors) for every degree of the cochain complex
+    of every restriction of D^v: cocycle vectors, boundaries among them."""
+    from lyub.cohomology import cochain_complex, restrict_cochains
+    from lyub.combinatorics import full_mask, simplicial_complex
+
+    full = full_mask(ideal.n)
+    cochains = cochain_complex(simplicial_complex(full, [full ^ g for g in ideal.gens]), field)
+    for alpha in range(1, full + 1):
+        cc = restrict_cochains(cochains, alpha)
+        for q in range(-1, len(cc.basis) - 1):
+            dim, d_out, d_in = cc.space_dim(q), cc.coboundary(q), cc.coboundary(q - 1)
+            ker = kernel_basis(d_out) if d_out is not None else ExactMatrix.identity(field, dim)
+            sums = ExactMatrix(field, ker.cols, 2, [[1, k] for k in range(ker.cols)])
+            blocks = [ker.matmul(sums)] + ([d_in] if d_in is not None else [])
+            yield dim, d_out, d_in, hstack(field, blocks, dim)
+
+
+@pytest.mark.parametrize("f", [QQ, F2, Field(3)], ids=["q", "f2", "f3"])
+def test_homology_space_matches_the_full_row_reduction(a5, ex53, ex52, f):
+    # reducing only the free coordinates of d_out gives the image, the
+    # representatives and the classes of the reduction of every coordinate,
+    # scalar types included
+    rng = random.Random(43)
+    inputs = [_space_with_cycles(rng, f) for _ in range(12)]
+    for ideal in (a5, ex53, ex52):
+        inputs += _cochain_inputs(ideal, f)
+    fractions = 0
+    for dim, d_out, d_in, vectors in inputs:
+        for vecs in (vectors, None):
+            got = homology_space(f, dim, d_out, d_in, vecs)
+            _assert_same_space(got, homology_space_full_rows(f, dim, d_out, d_in, vecs))
+        fractions += any(type(x) is Fraction for row in vectors.data for _, x in row)
+    assert bool(fractions) == (f == QQ)
 
 
 def test_homology_space_without_maps_keeps_every_vector():
@@ -310,6 +369,12 @@ def test_sparse_engine_cross_check():
 
             red, pivots = rref(m)
             _assert_reduced_echelon(field, red, pivots)
+            # exactly dense Gauss-Jordan's rows, ints and Fractions alike
+            naive, naive_pivots = rref_naive(m)
+            assert pivots == naive_pivots
+            assert [[(type(x), x) for x in row] for row in red.dense()] == [
+                [(type(x), x) for x in row] for row in naive
+            ]
             assert len(pivots) == r
             # the reduced rows span the row space of m
             assert rank_naive(ExactMatrix.from_rows(field, m.dense() + red.dense())) == r
