@@ -16,7 +16,9 @@ as 0/1 vectors.  All reported numbers are exact integers.
 Exit codes: 0 success; 1 a failed check or a refused computation
 (``error:``); 2 unreadable or malformed input (``input error:``);
 141 (128 + SIGPIPE) when stdout is closed before the report is written,
-as in ``lyub table a9.ideal | head -1``, with nothing printed.
+as in ``lyub table a9.ideal | head -1``, with nothing printed; 130
+(128 + SIGINT) when interrupted with Ctrl-C, after one ``interrupted``
+line on stderr.  A closed stdin read as ``-`` is unreadable input (2).
 """
 
 import argparse
@@ -53,7 +55,7 @@ from .invariants import (
     terai_mustata_consistent,
 )
 from .linalg import QQ, Field, homology_dims, prime_field
-from .resolution import betti_numbers, linearity_defect, strand_defect, strand_frame
+from .resolution import betti_numbers, strand_defect, strand_frame
 
 # ---------------------------------------------------------------------------
 # problem specification and input grammar
@@ -297,23 +299,13 @@ def run(spec: ProblemSpec, command: str, r: int | None = None, check: bool = Fal
             ]
         }
     elif command == "strands":
-        degrees = [r] if r is not None else list(
-            range(popcount(ideal.gens[0]), spec.n + 1)
-        )
         items = []
-        for rr in degrees:
+        for rr in range(popcount(ideal.gens[0]), spec.n + 1):
             frame = strand_frame(ideal, rr, spec.field)
-            if not frame.dims:
-                continue
-            items.append(
-                {"r": rr, "dims": list(frame.dims), "homology": homology_dims(frame)}
-            )
-        report["strands"] = maybe_single(items)
-        if r is None:  # every strand is in the report already
-            defect = strand_defect(item["homology"] for item in items)
-        else:
-            defect = linearity_defect(ideal, spec.field)
-        report["linearity_defect"] = defect
+            items.append({"r": rr, "dims": list(frame.dims), "homology": homology_dims(frame)})
+        report["strands"] = maybe_single([item for item in items if r in (None, item["r"])])
+        # the defect is taken over every strand, also when --r reports one
+        report["linearity_defect"] = strand_defect(item["homology"] for item in items)
     elif command == "seqcm":
         report["seqcm"] = sequentially_cm(ideal, spec.field)
     elif command == "check":
@@ -460,12 +452,15 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 EXIT_BROKEN_PIPE = 141
+EXIT_INTERRUPTED = 130
 
 
 def _read_text(path: str) -> str:
     """The ideal file, or stdin for ``-``, as UTF-8 text."""
     try:
         if path == "-":
+            if sys.stdin is None:  # started with file descriptor 0 closed
+                raise InputError("-: stdin is closed")
             return sys.stdin.buffer.read().decode("utf-8")
         with open(path, encoding="utf-8") as fh:
             return fh.read()
@@ -491,6 +486,9 @@ def main(argv=None) -> int:
     except LyubError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     try:
         if args.json:
             print(json.dumps(report, indent=2))

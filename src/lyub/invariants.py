@@ -146,23 +146,10 @@ def lyubeznik_table(
     """
     if not ideal.is_proper_nonzero:
         raise DomainError("Lyubeznik table needs a proper nonzero ideal")
-    n = ideal.n
-    d = ideal.dim_quotient()
-    values: dict[tuple[int, int], int] = {}
-    for r in range(n + 1):
-        cube = build_hypercube(ideal, r, field)
-        if cube.is_zero():
-            continue
-        for p, h in enumerate(homology_dims(main_complex(cube))):
-            if not h:
-                continue
-            i = n - r
-            if not (0 <= p <= i <= d):
-                raise ContractError(
-                    f"lambda_{{{p},{i}}} nonzero outside the admissible triangle"
-                )
-            values[(p, i)] = h
-    table = LyubeznikTable.from_entries(d, values)
+    cubes = (build_hypercube(ideal, r, field) for r in range(ideal.n + 1))
+    table = LyubeznikTable.from_homology(ideal.n, ideal.dim_quotient(), {
+        cube.r: homology_dims(main_complex(cube)) for cube in cubes if not cube.is_zero()
+    })
     if check:
         other = lyubeznik_via_strands(ideal, field)
         if other != table:
@@ -276,33 +263,26 @@ def terai_mustata_consistent(ideal: MonomialIdeal, field: Field) -> bool:
     delta = stanley_reisner(ideal)
     n = ideal.n
     full = full_mask(n)
-    cubes = [build_hypercube(ideal, r, field) for r in range(n + 1)]
-    for alpha in range(full + 1):
-        # homology and cohomology dimensions agree over a field, so the link
-        # side may be read from the same one-pass rank table
-        link_dims = reduced_cohomology_dims_all(link(delta, alpha), field)
-        for r, cube in enumerate(cubes):
-            link_side = link_dims.get(n - r - popcount(alpha) - 1, 0)
-            if link_side != cube.vertex_dim(full ^ alpha):
-                return False
-    return True
+    # homology and cohomology dimensions agree over a field, so the link
+    # side may be read from the same one-pass rank table
+    link_side = {
+        (full ^ alpha, n - popcount(alpha) - 1 - q): h
+        for alpha in range(full + 1)
+        for q, h in reduced_cohomology_dims_all(link(delta, alpha), field).items()
+    }
+    return link_side == {
+        (v, r): dim
+        for r in range(n + 1)
+        for v, dim in build_hypercube(ideal, r, field).dims.items()
+    }
 
 
 def betti_matches_hypercube(ideal: MonomialIdeal, field: Field) -> bool:
     """beta_{j,alpha} of the dual equals the hypercube vertex dimension at
     alpha in degree r = |alpha| - j, per mask and in both directions."""
-    dual = alexander_dual(ideal)
-    betti = betti_numbers(dual, field)
-    n = ideal.n
-    for j, alpha, c in betti.entries:
-        r = popcount(alpha) - j
-        if r < 0 or r > n:
-            return False
-        if build_hypercube(ideal, r, field).vertex_dim(alpha) != c:
-            return False
-    for r in range(n + 1):
-        cube = build_hypercube(ideal, r, field)
-        for alpha, d in cube.dims.items():
-            if betti.count(popcount(alpha) - r, alpha) != d:
-                return False
-    return True
+    betti = betti_numbers(alexander_dual(ideal), field)
+    return {(j, alpha): c for j, alpha, c in betti.entries} == {
+        (popcount(v) - r, v): dim
+        for r in range(ideal.n + 1)
+        for v, dim in build_hypercube(ideal, r, field).dims.items()
+    }

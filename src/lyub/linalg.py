@@ -505,13 +505,6 @@ def homology_dims(cx: VectorSpaceComplex) -> list[int]:
     return out
 
 
-def transpose_reverse(cx: VectorSpaceComplex) -> VectorSpaceComplex:
-    """Reverse positions and transpose maps (the dual complex)."""
-    dims = tuple(reversed(cx.dims))
-    maps = tuple(m.transpose() for m in reversed(cx.maps))
-    return VectorSpaceComplex(cx.field, dims, maps)
-
-
 @dataclass(frozen=True)
 class HomologySpace:
     """Homology at one position, with chosen cycle representatives.

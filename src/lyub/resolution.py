@@ -10,7 +10,8 @@ L-admissible generator subsets, with the Taylor signs; it is usually far
 smaller (the 14 generators of the dual of a7: 367 cells against 16,383),
 which lets ``--check`` finish on the cycle ideals up to n = 13.  The
 surviving basis counts are the Betti numbers; the scalar entries between
-degree-adjacent basis elements are the frames of the linear strands.
+degree-adjacent basis elements are the frames of the linear strands, and
+``lyubeznik_via_strands`` reads lambda off their homology, reversed.
 ``taylor_complex`` is the reference the tests check the Lyubeznik cells
 and ``minimize`` against; no command calls it, and it stays here while
 the benchmark tracer (``perfbench/tracer.py``) names it.
@@ -49,7 +50,6 @@ from .linalg import (
     cancel,
     check_complex,
     homology_dims,
-    transpose_reverse,
 )
 from .tables import BettiTable, LyubeznikTable
 
@@ -341,31 +341,18 @@ def strand_homology(ideal: MonomialIdeal, r: int, field: Field) -> list[int]:
 def lyubeznik_via_strands(ideal: MonomialIdeal, field: Field) -> LyubeznikTable:
     """lambda_{p,n-r}: homology of the transposed r-strand frame of the dual.
 
-    Transposing the strand matrices reverses the complex, so position p of
-    the transposed complex is position (n-r) - p of the frame.
+    Position p of the transposed complex is position (n-r) - p of the
+    frame, and a map and its transpose have the same rank, so this is the
+    frame's homology read backwards.
     """
     if not ideal.is_proper_nonzero:
         raise DomainError("Lyubeznik table needs a proper nonzero ideal")
     dual = alexander_dual(ideal)
     n = ideal.n
     height = min(popcount(g) for g in dual.gens)
-    d = n - height
-    values: dict[tuple[int, int], int] = {}
-    for r in range(n + 1):
-        frame = strand_frame(dual, r, field)
-        if not frame.dims:
-            continue
-        hdims = homology_dims(transpose_reverse(frame))
-        for p, h in enumerate(hdims):
-            if not h:
-                continue
-            i = n - r
-            if not (0 <= p <= i <= d):
-                raise ContractError(
-                    f"strand homology outside the admissible triangle at r={r}, p={p}"
-                )
-            values[(p, i)] = h
-    return LyubeznikTable.from_entries(d, values)
+    return LyubeznikTable.from_homology(n, n - height, {
+        r: strand_homology(dual, r, field)[::-1] for r in range(height, n + 1)
+    })
 
 
 def strand_defect(homologies) -> int:

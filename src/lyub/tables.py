@@ -50,6 +50,17 @@ class LyubeznikTable:
                 grid[p][i] = v
         return cls(d, tuple(tuple(row) for row in grid))
 
+    @classmethod
+    def from_homology(cls, n: int, d: int, homology) -> "LyubeznikTable":
+        """Build from a mapping r -> homology dimensions by position p, the
+        value at p being lambda_{p,n-r}.  A nonzero value outside the
+        admissible triangle 0 <= p <= n-r <= d is refused."""
+        values = {(p, n - r): h for r, dims in homology.items() for p, h in enumerate(dims) if h}
+        for p, i in values:
+            if not p <= i <= d:
+                raise ContractError(f"lambda_{{{p},{i}}} nonzero outside the admissible triangle")
+        return cls.from_entries(d, values)
+
 
 def _canonical_rows(rows: dict[int, list[int]]) -> tuple:
     """Trim trailing zeros, drop zero rows, sort masks canonically."""
@@ -119,7 +130,5 @@ class BettiTable:
 
     def dominates(self, other: "BettiTable") -> bool:
         """Entrywise >= comparison."""
-        keys = {(j, a) for j, a, _ in self.entries} | {
-            (j, a) for j, a, _ in other.entries
-        }
-        return all(self.count(j, a) >= other.count(j, a) for j, a in keys)
+        mine = {(j, a): c for j, a, c in self.entries}
+        return all(mine.get((j, a), 0) >= c for j, a, c in other.entries)

@@ -24,6 +24,8 @@ definition of L-admissibility, to check ``lyubeznik_complex`` against the
 restricted ``resolution.taylor_complex``; ``induced_cohomology_map`` is the
 map on cohomology induced by an inclusion of complexes, and
 ``reduced_homology_dim`` reads homology off the transposed coboundaries;
+``transpose_reverse`` builds the transposed complex whose homology
+``resolution.lyubeznik_via_strands`` reads off the frame in reverse order;
 ``complex_alexander_dual`` and ``ideal_of`` (the inverse of
 ``stanley_reisner``) state the duality identities that the tests check.
 """
@@ -61,7 +63,14 @@ from lyub.combinatorics import (
     submasks,
 )
 from lyub.hypercube import restricted_complex
-from lyub.linalg import HomologySpace, homology_dims, hstack, kernel_basis, rref
+from lyub.linalg import (
+    HomologySpace,
+    VectorSpaceComplex,
+    homology_dims,
+    hstack,
+    kernel_basis,
+    rref,
+)
 
 
 def brute_membership(ideal, mask):
@@ -376,6 +385,14 @@ def brute_lyubeznik_cells(ideal):
     while levels and not levels[-1]:
         levels.pop()
     return levels
+
+
+def transpose_reverse(cx):
+    """Reverse positions and transpose maps (the dual complex), checked
+    d∘d = 0 afresh: the strand route's transposed strand, built out."""
+    dims = tuple(reversed(cx.dims))
+    maps = tuple(m.transpose() for m in reversed(cx.maps))
+    return VectorSpaceComplex(cx.field, dims, maps)
 
 
 def reduced_homology_dim(cx, q, field):

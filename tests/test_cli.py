@@ -315,6 +315,18 @@ def test_run_strands_builds_each_frame_once(monkeypatch, text):
     assert json.dumps(report) == json.dumps(expected)
 
 
+@pytest.mark.parametrize("field", [QQ, prime_field(2)], ids=["q", "f2"])
+@pytest.mark.parametrize("text", [A5_DUAL_GENS, NINE_DUAL_GENS], ids=["a5v", "ninev"])
+def test_run_strands_one_degree_is_its_item_of_all(text, field):
+    spec = _spec(text, field)
+    every = run(spec, "strands")
+    for rr in range(spec.n + 1):
+        single = run(spec, "strands", r=rr)
+        items = [item for item in every["strands"] if item["r"] == rr]
+        assert single["strands"] == (items[0] if items else [])
+        assert single["linearity_defect"] == every["linearity_defect"]
+
+
 def test_main_strands_rejects_out_of_range_degree(tmp_path, capsys):
     path = tmp_path / "a5.ideal"
     path.write_text(A5_PRIMES)
@@ -395,6 +407,30 @@ def test_main_non_utf8_stdin(monkeypatch, capsys):
     assert main(["table", "-"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: -:") and "UTF-8" in err
+
+
+def test_main_closed_stdin(monkeypatch, capsys):
+    # a process started with file descriptor 0 closed has sys.stdin None
+    monkeypatch.setattr(sys, "stdin", None)
+    assert main(["table", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: -: stdin is closed\n"
+
+
+def test_main_interrupted(monkeypatch, tmp_path, capsys):
+    from lyub import cli
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    path = tmp_path / "a5.ideal"
+    path.write_text(A5_PRIMES)
+    monkeypatch.setattr(cli, "run", interrupted)
+    assert main(["table", str(path)]) == cli.EXIT_INTERRUPTED == 130
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "interrupted\n"
 
 
 def test_main_closed_stdout_exits_quietly(tmp_path):

@@ -41,7 +41,7 @@ from lyub.combinatorics import (
 )
 from lyub.hypercube import face_restricted_hypercube, matlis_dual
 from lyub.invariants import minimal_support_masks, support_masks
-from lyub.tables import LyubeznikTable
+from lyub.tables import BettiTable, LyubeznikTable
 
 from .conftest import gens_ideal
 from .oracles import bass_row, brute_hull, masks, random_ideal
@@ -97,6 +97,15 @@ def test_lyubeznik_table_shape_validation():
         table_from(2, {(2, 2): 0})  # lambda_{d,d} must be positive
     with pytest.raises(ContractError):
         LyubeznikTable(1, ((0, 0), (1, 1)))  # below-diagonal entry
+
+
+def test_lyubeznik_table_from_homology_keeps_to_the_triangle():
+    # n = 4, d = 2: position p of the degree-r homology is lambda_{p,4-r}
+    table = LyubeznikTable.from_homology(4, 2, {2: [0, 1, 2], 1: [0]})
+    assert table == table_from(2, {(1, 2): 1, (2, 2): 2})
+    for homology in ({2: [0, 0, 0, 1]}, {1: [1]}):  # p > n-r, then n-r > d
+        with pytest.raises(ContractError, match="outside the admissible triangle"):
+            LyubeznikTable.from_homology(4, 2, homology)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +464,33 @@ def test_terai_mustata_reads_the_hypercube(monkeypatch, a5):
     alpha = cube.nonzero_vertices()[0]
     monkeypatch.setitem(cube.dims, alpha, cube.dims[alpha] + 1)
     assert not terai_mustata_consistent(a5, QQ)
+
+
+def test_terai_mustata_misses_a_removed_vertex(monkeypatch, a5):
+    cube = build_hypercube(a5, 2, QQ)
+    monkeypatch.delitem(cube.dims, cube.nonzero_vertices()[0])
+    assert not terai_mustata_consistent(a5, QQ)
+
+
+@pytest.mark.parametrize("edit", ["grow", "remove"])
+def test_betti_matches_hypercube_reads_the_hypercube(monkeypatch, a5, edit):
+    cube = build_hypercube(a5, 2, QQ)
+    alpha = cube.nonzero_vertices()[0]
+    if edit == "grow":
+        monkeypatch.setitem(cube.dims, alpha, cube.dims[alpha] + 1)
+    else:
+        monkeypatch.delitem(cube.dims, alpha)
+    assert not betti_matches_hypercube(a5, QQ)
+
+
+@pytest.mark.parametrize("r", [-1, 6])
+def test_betti_matches_hypercube_refuses_a_degree_off_the_cube(monkeypatch, a5, r):
+    # a Betti entry beta_{j,alpha} with r = |alpha| - j outside [0, n]
+    betti = invariants.betti_numbers(alexander_dual(a5), QQ)
+    alpha = betti.entries[0][1]
+    planted = BettiTable(betti.entries + ((popcount(alpha) - r, alpha, 1),))
+    monkeypatch.setattr(invariants, "betti_numbers", lambda ideal, field: planted)
+    assert not betti_matches_hypercube(a5, QQ)
 
 
 def test_betti_matches_hypercube_corpus(a4, a5, ex46, ex53, ex57, field):

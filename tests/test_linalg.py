@@ -16,7 +16,7 @@ from lyub import (
     rank,
 )
 from lyub import hypercube
-from lyub.linalg import Field, cancel, homology_space, hstack, rref, transpose_reverse
+from lyub.linalg import Field, cancel, homology_space, hstack, rref
 
 from .oracles import (
     homology_space_full_rows,
@@ -25,6 +25,7 @@ from .oracles import (
     rank_naive,
     rref_naive,
     solve_matrix,
+    transpose_reverse,
 )
 
 F2 = prime_field(2)

@@ -29,13 +29,15 @@ from lyub import (
 from lyub import linalg, resolution
 from lyub.combinatorics import MonomialIdeal, mask_of, popcount
 from lyub.resolution import taylor_complex
-from lyub.tables import BettiTable
+from lyub.linalg import homology_dims
+from lyub.tables import BettiTable, LyubeznikTable
 
 from .conftest import cycle_nonedge_ideal, gens_ideal
 from .oracles import (
     brute_lyubeznik_cells,
     hochster_betti_counts,
     random_ideal,
+    transpose_reverse,
 )
 
 F2 = prime_field(2)
@@ -245,6 +247,24 @@ def test_lyubeznik_via_strands_tables(a4, a5):
         (0, 0, 0, 1),
         (0, 0, 0, 1),
     )
+
+
+def test_lyubeznik_via_strands_reads_the_transposed_strands(a4, a5, a6, a7, ex46, ex52, ex53, ex57, field):
+    # the table from the homology of each transposed strand frame, built out
+    rng = random.Random(17)
+    randoms = [random_ideal(rng, rng.randint(2, 6)) for _ in range(20)]
+    for ideal in [a4, a5, a6, a7, ex46, ex52, ex53, ex57] + randoms:
+        dual = alexander_dual(ideal)
+        n = ideal.n
+        values = {}
+        for r in range(n + 1):
+            frame = strand_frame(dual, r, field)
+            if frame.dims:
+                for p, h in enumerate(homology_dims(transpose_reverse(frame))):
+                    values[(p, n - r)] = h
+        d = n - min(popcount(g) for g in dual.gens)
+        expected = LyubeznikTable.from_entries(d, values)
+        assert lyubeznik_via_strands(ideal, field) == expected
 
 
 def test_cohen_macaulay_ideals_trivial_table():
