@@ -22,6 +22,7 @@ line on stderr.  A closed stdin read as ``-`` is unreadable input (2).
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -435,6 +436,7 @@ def render_report(report: dict) -> str:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process: ``main`` may run many times
 def _build_argparser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="lyub",

@@ -3,8 +3,9 @@
 ``cochain_complex`` is the one place where a simplicial complex becomes
 linear algebra: every cohomology dimension and cocycle space in the
 package, and so every hypercube edge map, is read off the complex it
-returns, or off a restriction that ``restrict_cochains`` selects from it,
-so each of them comes with its d∘d check.
+returns, or off a restriction that ``restrict_cochains`` or a link that
+``link_cochains`` selects from it, so each of them comes with its d∘d
+check.
 
 The reduced complex always includes the empty face in degree -1; the void
 complex has no cochains at all, so every one of its cohomology groups is
@@ -129,6 +130,57 @@ def restrict_cochains(cc: CochainComplex, alpha: int) -> CochainComplex:
             cobs.append(ExactMatrix._wrap(cc.field, len(kept), len(index), data))
         index = dict(zip(kept, range(len(kept))))
         basis.append(tuple([faces[i] for i in kept]))
+    check_complex(tuple(map(len, reversed(basis))), tuple(reversed(cobs)))
+    return CochainComplex(cc.field, tuple(basis), tuple(cobs))
+
+
+def _twist_mask(alpha: int) -> int:
+    """The vertices u with an odd number of vertices of alpha below u, as a
+    mask: eps(sigma) is the parity of ``sigma & _twist_mask(alpha)``."""
+    odd = 0
+    for a in bits_of(alpha):
+        odd ^= -2 << a  # every vertex above a
+    return odd
+
+
+def link_cochains(cc: CochainComplex, alpha: int) -> CochainComplex:
+    """The reduced cochain complex of the link of ``alpha`` in the
+    simplicial complex behind ``cc``, read off ``cc`` by keeping the faces
+    f ⊇ alpha in each size and relabelling each as f ^ alpha; verifies
+    coboundary∘coboundary = 0.  A non-face keeps nothing: the void link.
+
+    Dropping a vertex that two faces share keeps their lexicographic order,
+    so kept faces stay in order.  It also moves a vertex u of sigma down by
+    #{a in alpha : a < u} positions, so the link's entry (tau, sigma) is
+    the entry of ``cc`` times eps(tau) eps(sigma), with
+    eps(sigma) = (-1)^(sum over u in sigma of #{a in alpha : a < u}).  The
+    bases and matrices are then exactly those that ``cochain_complex``
+    forms for the link.
+    """
+    odd = _twist_mask(alpha)
+    neg = cc.field.neg
+    basis, cobs, index, eps = [], [], None, None
+    for s in range(popcount(alpha), len(cc.basis)):
+        faces = cc.basis[s]
+        kept = [i for i, f in enumerate(faces) if f & alpha == alpha]
+        if not kept:  # then no larger face contains alpha either
+            break
+        labels = [faces[i] ^ alpha for i in kept]
+        signs = [popcount(f & odd) & 1 for f in labels]
+        if index is not None:
+            rows = cc.coboundaries[s - 1].data
+            data = []
+            for i, e in zip(kept, signs):
+                row = []
+                for c, x in rows[i]:
+                    j = index.get(c)
+                    if j is not None:
+                        row.append((j, neg(x) if e != eps[j] else x))
+                data.append(tuple(row))
+            cobs.append(ExactMatrix._wrap(cc.field, len(kept), len(index), data))
+        index = dict(zip(kept, range(len(kept))))
+        eps = signs
+        basis.append(tuple(labels))
     check_complex(tuple(map(len, reversed(basis))), tuple(reversed(cobs)))
     return CochainComplex(cc.field, tuple(basis), tuple(cobs))
 

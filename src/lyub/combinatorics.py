@@ -116,13 +116,33 @@ def _maximal_masks(masks) -> list[int]:
     return sorted(out, key=mask_key)
 
 
+# Answers kept by ``minimal_transversals``, keyed by the mask tuple; the
+# oldest is evicted first.  One ideal asks for its minimal primes and those
+# of its dual several times (height, Stanley-Reisner complex, Alexander
+# dual, hypercube lattice).
+TRANSVERSALS_CACHE_SIZE = 64
+_transversals: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
 def minimal_transversals(masks) -> list[int]:
-    """Inclusion-minimal masks meeting every mask in ``masks``.
+    """Inclusion-minimal masks meeting every mask in ``masks``, as a fresh
+    list on every call.
 
     For the empty family the empty mask is the unique minimal transversal.
     If some mask is 0 no transversal exists and the result is empty.
     """
-    if any(m == 0 for m in masks):
+    key = tuple(masks)
+    out = _transversals.get(key)
+    if out is None:
+        out = tuple(_transversals_of(key))
+        while len(_transversals) >= TRANSVERSALS_CACHE_SIZE:
+            del _transversals[next(iter(_transversals))]
+        _transversals[key] = out
+    return list(out)
+
+
+def _transversals_of(masks: tuple[int, ...]) -> list[int]:
+    if 0 in masks:
         return []
     current = [0]
     for m in sorted(set(masks), key=mask_key):

@@ -9,13 +9,12 @@ from .combinatorics import (
     MonomialIdeal,
     alexander_dual,
     full_mask,
-    link,
     mask_key,
     popcount,
     stanley_reisner,
     unions_below,
 )
-from .cohomology import reduced_cohomology_dims_all
+from .cohomology import cochain_complex, link_cochains
 from .errors import MAX_BASS_WORK, ContractError, DomainError, ResourceError
 from .hypercube import (
     Hypercube,
@@ -258,17 +257,20 @@ def terai_mustata_consistent(ideal: MonomialIdeal, field: Field) -> bool:
     """Link homology of the Stanley-Reisner complex matches the hypercube.
 
     dim H~_{n-r-|a|-1}(link(a)) must equal the degree-r hypercube vertex at
-    the complementary mask 1-a, for every a and r.
+    the complementary mask 1-a, for every a and r.  The link of each face
+    is selected from one cochain complex of the Stanley-Reisner complex
+    (``link_cochains``); a non-face has the void link, which has no
+    homology.  The link side reads that complex alone, never the cube.
     """
-    delta = stanley_reisner(ideal)
+    cc = cochain_complex(stanley_reisner(ideal), field)
     n = ideal.n
     full = full_mask(n)
-    # homology and cohomology dimensions agree over a field, so the link
-    # side may be read from the same one-pass rank table
+    # homology and cohomology dimensions agree over a field
     link_side = {
         (full ^ alpha, n - popcount(alpha) - 1 - q): h
-        for alpha in range(full + 1)
-        for q, h in reduced_cohomology_dims_all(link(delta, alpha), field).items()
+        for faces in cc.basis
+        for alpha in faces
+        for q, h in link_cochains(cc, alpha).cohomology_dims().items()
     }
     return link_side == {
         (v, r): dim

@@ -355,9 +355,16 @@ def cancel(rows: list[dict], p: int, eligible=None) -> tuple[list, dict]:
 
 
 def rank(mat: ExactMatrix) -> int:
-    """Exact rank: the number of pivots ``cancel`` takes."""
+    """Exact rank: the number of pivots ``cancel`` takes.
+
+    Where every row holds at most one entry (every cochain complex's first
+    coboundary does), the rank is the number of distinct columns among the
+    nonzero rows, and no elimination is needed.
+    """
     if mat.rows == 0 or mat.cols == 0:
         return 0
+    if all(len(row) <= 1 for row in mat.data):
+        return len({row[0][0] for row in mat.data if row})
     return len(cancel(_working_rows(mat)[0], mat.field.p)[0])
 
 

@@ -1,8 +1,13 @@
 import random
+from pathlib import Path
 
-from lyub import QQ, prime_field, stanley_reisner
+import pytest
+
+from lyub import ContractError, QQ, cohomology, prime_field, stanley_reisner
+from lyub.cli import parse_input
 from lyub.cohomology import (
     cochain_complex,
+    link_cochains,
     reduced_cohomology_dims_all,
     restrict_cochains,
 )
@@ -29,6 +34,8 @@ from .conftest import (
 from .oracles import induced_cohomology_map, masks, random_ideal, reduced_homology_dim
 
 F2 = prime_field(2)
+F3 = prime_field(3)
+DEMO_IDEALS = Path(__file__).resolve().parents[1] / "demos" / "ideals"
 
 
 def _complex(n, *lists):
@@ -98,6 +105,19 @@ def _entries(mat):
     return [[(c, x, type(x)) for c, x in row] for row in mat.data]
 
 
+def _same_complex(got, want):
+    """Same field, bases, shapes, entries and scalar types."""
+    return (
+        got.field == want.field
+        and got.basis == want.basis
+        and len(got.coboundaries) == len(want.coboundaries)
+        and all(
+            (a.rows, a.cols) == (b.rows, b.cols) and _entries(a) == _entries(b)
+            for a, b in zip(got.coboundaries, want.coboundaries)
+        )
+    )
+
+
 def test_selected_restriction_is_the_restrictions_own_complex():
     # selecting the faces inside alpha gives the bases, shapes, entries and
     # scalar types that forming the restriction's complex alone gives
@@ -112,14 +132,70 @@ def test_selected_restriction_is_the_restrictions_own_complex():
                 for alpha in range(1 << ideal.n):
                     got = restrict_cochains(whole, alpha)
                     want = cochain_complex(restriction(cx, alpha), field)
-                    assert got.field == want.field
-                    assert got.basis == want.basis
-                    assert len(got.coboundaries) == len(want.coboundaries)
-                    for a, b in zip(got.coboundaries, want.coboundaries):
-                        assert (a.rows, a.cols) == (b.rows, b.cols)
-                        assert _entries(a) == _entries(b)
+                    assert _same_complex(got, want)
                     checked += 1
     assert checked > 2000
+
+
+def _link_corpus():
+    rng = random.Random(11)
+    ideals = [
+        parse_input(path.read_text(encoding="utf-8")).ideal()
+        for path in sorted(DEMO_IDEALS.glob("*.ideal"))
+    ]
+    ideals += [cycle_nonedge_ideal(n) for n in range(4, 8)]
+    return ideals + [random_ideal(rng, rng.randint(2, 7)) for _ in range(20)]
+
+
+def test_selected_link_is_the_links_own_complex():
+    # the link of every face, selected from one complex, has the bases,
+    # shapes, entries and scalar types that forming the link's complex
+    # alone gives; a non-face selects the void link
+    faces = 0
+    for ideal in _link_corpus():
+        delta = stanley_reisner(ideal)
+        for field in (QQ, F2, F3):
+            whole = cochain_complex(delta, field)
+            for alpha in range(1 << ideal.n):
+                want = cochain_complex(link(delta, alpha), field)
+                assert _same_complex(link_cochains(whole, alpha), want)
+                faces += delta.has_face(alpha)
+    assert faces > 3000
+
+
+def test_the_link_of_a_facet_is_the_irrelevant_complex():
+    delta = stanley_reisner(cycle_nonedge_ideal(6))
+    whole = cochain_complex(delta, QQ)
+    for facet in delta.facets:
+        got = link_cochains(whole, facet)
+        assert got.basis == ((0,),) and got.coboundaries == ()
+        assert got.cohomology_dims() == {-1: 1}
+
+
+_TWIST = cohomology._twist_mask
+WRONG_TWISTS = {
+    "untwisted": lambda alpha: 0,
+    "every entry negated": lambda alpha: ~_TWIST(alpha),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_TWISTS))
+def test_a_wrong_sign_twist_is_caught(monkeypatch, name):
+    # the comparison above rejects a link complex whose signs are twisted
+    # the wrong way: its d∘d check refuses it, or its matrices differ
+    monkeypatch.setattr(cohomology, "_twist_mask", WRONG_TWISTS[name])
+    delta = stanley_reisner(cycle_nonedge_ideal(6))
+    caught = 0
+    for field in (QQ, F3):
+        whole = cochain_complex(delta, field)
+        for alpha in sorted(delta.faces()):
+            try:
+                got = link_cochains(whole, alpha)
+            except ContractError:
+                caught += 1
+                continue
+            caught += not _same_complex(got, cochain_complex(link(delta, alpha), field))
+    assert caught
 
 
 def test_chain_and_cochain_dims_agree():

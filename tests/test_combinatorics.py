@@ -14,6 +14,7 @@ from lyub import (
     simplicial_complex,
     stanley_reisner,
 )
+from lyub import combinatorics
 from lyub.combinatorics import MonomialIdeal, full_mask, mask_of, popcount
 
 from .conftest import cycle_nonedge_ideal, gens_ideal, primes_ideal, rp2_ideal
@@ -71,6 +72,25 @@ def test_minimal_primes_examples(a4, ex46):
     assert minimal_primes(a4) == masks([1, 3], [2, 4])
     assert minimal_primes(gens_ideal(1, [[1]])) == masks([1])
     assert minimal_primes(ex46) == brute_minimal_primes(ex46)
+
+
+def test_minimal_primes_is_a_fresh_list_each_call(a5):
+    first = minimal_primes(a5)
+    first.reverse()
+    first.append(0)
+    assert minimal_primes(a5) == brute_minimal_primes(a5)
+    assert minimal_primes(a5) is not minimal_primes(a5)
+
+
+def test_transversal_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(combinatorics, "TRANSVERSALS_CACHE_SIZE", 3)
+    monkeypatch.setattr(combinatorics, "_transversals", {})
+    ideals = [gens_ideal(5, [[i], [j, 5]]) for i in range(1, 5) for j in range(1, 5)]
+    for ideal in ideals:
+        assert minimal_primes(ideal) == brute_minimal_primes(ideal)
+        assert len(combinatorics._transversals) <= 3
+    # oldest first: the last three requests are the ones kept
+    assert list(combinatorics._transversals) == [ideal.gens for ideal in ideals[-3:]]
 
 
 def test_minimal_primes_rejects_degenerate():

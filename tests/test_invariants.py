@@ -31,12 +31,15 @@ from lyub import (
     terai_mustata_consistent,
 )
 from lyub import hypercube, invariants
+from lyub.cohomology import reduced_cohomology_dims_all
 from lyub.combinatorics import (
     MonomialIdeal,
     full_mask,
+    link,
     mask_key,
     mask_of,
     popcount,
+    stanley_reisner,
     unions_below,
 )
 from lyub.hypercube import face_restricted_hypercube, matlis_dual
@@ -457,6 +460,39 @@ def test_routes_agree_corpus(a4, a5, a6, ex46, ex53, ex57, field):
 def test_terai_mustata_corpus(a4, a5, ex46, ex53, ex57, field):
     for ideal in (a4, a5, ex46, ex53, ex57):
         assert terai_mustata_consistent(ideal, field)
+
+
+def _terai_on_own_links(ideal, field):
+    """The Terai-Mustata suite with the link of every one of the 2^n masks
+    formed as a complex on its own."""
+    delta = stanley_reisner(ideal)
+    n, full = ideal.n, full_mask(ideal.n)
+    return {
+        (full ^ alpha, n - popcount(alpha) - 1 - q): h
+        for alpha in range(full + 1)
+        for q, h in reduced_cohomology_dims_all(link(delta, alpha), field).items()
+    } == {
+        (v, r): dim
+        for r in range(n + 1)
+        for v, dim in build_hypercube(ideal, r, field).dims.items()
+    }
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=["q", "f2", "f3"])
+def test_terai_mustata_verdicts_match_links_formed_on_their_own(monkeypatch, field):
+    rng = random.Random(13)
+    ideals = [random_ideal(rng, rng.randint(2, 6)) for _ in range(12)]
+    for ideal in ideals:
+        assert terai_mustata_consistent(ideal, field)
+        assert _terai_on_own_links(ideal, field)
+    # a planted vertex dimension turns both verdicts
+    for ideal in ideals:
+        cube = next(c for r in range(ideal.n + 1)
+                    if not (c := build_hypercube(ideal, r, field)).is_zero())
+        alpha = cube.nonzero_vertices()[-1]
+        monkeypatch.setitem(cube.dims, alpha, cube.dims[alpha] + 1)
+        assert not terai_mustata_consistent(ideal, field)
+        assert not _terai_on_own_links(ideal, field)
 
 
 def test_terai_mustata_reads_the_hypercube(monkeypatch, a5):

@@ -15,7 +15,7 @@ from lyub import (
     prime_field,
     rank,
 )
-from lyub import hypercube
+from lyub import hypercube, linalg
 from lyub.linalg import Field, cancel, homology_space, hstack, rref
 
 from .oracles import (
@@ -95,6 +95,26 @@ def test_rank_trivial_cases():
     assert rank(ExactMatrix.zeros(QQ, 4, 3)) == 0
     assert rank(ExactMatrix.identity(QQ, 7)) == 7
     assert rank(ExactMatrix.zeros(QQ, 0, 5)) == 0
+
+
+@pytest.mark.parametrize("field", [QQ, F2, prime_field(3)], ids=["q", "f2", "f3"])
+def test_rank_of_rows_with_at_most_one_entry_needs_no_elimination(monkeypatch, field):
+    # zero rows, repeated columns and (over Q) fractions; ``cancel`` is gone,
+    # so every rank here is counted without elimination
+    monkeypatch.setattr(linalg, "cancel", None)
+    values = list(range(-4, 5))
+    if not field.p:
+        values += [Fraction(1, 3), Fraction(-5, 2)]
+    rng = random.Random(23)
+    for _ in range(300):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 5)
+        entries = [
+            ((r, rng.randrange(cols)), field.coerce(rng.choice(values)))
+            for r in range(rows)
+            if cols and rng.random() < 0.8
+        ]
+        m = ExactMatrix.from_entries(field, rows, cols, entries)
+        assert rank(m) == rank_naive(m)
 
 
 def test_bareiss_agrees_with_naive_elimination():
