@@ -4,8 +4,9 @@
 linear algebra: every cohomology dimension and cocycle space in the
 package, and so every hypercube edge map, is read off the complex it
 returns, or off a restriction that ``restrict_cochains`` or a link that
-``link_cochains`` selects from it, so each of them comes with its d∘d
-check.
+``link_cochains`` selects from it (``ExactMatrix.select``).  A
+``CochainComplex`` checks d∘d = 0 when it is made, so each of them comes
+with its check.
 
 The reduced complex always includes the empty face in degree -1; the void
 complex has no cochains at all, so every one of its cohomology groups is
@@ -53,11 +54,17 @@ class CochainComplex:
 
     ``basis[s]`` lists faces with s vertices (cochain degree q = s - 1);
     ``coboundaries[s]`` maps degree s-1 cochains to degree s cochains.
+    Construction verifies coboundary∘coboundary = 0.
     """
 
     field: Field
     basis: tuple[tuple[int, ...], ...]
     coboundaries: tuple[ExactMatrix, ...]
+
+    def __post_init__(self):
+        # in reverse order the coboundaries form a chain complex whose
+        # position p holds the faces of the largest size minus p
+        check_complex(tuple(map(len, reversed(self.basis))), self.coboundaries[::-1])
 
     def faces(self, q: int) -> tuple[int, ...]:
         """The faces indexing degree-q cochains (none outside the complex)."""
@@ -91,7 +98,7 @@ class CochainComplex:
 
 
 def cochain_complex(cx: SimplicialComplex, field: Field) -> CochainComplex:
-    """Full reduced cochain complex; verifies coboundary∘coboundary = 0."""
+    """Full reduced cochain complex."""
     if cx.is_void:
         return CochainComplex(field, (), ())
     top = cx.dim() + 1
@@ -102,36 +109,30 @@ def cochain_complex(cx: SimplicialComplex, field: Field) -> CochainComplex:
     cobs = tuple(
         coboundary_matrix(field, basis[s], basis[s + 1]) for s in range(top)
     )
-    # in reverse order the coboundaries form a chain complex whose position
-    # p holds the faces of size top - p
-    check_complex(tuple(map(len, reversed(basis))), tuple(reversed(cobs)))
     return CochainComplex(field, basis, cobs)
 
 
 def restrict_cochains(cc: CochainComplex, alpha: int) -> CochainComplex:
     """The reduced cochain complex of the restriction to ``alpha`` of the
     simplicial complex behind ``cc``, read off ``cc`` by keeping the faces
-    inside alpha in each size; verifies coboundary∘coboundary = 0.
+    inside alpha in each size.
 
     Kept faces stay in their order, and a coboundary sign depends only on
     the pair of faces, so the bases and matrices are exactly those that
-    ``cochain_complex`` forms for the restriction.  The columns of a kept
-    row tau are faces of tau, so they are kept too and only renumbered.
+    ``cochain_complex`` forms for the restriction.
     """
     outside = ~alpha
-    basis, cobs, index = [], [], None
-    for s, faces in enumerate(cc.basis):
+    picks = []
+    for faces in cc.basis:
         kept = [i for i, f in enumerate(faces) if not f & outside]
         if not kept:  # the faces inside alpha form a simplicial complex
             break
-        if index is not None:
-            rows = cc.coboundaries[s - 1].data
-            data = [tuple([(index[c], x) for c, x in rows[i]]) for i in kept]
-            cobs.append(ExactMatrix._wrap(cc.field, len(kept), len(index), data))
-        index = dict(zip(kept, range(len(kept))))
-        basis.append(tuple([faces[i] for i in kept]))
-    check_complex(tuple(map(len, reversed(basis))), tuple(reversed(cobs)))
-    return CochainComplex(cc.field, tuple(basis), tuple(cobs))
+        picks.append(kept)
+    basis = [tuple([faces[i] for i in kept]) for faces, kept in zip(cc.basis, picks)]
+    return CochainComplex(cc.field, tuple(basis), tuple(
+        cc.coboundaries[s].select(picks[s + 1], picks[s])
+        for s in range(len(picks) - 1)
+    ))
 
 
 def _twist_mask(alpha: int) -> int:
@@ -146,8 +147,8 @@ def _twist_mask(alpha: int) -> int:
 def link_cochains(cc: CochainComplex, alpha: int) -> CochainComplex:
     """The reduced cochain complex of the link of ``alpha`` in the
     simplicial complex behind ``cc``, read off ``cc`` by keeping the faces
-    f ⊇ alpha in each size and relabelling each as f ^ alpha; verifies
-    coboundary∘coboundary = 0.  A non-face keeps nothing: the void link.
+    f ⊇ alpha in each size and relabelling each as f ^ alpha.  A non-face
+    keeps nothing: the void link.
 
     Dropping a vertex that two faces share keeps their lexicographic order,
     so kept faces stay in order.  It also moves a vertex u of sigma down by
@@ -157,32 +158,20 @@ def link_cochains(cc: CochainComplex, alpha: int) -> CochainComplex:
     bases and matrices are then exactly those that ``cochain_complex``
     forms for the link.
     """
-    odd = _twist_mask(alpha)
-    neg = cc.field.neg
-    basis, cobs, index, eps = [], [], None, None
-    for s in range(popcount(alpha), len(cc.basis)):
-        faces = cc.basis[s]
+    twist = _twist_mask(alpha)
+    s0 = popcount(alpha)
+    picks, basis = [], []
+    for faces in cc.basis[s0:]:
         kept = [i for i, f in enumerate(faces) if f & alpha == alpha]
         if not kept:  # then no larger face contains alpha either
             break
-        labels = [faces[i] ^ alpha for i in kept]
-        signs = [popcount(f & odd) & 1 for f in labels]
-        if index is not None:
-            rows = cc.coboundaries[s - 1].data
-            data = []
-            for i, e in zip(kept, signs):
-                row = []
-                for c, x in rows[i]:
-                    j = index.get(c)
-                    if j is not None:
-                        row.append((j, neg(x) if e != eps[j] else x))
-                data.append(tuple(row))
-            cobs.append(ExactMatrix._wrap(cc.field, len(kept), len(index), data))
-        index = dict(zip(kept, range(len(kept))))
-        eps = signs
-        basis.append(tuple(labels))
-    check_complex(tuple(map(len, reversed(basis))), tuple(reversed(cobs)))
-    return CochainComplex(cc.field, tuple(basis), tuple(cobs))
+        picks.append(kept)
+        basis.append(tuple([faces[i] ^ alpha for i in kept]))
+    eps = [[popcount(f & twist) & 1 for f in faces] for faces in basis]
+    return CochainComplex(cc.field, tuple(basis), tuple(
+        cc.coboundaries[s0 + t].select(picks[t + 1], picks[t], (eps[t + 1], eps[t]))
+        for t in range(len(picks) - 1)
+    ))
 
 
 def reduced_cohomology_dims_all(cx: SimplicialComplex, field: Field) -> dict[int, int]:

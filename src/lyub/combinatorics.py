@@ -7,6 +7,7 @@ positions where alpha is 1) is ``beta & ~alpha``.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import MAX_VARIABLES, DomainError, InputError
 
@@ -116,12 +117,11 @@ def _maximal_masks(masks) -> list[int]:
     return sorted(out, key=mask_key)
 
 
-# Answers kept by ``minimal_transversals``, keyed by the mask tuple; the
-# oldest is evicted first.  One ideal asks for its minimal primes and those
-# of its dual several times (height, Stanley-Reisner complex, Alexander
-# dual, hypercube lattice).
+# Answers kept by ``_transversals_of``, keyed by the mask tuple; the least
+# recently used is evicted first.  One ideal asks for its minimal primes
+# and those of its dual several times (height, Stanley-Reisner complex,
+# Alexander dual, hypercube lattice).
 TRANSVERSALS_CACHE_SIZE = 64
-_transversals: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
 def minimal_transversals(masks) -> list[int]:
@@ -131,19 +131,13 @@ def minimal_transversals(masks) -> list[int]:
     For the empty family the empty mask is the unique minimal transversal.
     If some mask is 0 no transversal exists and the result is empty.
     """
-    key = tuple(masks)
-    out = _transversals.get(key)
-    if out is None:
-        out = tuple(_transversals_of(key))
-        while len(_transversals) >= TRANSVERSALS_CACHE_SIZE:
-            del _transversals[next(iter(_transversals))]
-        _transversals[key] = out
-    return list(out)
+    return list(_transversals_of(tuple(masks)))
 
 
-def _transversals_of(masks: tuple[int, ...]) -> list[int]:
+@lru_cache(maxsize=TRANSVERSALS_CACHE_SIZE)
+def _transversals_of(masks: tuple[int, ...]) -> tuple[int, ...]:
     if 0 in masks:
-        return []
+        return ()
     current = [0]
     for m in sorted(set(masks), key=mask_key):
         nxt = []
@@ -153,7 +147,7 @@ def _transversals_of(masks: tuple[int, ...]) -> list[int]:
             else:
                 nxt.extend(t | (1 << b) for b in bits_of(m))
         current = _minimal_masks(nxt)
-    return current
+    return tuple(current)
 
 
 # ---------------------------------------------------------------------------

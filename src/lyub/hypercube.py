@@ -31,6 +31,8 @@ a = 0 is pinned to zero; for r >= 2 the formula already gives zero there,
 and the pin is what makes degree r = 1 (height-one ideals) come out right.
 """
 
+from functools import lru_cache
+
 from .combinatorics import (
     MonomialIdeal,
     bits_of,
@@ -96,6 +98,8 @@ class Hypercube:
 
     def edge(self, alpha: int, i: int) -> ExactMatrix:
         """The canonical map at (alpha, i): vertex alpha -> vertex alpha+e_i."""
+        if not 0 <= i < self.n:
+            raise InputError(f"edge direction {i} outside [0, {self.n})")
         if alpha >> i & 1:
             raise InputError("edge direction bit already set")
         mat = self.edge_mats.get((alpha, i))
@@ -112,12 +116,11 @@ class Hypercube:
         return sorted(self.dims, key=lambda m: (popcount(m), m))
 
 
-# (ideal, field) entries kept by ``build_hypercube``, each holding the n+1
-# cubes of every degree; the oldest is evicted first.  This is above the 6
-# entries one pass of the ``hypercube`` benchmark holds (a10, nine and a8,
-# over Q and F_2).
+# (ideal, field) entries kept by ``_build_all_degrees``, each holding the
+# n+1 cubes of every degree; the least recently used is evicted first.
+# This is above the 6 entries one pass of the ``hypercube`` benchmark holds
+# (a10, nine and a8, over Q and F_2).
 HYPERCUBE_CACHE_SIZE = 16
-_cache: dict[tuple, tuple[Hypercube, ...]] = {}
 
 
 def build_hypercube(ideal: MonomialIdeal, r: int, field: Field) -> Hypercube:
@@ -127,16 +130,10 @@ def build_hypercube(ideal: MonomialIdeal, r: int, field: Field) -> Hypercube:
     n = ideal.n
     if not 0 <= r <= n:
         raise InputError(f"cohomological degree r={r} outside [0, {n}]")
-    key = (n, ideal.gens, field)
-    cubes = _cache.get(key)
-    if cubes is None:
-        cubes = _build_all_degrees(ideal, field)
-        while len(_cache) >= HYPERCUBE_CACHE_SIZE:
-            del _cache[next(iter(_cache))]
-        _cache[key] = cubes
-    return cubes[r]
+    return _build_all_degrees(ideal, field)[r]
 
 
+@lru_cache(maxsize=HYPERCUBE_CACHE_SIZE)
 def _build_all_degrees(ideal: MonomialIdeal, field: Field) -> tuple[Hypercube, ...]:
     n = ideal.n
     if 1 << n > MAX_HYPERCUBE_MASKS:
@@ -338,26 +335,15 @@ def hull_complex(
     levels: list[list[int]] = [[] for _ in range(k + 1)]
     for v in verts:
         levels[k - popcount(v)].append(v)
+    picks = [
+        [i for v in sorted(lv, key=starts.__getitem__)
+         for i in range(starts[v], starts[v] + dims[v])]
+        for lv in levels
+    ]
     shift = cube.n - k
-    sizes, maps, index = [], [], None
-    for p in range(k, -1, -1):  # sources before targets
-        lv = sorted(levels[p], key=starts.__getitem__)
-        cols, t = {}, 0
-        for v in lv:
-            s, d = starts[v], dims[v]
-            cols.update(zip(range(s, s + d), range(t, t + d)))
-            t += d
-        if index is not None:
-            rows = main.maps[p + shift].data
-            data = [
-                tuple([(index[c], x) for c, x in rows[i]])
-                for v in lv
-                for i in range(starts[v], starts[v] + dims[v])
-            ]
-            maps.append(ExactMatrix._wrap(cube.field, t, sizes[-1], data))
-        index = cols
-        sizes.append(t)
-    return VectorSpaceComplex(cube.field, sizes[::-1], maps[::-1])
+    return VectorSpaceComplex(cube.field, map(len, picks), [
+        main.maps[p + shift].select(picks[p], picks[p + 1]) for p in range(k)
+    ])
 
 
 def matlis_dual(cube: Hypercube) -> Hypercube:

@@ -51,18 +51,18 @@ class Field:
 
     def coerce(self, x):
         """The canonical scalar for x: over Q an int where the value is
-        integral and a Fraction otherwise, over F_p an int in [0, p)."""
+        integral and a Fraction otherwise, over F_p an int in [0, p).  Any
+        other scalar (a float, a bool, a Fraction) is read as the Fraction
+        it equals, over either kind of field."""
         p = self.p
-        if p:
-            if isinstance(x, Fraction):
-                if x.denominator % p == 0:
-                    raise ZeroDivisionError("denominator divisible by p")
-                return x.numerator * pow(x.denominator, -1, p) % p
-            return x % p
         if type(x) is int:
-            return x
+            return x % p if p else x
         x = Fraction(x)
-        return x.numerator if x.denominator == 1 else x
+        if not p:
+            return x.numerator if x.denominator == 1 else x
+        if x.denominator % p == 0:
+            raise ZeroDivisionError("denominator divisible by p")
+        return x.numerator * pow(x.denominator, -1, p) % p
 
     def neg(self, a):
         return -a % self.p if self.p else -a
@@ -170,11 +170,29 @@ class ExactMatrix:
             out.append(full)
         return out
 
-    def columns(self, picks: list[int]) -> "ExactMatrix":
-        """The submatrix of the columns in ``picks``, given in increasing order."""
-        pos = {c: k for k, c in enumerate(picks)}
-        data = [tuple((pos[j], v) for j, v in row if j in pos) for row in self.data]
-        return ExactMatrix._wrap(self.field, self.rows, len(picks), data)
+    def select(self, rows, cols, odd=None) -> "ExactMatrix":
+        """The submatrix on ``rows`` and ``cols`` (each in increasing order),
+        renumbered; an entry outside ``cols`` is left out.  With ``odd =
+        (row_parities, col_parities)``, listed as ``rows`` and ``cols`` are,
+        entry (i, j) is negated where the two parities differ: the change of
+        basis by the signs (-1)^parity on both sides."""
+        get = dict(zip(cols, range(len(cols)))).get
+        src = self.data
+        if odd is None:
+            data = [
+                tuple([(k, v) for j, v in src[i] if (k := get(j)) is not None])
+                for i in rows
+            ]
+        else:
+            neg, col_odd = self.field.neg, odd[1]
+            data = [
+                tuple([
+                    (k, neg(v) if e != col_odd[k] else v)
+                    for j, v in src[i] if (k := get(j)) is not None
+                ])
+                for i, e in zip(rows, odd[0])
+            ]
+        return ExactMatrix._wrap(self.field, len(rows), len(cols), data)
 
     def transpose(self):
         cols = [[] for _ in range(self.cols)]
@@ -573,8 +591,8 @@ def homology_space(field, dim, d_out, d_in, vectors=None):
         for k, c in enumerate(free)
     ]
     red, pivots = rref(ExactMatrix._wrap(field, ker.cols, v0 + vectors.cols, rows))
-    image = d_in.columns([c for c in pivots if c < k0])
-    reps = ker.columns([c - k0 for c in pivots if c >= k0])
+    image = d_in.select(range(dim), [c for c in pivots if c < k0])
+    reps = ker.select(range(dim), [c - k0 for c in pivots if c >= k0])
     classes = [
         tuple((c - v0, x) for c, x in row if c >= v0)
         for row, pc in zip(red.data, pivots)

@@ -31,6 +31,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .combinatorics import MonomialIdeal, alexander_dual, contains, mask_key, popcount
@@ -274,21 +275,15 @@ def minimize(cx: GradedFreeComplex, order: str = "forward") -> GradedFreeComplex
     return out
 
 
-# Entries kept by ``minimal_resolution``; the oldest is evicted first.
+# Entries kept by ``minimal_resolution``; the least recently used is
+# evicted first.
 MINIMIZED_CACHE_SIZE = 64
-_minimized_cache: dict[tuple, GradedFreeComplex] = {}
 
 
+@lru_cache(maxsize=MINIMIZED_CACHE_SIZE)
 def minimal_resolution(ideal: MonomialIdeal, field: Field) -> GradedFreeComplex:
     """Cached minimize(lyubeznik_complex(ideal))."""
-    key = (ideal.n, ideal.gens, field)
-    out = _minimized_cache.get(key)
-    if out is None:
-        out = minimize(lyubeznik_complex(ideal, field))
-        while len(_minimized_cache) >= MINIMIZED_CACHE_SIZE:
-            del _minimized_cache[next(iter(_minimized_cache))]
-        _minimized_cache[key] = out
-    return out
+    return minimize(lyubeznik_complex(ideal, field))
 
 
 def betti_numbers(ideal: MonomialIdeal, field: Field) -> BettiTable:
@@ -322,14 +317,11 @@ def strand_frame(ideal: MonomialIdeal, r: int, field: Field) -> VectorSpaceCompl
         for j, degs in enumerate(res.degrees[: n - r + 1])
     ]
     picks += [[]] * (n - r + 1 - len(picks))
-    maps = []
-    for j in range(n - r):
-        if j < len(res.diffs):
-            d = res.diffs[j]
-            rows = [d.data[i] for i in picks[j]]
-            maps.append(ExactMatrix._wrap(field, len(rows), d.cols, rows).columns(picks[j + 1]))
-        else:  # past the last term
-            maps.append(ExactMatrix.zeros(field, len(picks[j]), 0))
+    maps = [
+        res.diffs[j].select(picks[j], picks[j + 1]) if j < len(res.diffs)
+        else ExactMatrix.zeros(field, len(picks[j]), 0)  # past the last term
+        for j in range(n - r)
+    ]
     return VectorSpaceComplex(field, map(len, picks), maps)
 
 

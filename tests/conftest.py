@@ -14,6 +14,16 @@ def gens_ideal(n, lists):
     return minimalize(n, [mask_of(i - 1 for i in L) for L in lists])
 
 
+def tiny_ideals(count):
+    """``count`` distinct ideals (x_i, x_j x_k) in seven variables, for
+    filling a cache (at most 105)."""
+    return [
+        gens_ideal(7, [[i], [j, k]])
+        for i in range(1, 8) for j in range(1, 8) for k in range(j + 1, 8)
+        if i not in (j, k)
+    ][:count]
+
+
 def cycle_nonedge_ideal(n):
     """Intersection of (x_i, x_j) over the non-edges of the n-cycle: the
     unique minimal non-CM squarefree ideal of pure height two."""

@@ -212,8 +212,8 @@ def homology_space_full_rows(field, dim, d_out, d_in, vectors=None):
     red, pivots = rref(hstack(field, [d_in, ker, vectors], dim))
     if pivots and pivots[-1] >= v0:
         raise ContractError("inconsistent linear system")
-    image = d_in.columns([c for c in pivots if c < k0])
-    reps = ker.columns([c - k0 for c in pivots if c >= k0])
+    image = d_in.select(range(dim), [c for c in pivots if c < k0])
+    reps = ker.select(range(dim), [c - k0 for c in pivots if c >= k0])
     classes = [
         tuple((c - v0, x) for c, x in row if c >= v0)
         for row, pc in zip(red.data, pivots)

@@ -244,7 +244,7 @@ def test_bass_supp_dims_build_each_bass_row_once(tmp_path, capsys, monkeypatch):
     from lyub import build_hypercube, hypercube, invariants
     from lyub.invariants import support_masks
 
-    monkeypatch.setattr(hypercube, "_cache", {})
+    hypercube._build_all_degrees.cache_clear()  # fresh cubes, no tables kept
     calls, mains = Counter(), Counter()
     original, original_main = invariants.hull_complex, invariants.main_complex
 

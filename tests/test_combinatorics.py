@@ -17,7 +17,7 @@ from lyub import (
 from lyub import combinatorics
 from lyub.combinatorics import MonomialIdeal, full_mask, mask_of, popcount
 
-from .conftest import cycle_nonedge_ideal, gens_ideal, primes_ideal, rp2_ideal
+from .conftest import cycle_nonedge_ideal, gens_ideal, primes_ideal, rp2_ideal, tiny_ideals
 from .oracles import (
     brute_complex_dual_faces,
     brute_intersection_gens,
@@ -82,15 +82,22 @@ def test_minimal_primes_is_a_fresh_list_each_call(a5):
     assert minimal_primes(a5) is not minimal_primes(a5)
 
 
-def test_transversal_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(combinatorics, "TRANSVERSALS_CACHE_SIZE", 3)
-    monkeypatch.setattr(combinatorics, "_transversals", {})
-    ideals = [gens_ideal(5, [[i], [j, 5]]) for i in range(1, 5) for j in range(1, 5)]
-    for ideal in ideals:
+def test_transversal_cache_is_bounded():
+    cached, size = combinatorics._transversals_of, combinatorics.TRANSVERSALS_CACHE_SIZE
+    assert cached.cache_info().maxsize == size
+    cached.cache_clear()
+    ideals = tiny_ideals(size + 1)
+    for ideal in ideals[:size]:
         assert minimal_primes(ideal) == brute_minimal_primes(ideal)
-        assert len(combinatorics._transversals) <= 3
-    # oldest first: the last three requests are the ones kept
-    assert list(combinatorics._transversals) == [ideal.gens for ideal in ideals[-3:]]
+    assert minimal_primes(ideals[0]) == brute_minimal_primes(ideals[0])  # a hit
+    assert minimal_primes(ideals[-1]) == brute_minimal_primes(ideals[-1])
+    info = cached.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (size, size + 1, 1)
+    # the least recently used family, that of ideals[1], was evicted
+    minimal_primes(ideals[0])
+    assert cached.cache_info().misses == size + 1
+    minimal_primes(ideals[1])
+    assert cached.cache_info().misses == size + 2
 
 
 def test_minimal_primes_rejects_degenerate():

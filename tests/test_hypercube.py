@@ -43,6 +43,7 @@ from .conftest import (
     nine_vars_ideal,
     primes_ideal,
     rp2_ideal,
+    tiny_ideals,
 )
 from .oracles import (
     cech_vertex_dim,
@@ -410,26 +411,43 @@ def test_edges_all_zero_when_stored_edges_empty(a5):
         cube.edge(full_mask(5), 0)
 
 
+def test_edge_refuses_a_direction_outside_the_cube():
+    cube = build_hypercube(gens_ideal(3, [[1], [2]]), 2, QQ)
+    for i in (-1, 3, 5):
+        with pytest.raises(InputError):
+            cube.edge(0, i)
+    e = cube.edge(0, 2)
+    assert (e.rows, e.cols) == (cube.vertex_dim(4), cube.vertex_dim(0))
+
+
 def test_hypercube_caching(a5):
     assert build_hypercube(a5, 2, QQ) is build_hypercube(a5, 2, QQ)
 
 
-def test_hypercube_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(hypercube, "HYPERCUBE_CACHE_SIZE", 3)
-    monkeypatch.setattr(hypercube, "_cache", {})
-    ideals = [gens_ideal(5, [[i], [j]]) for i in range(1, 6) for j in range(i + 1, 6)]
-    for ideal in ideals:
+def test_hypercube_cache_is_bounded():
+    cached, size = hypercube._build_all_degrees, hypercube.HYPERCUBE_CACHE_SIZE
+    assert cached.cache_info().maxsize == size
+    cached.cache_clear()
+    ideals = tiny_ideals(size + 1)
+    for ideal in ideals[:size]:
         build_hypercube(ideal, 2, QQ)
-        assert len(hypercube._cache) <= 3
-    # oldest first: the last three requests are the ones kept
-    kept = [key[1] for key in hypercube._cache]
-    assert kept == [ideal.gens for ideal in ideals[-3:]]
+    build_hypercube(ideals[0], 2, QQ)  # a hit: ideals[0] is now the most recent
+    build_hypercube(ideals[-1], 2, QQ)
+    info = cached.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (size, size + 1, 1)
+    # the least recently used entry, that of ideals[1], was evicted
+    build_hypercube(ideals[0], 2, QQ)
+    assert cached.cache_info().misses == size + 1
+    build_hypercube(ideals[1], 2, QQ)
+    assert cached.cache_info().misses == size + 2
 
 
-def test_hypercube_cache_holds_every_degree_in_one_entry(monkeypatch, a5):
-    monkeypatch.setattr(hypercube, "_cache", {})
+def test_hypercube_cache_holds_every_degree_in_one_entry(a5):
+    cached = hypercube._build_all_degrees
+    cached.cache_clear()
     cubes = [build_hypercube(a5, r, QQ) for r in range(a5.n + 1)]
-    assert len(hypercube._cache) == 1
+    assert cached.cache_info().currsize == 1
+    assert cached.cache_info().misses == 1
     assert [cube.r for cube in cubes] == list(range(a5.n + 1))
     again = [build_hypercube(a5, r, QQ) for r in range(a5.n + 1)]
     assert all(x is y for x, y in zip(again, cubes))
@@ -466,7 +484,7 @@ def test_build_skips_only_cones(monkeypatch, a4, a5, ex53, ex57, field):
     for ideal in ideals:
         formed.clear()
         selected.clear()
-        hypercube._build_all_degrees(ideal, field)
+        hypercube._build_all_degrees.__wrapped__(ideal, field)  # never cached
         full = full_mask(ideal.n)
         dual = simplicial_complex(full, [full ^ g for g in ideal.gens])
         assert formed == [full]
@@ -493,7 +511,7 @@ def test_build_forms_one_complex_per_lattice_mask(monkeypatch, ideal, complexes)
     # nine: 270 of its 511 nonzero masks are unions of minimal primes; each
     # selects its restriction's complex from the one complex of D^v
     formed, selected = _record_complexes(monkeypatch)
-    hypercube._build_all_degrees(ideal, QQ)
+    hypercube._build_all_degrees.__wrapped__(ideal, QQ)  # never cached
     assert len(selected) == complexes
     assert formed == [full_mask(ideal.n)]
 

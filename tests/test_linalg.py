@@ -65,11 +65,13 @@ def test_field_refuses_what_is_not_a_characteristic(make, p):
         make(p)
 
 
-def test_hypercube_cache_finds_an_equal_field(monkeypatch, a5):
-    monkeypatch.setattr(hypercube, "_cache", {})
+def test_hypercube_cache_finds_an_equal_field(a5):
+    cached = hypercube._build_all_degrees
+    cached.cache_clear()
     cube = build_hypercube(a5, 2, Field(3))
     assert build_hypercube(a5, 2, prime_field(3)) is cube
-    assert len(hypercube._cache) == 1
+    info = cached.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
 
 
 def test_entries_reduced_on_construction():
@@ -77,6 +79,59 @@ def test_entries_reduced_on_construction():
     assert m.dense()[0][0] == Fraction(1, 2)
     m2 = ExactMatrix(F5, 1, 2, [[7, -1]])
     assert m2.dense()[0] == [2, 4]
+
+
+def test_coerce_reads_every_other_scalar_as_a_fraction():
+    f3 = prime_field(3)
+    # 1/2 = 2 in F_3; a bool is the int it equals
+    m = ExactMatrix(f3, 1, 5, [[0.5, 2, True, False, Fraction(5, 4)]])
+    assert m.data[0] == ((0, 2), (1, 2), (2, 1), (4, 2))
+    assert all(type(x) is int for _, x in m.data[0])
+    assert rank(m) == 1
+    assert ExactMatrix(QQ, 1, 2, [[0.5, True]]).data[0] == ((0, Fraction(1, 2)), (1, 1))
+    assert f3.coerce(0.25) == 1  # 1/4 = 1 in F_3
+    with pytest.raises(ZeroDivisionError):
+        f3.coerce(Fraction(1, 3))
+
+
+def _select_dense(mat, rows, cols, odd):
+    """The dense oracle of ``mat.select``: the submatrix by indexing, then
+    each entry negated where the parities of its row and column differ."""
+    full = mat.dense()
+    sub = [[full[i][j] for j in cols] for i in rows]
+    if odd is not None:
+        sub = [
+            [-x if a != b else x for x, b in zip(row, odd[1])]
+            for row, a in zip(sub, odd[0])
+        ]
+    return ExactMatrix(mat.field, len(rows), len(cols), sub)
+
+
+def _increasing_subset(rng, n):
+    return sorted(rng.sample(range(n), rng.randint(0, n)))
+
+
+@pytest.mark.parametrize("f", [QQ, F2, prime_field(3)], ids=["q", "f2", "f3"])
+def test_select_matches_a_dense_oracle(f):
+    rng = random.Random(19)
+    dropped = 0
+    for _ in range(200):
+        mat = random_matrix(rng, f, rng.randint(0, 6), rng.randint(0, 6), span=3)
+        rows = _increasing_subset(rng, mat.rows)
+        cols = _increasing_subset(rng, mat.cols)
+        twists = [None, ([rng.randint(0, 1) for _ in rows], [rng.randint(0, 1) for _ in cols])]
+        for odd in twists:
+            got = mat.select(rows, cols, odd)
+            assert got == _select_dense(mat, rows, cols, odd)
+            assert (got.rows, got.cols) == (len(rows), len(cols))
+        dropped += sum(1 for i in rows for j, _ in mat.data[i] if j not in cols)
+    assert dropped  # entries outside cols were met, and left out
+    mat = ExactMatrix(f, 2, 3, [[1, 0, 1], [0, 1, 1]])
+    assert mat.select([], [0, 2]) == ExactMatrix(f, 0, 2)
+    assert mat.select([0, 1], []) == ExactMatrix(f, 2, 0)
+    assert mat.select(range(2), [1, 2], ([0, 1], [1, 1])).dense() == [
+        [0, f.neg(1)], [1, 1]
+    ]
 
 
 def test_from_entries_reduces_and_refuses_outside_entries():

@@ -32,7 +32,7 @@ from lyub.resolution import taylor_complex
 from lyub.linalg import homology_dims
 from lyub.tables import BettiTable, LyubeznikTable
 
-from .conftest import cycle_nonedge_ideal, gens_ideal
+from .conftest import cycle_nonedge_ideal, gens_ideal, tiny_ideals
 from .oracles import (
     brute_lyubeznik_cells,
     hochster_betti_counts,
@@ -390,13 +390,19 @@ def test_lyubeznik_table_check_a8(field):
     lyubeznik_table(cycle_nonedge_ideal(8), field, check=True)
 
 
-def test_minimized_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(resolution, "MINIMIZED_CACHE_SIZE", 3)
-    monkeypatch.setattr(resolution, "_minimized_cache", {})
-    ideals = [gens_ideal(5, [[i], [j]]) for i in range(1, 6) for j in range(i + 1, 6)]
-    for ideal in ideals:
+def test_minimized_cache_is_bounded():
+    size = resolution.MINIMIZED_CACHE_SIZE
+    assert minimal_resolution.cache_info().maxsize == size
+    minimal_resolution.cache_clear()
+    ideals = tiny_ideals(size + 1)
+    for ideal in ideals[:size]:
         minimal_resolution(ideal, QQ)
-        assert len(resolution._minimized_cache) <= 3
-    # oldest first: the last three requests are the ones kept
-    kept = [key[1] for key in resolution._minimized_cache]
-    assert kept == [ideal.gens for ideal in ideals[-3:]]
+    minimal_resolution(ideals[0], QQ)  # a hit: ideals[0] is now the most recent
+    minimal_resolution(ideals[-1], QQ)
+    info = minimal_resolution.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (size, size + 1, 1)
+    # the least recently used entry, that of ideals[1], was evicted
+    minimal_resolution(ideals[0], QQ)
+    assert minimal_resolution.cache_info().misses == size + 1
+    minimal_resolution(ideals[1], QQ)
+    assert minimal_resolution.cache_info().misses == size + 2
