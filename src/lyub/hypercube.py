@@ -6,8 +6,12 @@ restriction to a of the Alexander dual complex D^v (the complex of the dual
 ideal).  Restrictions nest, so for each free bit i the inclusion of the
 a-restriction into the (a+e_i)-restriction induces a map on cohomology by
 cochain restriction; the canonical map u_{a,i} between vertices is its
-transpose.  Square commutativity and d∘d = 0 of every assembled complex are
-verified at build time.
+transpose.
+
+Each cube owns its main complex, assembled by the ``Hypercube`` constructor,
+whose d∘d check is the check that every square commutes.  The Lyubeznik
+numbers are its homology, and each Bass or dual Bass row is the homology
+of one interval of it (``interval_complex``), selected without assembly.
 
 One build serves every degree r.  The cochain complex of D^v is formed
 once, and each mask a selects the cochain complex of its restriction from
@@ -22,8 +26,7 @@ where a vertex is nonzero, visiting the masks top down, from the full mask
 to 1: when a is reached, every nonzero a+e_i of the same degree has its
 representatives, and one reduction at a gives a's representatives and
 every edge map out of a (``linalg.homology_space``, which reduces only the
-free coordinates of the coboundary out of a's cochains).  The squares of
-each cube are verified together, as d∘d = 0 of its main complex.
+free coordinates of the coboundary out of a's cochains).
 
 Degenerate degrees: vertices sit in cohomological degree q = r - 2, and the
 q = -2 and q = -1 conventions of the cohomology module apply.  The vertex at
@@ -66,24 +69,33 @@ from .linalg import ExactMatrix, Field, VectorSpaceComplex, hstack
 
 
 class Hypercube:
-    """Vertex dimensions and canonical edge matrices of one H_I^r(R).
+    """Vertex dimensions, edge matrices and main complex of one H_I^r(R).
 
     Only nonzero vertices and edges between them are stored; ``vertex_dim``
     and ``edge`` materialize the zero cases.  ``build_hypercube`` fills
     them top down, so an edge alpha -> alpha+e_i is stored when alpha is
-    reached, from the representatives alpha+e_i already has.  Vertices
-    and edges never change after construction.  The one thing filled in
-    later is ``_bass``, which starts empty: the first request for the
-    cube's Bass table (or dual Bass table) stores that table's rows there,
-    so each table is assembled once per cube however many commands read
-    it: one main complex, and one complex per support hull selected from
-    it.  The rows are tuples, which no caller can change, and they depend
-    on nothing but the vertices and edges, so sharing the cube, as the
-    cache of ``build_hypercube`` does, stays safe; they go when the cube
-    goes.
+    reached, from the representatives alpha+e_i already has.
+
+    The constructor assembles ``main``, the main complex: position p holds
+    the vertices full \\ gamma with |gamma| = p, in increasing order of
+    gamma, and ``starts`` gives each nonzero vertex's first basis index in
+    its position.  Its d∘d check is the check that every square commutes,
+    so no other cube can be constructed.  For a = full \\ (gamma + e_i +
+    e_j), i < j, and s_k = (-1)^(bits of gamma below k), the block of d∘d
+    from summand gamma + e_i + e_j to summand gamma is s_i s_j (u_{a+e_i,j}
+    u_{a,i} - u_{a+e_j,i} u_{a,j}), zero exactly when the square at
+    (a, i, j) commutes.  Such a block exists exactly when a and a + e_i +
+    e_j are nonzero vertices, the squares on which commutativity says
+    anything; a zero middle vertex gives no term, as its zero edge would.
+
+    Nothing changes after construction but ``_bass``, which starts empty:
+    the first request for the cube's Bass table (or dual Bass table)
+    stores that table's rows there, as tuples that depend on nothing but
+    the vertices and edges, so sharing the cube, as the cache of
+    ``build_hypercube`` does, stays safe; they go when the cube goes.
     """
 
-    __slots__ = ("n", "r", "field", "dims", "edge_mats", "_bass")
+    __slots__ = ("n", "r", "field", "dims", "edge_mats", "main", "starts", "_bass")
 
     def __init__(self, n: int, r: int, field: Field, dims, edge_mats):
         self.n = n
@@ -91,13 +103,26 @@ class Hypercube:
         self.field = field
         self.dims = dict(dims)
         self.edge_mats = dict(edge_mats)
+        full = full_mask(n)
+        try:
+            self.main = restricted_complex(self, full, full)
+        except ContractError as exc:
+            raise ContractError(
+                f"hypercube of degree r={r}: squares do not commute ({exc})"
+            ) from None
+        self.starts, sizes = {}, [0] * (n + 1)
+        for v in sorted(self.dims, key=full.__xor__):  # main's summand order
+            self.starts[v] = sizes[popcount(v)]
+            sizes[popcount(v)] += self.dims[v]
         self._bass: dict = {}  # dual? -> rows of the Bass or dual Bass table
 
     def vertex_dim(self, alpha: int) -> int:
+        _check_masks(self, alpha)
         return self.dims.get(alpha, 0)
 
     def edge(self, alpha: int, i: int) -> ExactMatrix:
         """The canonical map at (alpha, i): vertex alpha -> vertex alpha+e_i."""
+        _check_masks(self, alpha)
         if not 0 <= i < self.n:
             raise InputError(f"edge direction {i} outside [0, {self.n})")
         if alpha >> i & 1:
@@ -183,35 +208,12 @@ def _build_all_degrees(ideal: MonomialIdeal, field: Field) -> tuple[Hypercube, .
                     field, b.cols, h, cols[c0:c0 + b.cols]
                 )
                 c0 += b.cols
-    cubes = tuple(
-        Hypercube(n, r, field, dims[r], edges[r]) for r in range(n + 1)
-    )
-    for cube in cubes:
-        _verify_commutativity(cube)
-    return cubes
+    return tuple(Hypercube(n, r, field, dims[r], edges[r]) for r in range(n + 1))
 
 
-def _verify_commutativity(cube: Hypercube) -> None:
-    """u_{a+e_i,j} u_{a,i} = u_{a+e_j,i} u_{a,j} on every relevant 2-face,
-    checked as d∘d = 0 of ``main_complex(cube)``.
-
-    Position p of the main complex holds the vertices full \\ gamma with
-    |gamma| = p.  For a = full \\ (gamma + e_i + e_j), i < j, and s_k =
-    (-1)^(bits of gamma below k), the block of d∘d from summand gamma + e_i
-    + e_j to summand gamma is s_i s_j (u_{a+e_i,j} u_{a,i} - u_{a+e_j,i}
-    u_{a,j}), which is zero exactly when the square at (a, i, j) commutes.
-    Such a block exists exactly when a and a + e_i + e_j are nonzero
-    vertices, the squares on which commutativity says anything; a zero
-    middle vertex gives no term, as its zero edge would.  The complex's
-    own check sums d∘d row by row without forming products, and the
-    complex is not kept.
-    """
-    try:
-        main_complex(cube)
-    except ContractError as exc:
-        raise ContractError(
-            f"hypercube of degree r={cube.r}: squares do not commute ({exc})"
-        ) from None
+def _check_masks(cube: Hypercube, *masks: int) -> None:
+    if any(m >> cube.n for m in masks):  # negative masks included
+        raise InputError("mask does not fit the hypercube")
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +231,7 @@ def restricted_complex(cube: Hypercube, amask: int, bmask: int) -> VectorSpaceCo
     identity.  Only the gammas at nonzero vertices are visited, and each
     row of a map is written straight from the edge rows it meets.
     """
-    if amask >> cube.n or bmask >> cube.n:
-        raise InputError("mask does not fit the hypercube")
+    _check_masks(cube, amask, bmask)
     field, p, dims = cube.field, cube.field.p, cube.dims
     # The vertices bmask \ gamma over gamma <= amask are base | s for
     # s <= span; walk whichever is fewer, those 2^|span| candidates or the
@@ -292,47 +293,32 @@ def restricted_complex(cube: Hypercube, amask: int, bmask: int) -> VectorSpaceCo
 
 def main_complex(cube: Hypercube) -> VectorSpaceComplex:
     """Positions p = 0..n with the level n-p vertices; H_p gives mu_p(m)."""
-    full = full_mask(cube.n)
-    return restricted_complex(cube, full, full)
+    return cube.main
 
 
-def summand_starts(cube: Hypercube) -> dict[int, int]:
-    """Per nonzero vertex v, the first basis index of its summand at
-    position n - |v| of ``main_complex(cube)``."""
-    full = full_mask(cube.n)
-    dims, starts, sizes = cube.dims, {}, [0] * (cube.n + 1)
-    for v in sorted(dims, key=full.__xor__):  # gamma = full \ v increasing
-        p = cube.n - popcount(v)
-        starts[v] = sizes[p]
-        sizes[p] += dims[v]
-    return starts
+def interval_complex(cube: Hypercube, lo: int, hi: int) -> VectorSpaceComplex:
+    """The summands of ``cube.main`` whose vertex v has lo <= v <= hi, at
+    positions |hi| - |v|, their maps selected from main's.
 
-
-def hull_complex(
-    cube: Hypercube, main: VectorSpaceComplex, starts: dict[int, int], hull: int
-) -> VectorSpaceComplex:
-    """The complex of ``restricted_complex(cube, hull, hull)`` up to summand
-    signs, selected from ``main = main_complex(cube)`` with ``starts =
-    summand_starts(cube)``, so it has the same homology.
-
-    Position p keeps the summands of main's position p + n - |hull| whose
-    vertex lies in hull.  They come in the same order as in the hull
-    complex, since the gammas of main are those of the hull complex joined
-    with full \\ hull.  Every entry of a kept row lies in the column of a
-    vertex in hull (the vertex minus one bit), so the columns are only
-    renumbered.  A direction-i map carries the hull complex's sign times
-    s_i = (-1)^(bits of full \\ hull below i), and scaling the summand
-    gamma by the product of s_i over i in gamma turns one complex into the
-    other.  Only the nonzero vertices in hull are visited.
+    Each map of main goes from a vertex minus one bit to the vertex, so a
+    path of two maps between vertices of the interval stays in it, and
+    d∘d of the selection is the selection of d∘d.  With lo = 0 this is
+    ``restricted_complex`` at amask = bmask = hi up to summand signs: its
+    gammas, joined with full \\ hi, are main's in the same order, and a
+    direction-i map carries its sign times s_i = (-1)^(bits of full \\ hi
+    below i), which scaling the summand gamma by the product of s_i over
+    i in gamma removes.  Only the interval's nonzero vertices are visited.
     """
-    if hull >> cube.n:
-        raise InputError("mask does not fit the hypercube")
-    dims, k = cube.dims, popcount(hull)
-    if 1 << k < len(dims):
-        verts = [v for v in submasks(hull) if v in dims]
+    _check_masks(cube, lo, hi)
+    if lo & ~hi:
+        raise InputError("interval bottom mask is not below its top mask")
+    dims, starts, k = cube.dims, cube.starts, popcount(hi)
+    span = hi & ~lo
+    if 1 << popcount(span) < len(dims):
+        verts = [lo | s for s in submasks(span) if lo | s in dims]
     else:
-        verts = [v for v in dims if not v & ~hull]
-    levels: list[list[int]] = [[] for _ in range(k + 1)]
+        verts = [v for v in dims if (v ^ lo) & ~span == 0]
+    levels: list[list[int]] = [[] for _ in range(popcount(span) + 1)]
     for v in verts:
         levels[k - popcount(v)].append(v)
     picks = [
@@ -340,9 +326,9 @@ def hull_complex(
          for i in range(starts[v], starts[v] + dims[v])]
         for lv in levels
     ]
-    shift = cube.n - k
+    shift, maps = cube.n - k, cube.main.maps
     return VectorSpaceComplex(cube.field, map(len, picks), [
-        main.maps[p + shift].select(picks[p], picks[p + 1]) for p in range(k)
+        maps[p + shift].select(picks[p], picks[p + 1]) for p in range(len(levels) - 1)
     ])
 
 
@@ -365,8 +351,7 @@ def dual_complex(cube: Hypercube) -> VectorSpaceComplex:
 def face_restricted_hypercube(cube: Hypercube, amask: int) -> Hypercube:
     """The |a|-hypercube of vertices below amask, bits renumbered.  Only the
     tests (restriction identities) and the benchmark tracer name it."""
-    if amask >> cube.n:
-        raise InputError("mask does not fit the hypercube")
+    _check_masks(cube, amask)
     positions = bits_of(amask)
     local = {b: t for t, b in enumerate(positions)}
 

@@ -16,14 +16,7 @@ from .combinatorics import (
 )
 from .cohomology import cochain_complex, link_cochains
 from .errors import MAX_BASS_WORK, ContractError, DomainError, ResourceError
-from .hypercube import (
-    Hypercube,
-    build_hypercube,
-    hull_complex,
-    main_complex,
-    matlis_dual,
-    summand_starts,
-)
+from .hypercube import Hypercube, build_hypercube, interval_complex
 from .linalg import Field, homology_dims
 from .resolution import betti_numbers, lyubeznik_via_strands
 from .tables import BassTable, DualBassTable, LyubeznikTable
@@ -62,14 +55,11 @@ def minimal_support_masks(cube: Hypercube) -> list[int]:
 
 def _bass_work(cube: Hypercube, dual: bool) -> list[int]:
     """Per mask alpha, the vertex dimensions row alpha of the Bass table
-    assembles (those below alpha); with ``dual`` the same for the Matlis
-    dual, read off the flipped vertex dimensions alone.  A table whose
-    totals sum above ``MAX_BASS_WORK`` is refused."""
-    dims = cube.dims
-    if dual:
-        full = full_mask(cube.n)
-        dims = {full ^ a: d for a, d in dims.items()}
-    below = _totals_below(cube.n, dims)
+    assembles (those below alpha); with ``dual`` the same over the flipped
+    vertex dimensions, those of the Matlis dual.  A table whose totals sum
+    above ``MAX_BASS_WORK`` is refused."""
+    flip = full_mask(cube.n) if dual else 0
+    below = _totals_below(cube.n, {flip ^ v: d for v, d in cube.dims.items()})
     work = sum(below)
     if work > MAX_BASS_WORK:
         raise ResourceError(
@@ -84,39 +74,48 @@ def _table(cube: Hypercube, dual: bool) -> BassTable | DualBassTable:
 
     The cap is checked on every call, so a refusal never depends on what
     ran before; past it, each table's rows are assembled once and kept on
-    the cube.  The dual table reads pi_p(p_alpha) = mu_p(p_{1-alpha}) off
-    the Matlis dual, which is built for the rows and then dropped.
+    the cube.  Each row is the homology of one interval of the cube's main
+    complex (``hypercube.interval_complex``), and one is reduced per
+    support hull h = hull(alpha), the union of the nonzero vertices below
+    alpha (``unions_below``): row alpha is row h shifted, ``[0] *
+    |alpha \\ h|`` followed by row h.
 
-    One complex is reduced per support hull h = hull(alpha), the union of
-    the nonzero vertices below alpha (``unions_below``), because row alpha
-    is row h shifted: ``[0] * |alpha \\ h|`` followed by row h.  The hull
-    complexes are selected from one main complex per table
-    (``hypercube.hull_complex``).  Proof of the shift: let
-    c = alpha \\ h.  A summand alpha \\ gamma of the alpha complex is nonzero
-    only if it is a nonzero vertex, so it lies in h and gamma contains c.
-    Writing gamma = c + g with g <= h maps the nonzero summands at
-    position p one to one, in the same order, onto those of the h complex
-    at position p - |c|, with the same vertex h \\ g.  A direction-i map
-    (i in h \\ g) carries the sign of the bits of gamma below i, which is
-    the h complex's sign times s_i = (-1)^{|c & [0, i)|}.  Scaling the
-    summand g by the product of s_i over i in g turns one complex into the
-    other, so their homologies agree, shifted by |c| positions; the first
-    |c| positions hold no summand.
+    Proof of the shift: let c = alpha \\ h.  Row alpha is the homology of
+    the alpha complex, ``restricted_complex`` at amask = bmask = alpha.
+    Its summand alpha \\ gamma is nonzero only if it is a nonzero vertex,
+    so it lies in h and gamma contains c.  Writing gamma = c + g with
+    g <= h maps the nonzero summands at position p one to one, in the same
+    order, onto those of the h complex at position p - |c|, with the same
+    vertex h \\ g.  A direction-i map (i in h \\ g) carries the sign of the
+    bits of gamma below i, which is the h complex's sign times s_i =
+    (-1)^{|c & [0, i)|}.  Scaling the summand g by the product of s_i over
+    i in g turns one complex into the other, so their homologies agree,
+    shifted by |c| positions; the first |c| positions hold no summand.  The
+    h complex is the interval [0, h] up to such signs.
+
+    The dual table is pi_p(p_alpha) = mu_p(p_{1-alpha}) of the Matlis dual
+    D, with hulls taken over D's vertices w = full \\ v.  D's edge w ->
+    w + e_i is the transpose of the cube's edge full \\ (w + e_i) ->
+    full \\ w, so D's h complex has the summands of the cube's interval
+    [full \\ h, full], with positions reversed (w sits at |h| - |w|, v at
+    n - |v|) and each block transposed; the signs of a direction-i block
+    differ by (-1)^{|h & [0, i)|}, which a scaling of summands removes.  A
+    map and its transpose have the same rank, so D's row at h is the
+    homology of that interval read backwards.
     """
     below = _bass_work(cube, dual)
     kind = DualBassTable if dual else BassTable
     rows = cube._bass.get(dual)
     if rows is None:
-        src, flip = (matlis_dual(cube), full_mask(cube.n)) if dual else (cube, 0)
-        main, starts = main_complex(src), summand_starts(src)
-        by_hull: dict[int, list[int]] = {}
-        mus = {}
-        hulls = unions_below(cube.n, src.dims)
+        flip = full_mask(cube.n) if dual else 0
+        hulls = unions_below(cube.n, [flip ^ v for v in cube.dims])
+        by_hull, mus = {}, {}
         for a, t in enumerate(below):
             if t:
                 h = hulls[a]
-                if h not in by_hull:
-                    by_hull[h] = homology_dims(hull_complex(src, main, starts, h))
+                if h not in by_hull:  # the interval [0, h], or [full \ h, full]
+                    mu = homology_dims(interval_complex(cube, flip & ~h, flip | h))
+                    by_hull[h] = mu[::-1] if dual else mu
                 mus[flip ^ a] = [0] * popcount(a ^ h) + by_hull[h]
         rows = cube._bass[dual] = kind.from_rows(cube.r, mus).rows
     return kind(cube.r, rows)
@@ -147,7 +146,7 @@ def lyubeznik_table(
         raise DomainError("Lyubeznik table needs a proper nonzero ideal")
     cubes = (build_hypercube(ideal, r, field) for r in range(ideal.n + 1))
     table = LyubeznikTable.from_homology(ideal.n, ideal.dim_quotient(), {
-        cube.r: homology_dims(main_complex(cube)) for cube in cubes if not cube.is_zero()
+        cube.r: homology_dims(cube.main) for cube in cubes if not cube.is_zero()
     })
     if check:
         other = lyubeznik_via_strands(ideal, field)

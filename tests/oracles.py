@@ -9,13 +9,13 @@ assembles a restricted hypercube complex block by block over every subset;
 they read matrices only through ``ExactMatrix.dense``.
 ``homology_space_full_rows`` reduces every coordinate of a space where
 ``homology_space`` reduces only the free coordinates of d_out, and
-``squares_commute`` multiplies out every square of a hypercube where the
-build checks them as d∘d of its main complex.  ``per_edge_maps`` computes
+``squares_commute`` multiplies out every square of a hypercube where its
+constructor checks them as d∘d of its main complex.  ``per_edge_maps`` computes
 the hypercube's edge maps with one ``solve_matrix`` per edge instead of
 the one reduction per vertex the build uses, on cochain complexes formed
 per restriction instead of selected from one complex; ``bass_row``
-assembles a Bass row's complex on its own instead of selecting a support
-hull's from one main complex, and ``brute_hull`` finds a mask's support
+assembles a Bass row's complex on its own instead of selecting an
+interval of the main complex, and ``brute_hull`` finds a mask's support
 hull by enumeration instead of the Bass tables' subset sweep.
 
 Reference constructions that the package itself does not need:
@@ -223,22 +223,25 @@ def homology_space_full_rows(field, dim, d_out, d_in, vectors=None):
     return space, ExactMatrix._wrap(field, reps.cols, vectors.cols, classes)
 
 
-def squares_commute(cube):
+def squares_commute(n, dims, edges):
     """u_{a+e_i,j} u_{a,i} == u_{a+e_j,i} u_{a,j} on every square from a
     nonzero vertex a to a nonzero vertex a+e_i+e_j, by two products per
-    square."""
-    for alpha in cube.dims:
-        for i in range(cube.n):
-            if alpha >> i & 1:
-                continue
-            for j in range(i + 1, cube.n):
-                if alpha >> j & 1:
+    square, read off vertex dimensions and stored edges (absent ones are
+    zero), so that a cube whose squares do not commute can be tested."""
+
+    def path(alpha, i, j):  # the product along a -> a+e_i -> a+e_i+e_j, or None if zero
+        first, second = edges.get((alpha, i)), edges.get((alpha | 1 << i, j))
+        if first is None or second is None:
+            return None
+        prod = second.matmul(first)
+        return prod if any(prod.data) else None
+
+    for alpha in dims:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if alpha & (1 << i | 1 << j) or alpha | 1 << i | 1 << j not in dims:
                     continue
-                if not cube.vertex_dim(alpha | 1 << i | 1 << j):
-                    continue
-                via_i = cube.edge(alpha | 1 << i, j).matmul(cube.edge(alpha, i))
-                via_j = cube.edge(alpha | 1 << j, i).matmul(cube.edge(alpha, j))
-                if via_i != via_j:
+                if path(alpha, i, j) != path(alpha, j, i):
                     return False
     return True
 

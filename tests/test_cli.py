@@ -185,10 +185,9 @@ def test_main_bass_cap_refuses_before_any_row(tmp_path, capsys, monkeypatch, com
     from lyub.hypercube import matlis_dual
 
     def no_complex(*args):
-        raise AssertionError("a Bass complex was assembled")
+        raise AssertionError("a Bass complex was selected")
 
-    monkeypatch.setattr(invariants, "main_complex", no_complex)
-    monkeypatch.setattr(invariants, "hull_complex", no_complex)
+    monkeypatch.setattr(invariants, "interval_complex", no_complex)
     monkeypatch.setattr(invariants, "MAX_BASS_WORK", 10)
     path = tmp_path / "a5.ideal"
     path.write_text(A5_PRIMES)
@@ -212,7 +211,7 @@ def test_main_bass_cap_covers_every_degree(tmp_path, capsys, monkeypatch, comman
     from lyub.hypercube import matlis_dual
 
     def no_complex(*args):
-        raise AssertionError("a Bass complex was assembled")
+        raise AssertionError("a Bass complex was selected")
 
     text = "n=4;\nprimes: {2}, {1,4}, {3,4};\n"
     ideal = parse_input(text).ideal()
@@ -224,8 +223,7 @@ def test_main_bass_cap_covers_every_degree(tmp_path, capsys, monkeypatch, comman
         works.append(sum(d for a in range(16) for v, d in cube.dims.items() if v & ~a == 0))
     assert lyub.nonzero_cohomology_degrees(ideal, QQ) == [1, 2]
     assert works[1] > works[0]
-    monkeypatch.setattr(invariants, "main_complex", no_complex)
-    monkeypatch.setattr(invariants, "hull_complex", no_complex)
+    monkeypatch.setattr(invariants, "interval_complex", no_complex)
     monkeypatch.setattr(invariants, "MAX_BASS_WORK", works[0])
     path = tmp_path / "mixed.ideal"
     path.write_text(text)
@@ -237,8 +235,9 @@ def test_main_bass_cap_covers_every_degree(tmp_path, capsys, monkeypatch, comman
 
 def test_bass_supp_dims_build_each_bass_row_once(tmp_path, capsys, monkeypatch):
     # the tables bass builds are the ones supp and dims read, and each
-    # selects one complex per support hull (the union of the nonzero
-    # vertices below a support mask) from one main complex
+    # selects one interval [0, hull] per support hull (the union of the
+    # nonzero vertices below a support mask) from its cube's main complex,
+    # which the cube assembled once
     from collections import Counter
 
     from lyub import build_hypercube, hypercube, invariants
@@ -246,18 +245,19 @@ def test_bass_supp_dims_build_each_bass_row_once(tmp_path, capsys, monkeypatch):
 
     hypercube._build_all_degrees.cache_clear()  # fresh cubes, no tables kept
     calls, mains = Counter(), Counter()
-    original, original_main = invariants.hull_complex, invariants.main_complex
+    original, original_main = invariants.interval_complex, hypercube.restricted_complex
 
-    def counted(cube, main, starts, hull):
-        calls[(cube.r, hull)] += 1
-        return original(cube, main, starts, hull)
+    def counted(cube, lo, hi):
+        assert lo == 0
+        calls[(cube.r, hi)] += 1
+        return original(cube, lo, hi)
 
-    def counted_main(cube):
+    def counted_main(cube, amask, bmask):
         mains[cube.r] += 1
-        return original_main(cube)
+        return original_main(cube, amask, bmask)
 
-    monkeypatch.setattr(invariants, "hull_complex", counted)
-    monkeypatch.setattr(invariants, "main_complex", counted_main)
+    monkeypatch.setattr(invariants, "interval_complex", counted)
+    monkeypatch.setattr(hypercube, "restricted_complex", counted_main)
     path = tmp_path / "a5.ideal"
     path.write_text(A5_PRIMES)
     for command in ("bass", "supp", "dims"):
@@ -270,7 +270,7 @@ def test_bass_supp_dims_build_each_bass_row_once(tmp_path, capsys, monkeypatch):
         expected |= {(r, brute_hull(cube, alpha)) for alpha in support_masks(cube)}
     assert set(calls) == expected
     assert set(calls.values()) == {1}
-    assert set(mains) == {r for r, _ in expected}
+    assert set(mains) == set(range(ideal.n + 1))
     assert set(mains.values()) == {1}
 
 

@@ -313,12 +313,40 @@ def test_derived_cubes_start_with_nothing_stored(ex57):
 
 
 def test_check_bass_work_builds_no_matlis_dual(monkeypatch, a5, ex57):
-    def no_dual(*args):
-        raise AssertionError("a Matlis dual was built")
+    # no table path builds a Matlis dual, or any cube but the ones of the
+    # build: the dual table reads an interval of the cube's main complex
+    hypercube._build_all_degrees.cache_clear()  # fresh cubes, no tables kept
+    for ideal in (a5, ex57):
+        build_hypercube(ideal, 0, QQ)
 
-    monkeypatch.setattr(invariants, "matlis_dual", no_dual)
+    def no_cube(*args):
+        raise AssertionError("a hypercube was built")
+
+    assert not hasattr(invariants, "matlis_dual")
+    monkeypatch.setattr(hypercube, "matlis_dual", no_cube)
+    monkeypatch.setattr(hypercube.Hypercube, "__init__", no_cube)
     for ideal in (a5, ex57):
         invariants.check_bass_work(ideal, range(ideal.n + 1), QQ, dual=True)
+        for r in nonzero_cohomology_degrees(ideal, QQ):
+            assert bass_table(ideal, r, QQ).rows and dual_bass_table(ideal, r, QQ).rows
+
+
+def test_tables_read_the_main_complex_of_their_cube(monkeypatch, a5, ex57):
+    # once the cubes are built, no table assembles a complex: each reads
+    # the main complex its cube assembled and checked when it was built
+    hypercube._build_all_degrees.cache_clear()  # fresh cubes, no tables kept
+    cubes = [build_hypercube(i, r, QQ) for i in (a5, ex57) for r in range(i.n + 1)]
+
+    def no_assembly(*args):
+        raise AssertionError("a complex was assembled")
+
+    monkeypatch.setattr(hypercube, "restricted_complex", no_assembly)
+    for ideal in (a5, ex57):
+        lyubeznik_table(ideal, QQ)
+        for r in nonzero_cohomology_degrees(ideal, QQ):
+            bass_table(ideal, r, QQ)
+            dual_bass_table(ideal, r, QQ)
+    assert all(main_complex(cube) is cube.main for cube in cubes)
 
 
 # ---------------------------------------------------------------------------
