@@ -22,10 +22,10 @@ MAX_HYPERCUBE_MASKS = 2**16
 # Vertex dimensions one Bass or dual Bass table may assemble: row alpha
 # walks the nonzero vertices below alpha, so a table costs the sum of their
 # total dimension over the support, found by an O(n 2^n) sweep before any
-# row is built.  A table takes about 12-20 us per unit over Q on a 2-core
-# Xeon (a12's degree-2 table: 889,832 units in 10.3-17.5 s, four single
-# runs), so this cap (about 13-21 s) admits a12 and refuses a13 (3,019,692
-# units).
+# row is built.  A table takes about 4 us per unit over Q on a 2-core Xeon
+# (a12's degree-2 Bass and dual Bass tables: 889,832 units in 3.6 s each,
+# single runs), so this cap (about 4 s) admits a12 and refuses a13
+# (3,019,692 units).
 MAX_BASS_WORK = 2**20
 
 # Basis elements (cells) of one free complex before minimization: the Taylor

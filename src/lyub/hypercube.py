@@ -11,7 +11,8 @@ transpose.
 Each cube owns its main complex, assembled by the ``Hypercube`` constructor,
 whose d∘d check is the check that every square commutes.  The Lyubeznik
 numbers are its homology, and each Bass or dual Bass row is the homology
-of one interval of it (``interval_complex``), selected without assembly.
+of one interval of it, whose ranks are row ranks of main's maps
+(``invariants._hull_rows``).
 
 One build serves every degree r.  The cochain complex of D^v is formed
 once, and each mask a selects the cochain complex of its restriction from
@@ -88,14 +89,15 @@ class Hypercube:
     e_j are nonzero vertices, the squares on which commutativity says
     anything; a zero middle vertex gives no term, as its zero edge would.
 
-    Nothing changes after construction but ``_bass``, which starts empty:
-    the first request for the cube's Bass table (or dual Bass table)
-    stores that table's rows there, as tuples that depend on nothing but
-    the vertices and edges, so sharing the cube, as the cache of
-    ``build_hypercube`` does, stays safe; they go when the cube goes.
+    A layout that ``main`` and ``starts`` cannot describe is refused with
+    ``InputError`` (``_check_layout``).  Nothing changes after construction
+    but ``_bass`` (the rows of the Bass and dual Bass tables) and
+    ``_below`` (the sweeps of ``invariants._below``), filled on request
+    from the vertices alone, so sharing the cube, as the cache of
+    ``build_hypercube`` does, stays safe.
     """
 
-    __slots__ = ("n", "r", "field", "dims", "edge_mats", "main", "starts", "_bass")
+    __slots__ = ("n", "r", "field", "dims", "edge_mats", "main", "starts", "_bass", "_below")
 
     def __init__(self, n: int, r: int, field: Field, dims, edge_mats):
         self.n = n
@@ -103,6 +105,7 @@ class Hypercube:
         self.field = field
         self.dims = dict(dims)
         self.edge_mats = dict(edge_mats)
+        _check_layout(self)
         full = full_mask(n)
         try:
             self.main = restricted_complex(self, full, full)
@@ -115,6 +118,7 @@ class Hypercube:
             self.starts[v] = sizes[popcount(v)]
             sizes[popcount(v)] += self.dims[v]
         self._bass: dict = {}  # dual? -> rows of the Bass or dual Bass table
+        self._below: dict = {}  # dual? -> the per-mask totals of ``_bass_work``
 
     def vertex_dim(self, alpha: int) -> int:
         _check_masks(self, alpha)
@@ -122,11 +126,7 @@ class Hypercube:
 
     def edge(self, alpha: int, i: int) -> ExactMatrix:
         """The canonical map at (alpha, i): vertex alpha -> vertex alpha+e_i."""
-        _check_masks(self, alpha)
-        if not 0 <= i < self.n:
-            raise InputError(f"edge direction {i} outside [0, {self.n})")
-        if alpha >> i & 1:
-            raise InputError("edge direction bit already set")
+        _check_edge(self, alpha, i)
         mat = self.edge_mats.get((alpha, i))
         if mat is not None:
             return mat
@@ -216,6 +216,32 @@ def _check_masks(cube: Hypercube, *masks: int) -> None:
         raise InputError("mask does not fit the hypercube")
 
 
+def _check_edge(cube: Hypercube, alpha: int, i: int) -> None:
+    _check_masks(cube, alpha)
+    if not 0 <= i < cube.n:
+        raise InputError(f"edge direction {i} outside [0, {cube.n})")
+    if alpha >> i & 1:
+        raise InputError("edge direction bit already set")
+
+
+def _check_layout(cube: Hypercube) -> None:
+    """Refuse a mask outside the cube, a stored vertex of dimension below 1,
+    and an edge (alpha, i) with bit i out of range or set in alpha, an end
+    not stored, or a shape other than dim(alpha + e_i) x dim(alpha)."""
+    dims = cube.dims
+    _check_masks(cube, *dims)
+    for v, d in dims.items():
+        if d < 1:
+            raise InputError(f"stored vertex {v} has dimension {d}, not at least 1")
+    for (alpha, i), mat in cube.edge_mats.items():
+        _check_edge(cube, alpha, i)
+        shape = dims.get(alpha | 1 << i), dims.get(alpha)
+        if None in shape:
+            raise InputError(f"edge ({alpha}, {i}) meets a vertex that is not stored")
+        if (mat.rows, mat.cols) != shape:
+            raise InputError(f"edge ({alpha}, {i}) is {mat.rows}x{mat.cols}, not {shape[0]}x{shape[1]}")
+
+
 # ---------------------------------------------------------------------------
 # assembled complexes
 # ---------------------------------------------------------------------------
@@ -233,14 +259,9 @@ def restricted_complex(cube: Hypercube, amask: int, bmask: int) -> VectorSpaceCo
     """
     _check_masks(cube, amask, bmask)
     field, p, dims = cube.field, cube.field.p, cube.dims
-    # The vertices bmask \ gamma over gamma <= amask are base | s for
-    # s <= span; walk whichever is fewer, those 2^|span| candidates or the
-    # nonzero vertices.
+    # the vertices bmask \ gamma over gamma <= amask are base | s, s <= span
     base, span = bmask & ~amask, bmask & amask
-    if 1 << popcount(span) < len(dims):
-        verts = [base | s for s in submasks(span) if base | s in dims]
-    else:
-        verts = [v for v in dims if (v ^ base) & ~span == 0]
+    verts = [v for v in dims if (v ^ base) & ~span == 0]
     # the gammas of a vertex v are (bmask \ v) | extra, extra any subset of
     # the bits of amask outside bmask, which leave the vertex fixed
     fixed = amask & ~bmask
@@ -294,42 +315,6 @@ def restricted_complex(cube: Hypercube, amask: int, bmask: int) -> VectorSpaceCo
 def main_complex(cube: Hypercube) -> VectorSpaceComplex:
     """Positions p = 0..n with the level n-p vertices; H_p gives mu_p(m)."""
     return cube.main
-
-
-def interval_complex(cube: Hypercube, lo: int, hi: int) -> VectorSpaceComplex:
-    """The summands of ``cube.main`` whose vertex v has lo <= v <= hi, at
-    positions |hi| - |v|, their maps selected from main's.
-
-    Each map of main goes from a vertex minus one bit to the vertex, so a
-    path of two maps between vertices of the interval stays in it, and
-    d∘d of the selection is the selection of d∘d.  With lo = 0 this is
-    ``restricted_complex`` at amask = bmask = hi up to summand signs: its
-    gammas, joined with full \\ hi, are main's in the same order, and a
-    direction-i map carries its sign times s_i = (-1)^(bits of full \\ hi
-    below i), which scaling the summand gamma by the product of s_i over
-    i in gamma removes.  Only the interval's nonzero vertices are visited.
-    """
-    _check_masks(cube, lo, hi)
-    if lo & ~hi:
-        raise InputError("interval bottom mask is not below its top mask")
-    dims, starts, k = cube.dims, cube.starts, popcount(hi)
-    span = hi & ~lo
-    if 1 << popcount(span) < len(dims):
-        verts = [lo | s for s in submasks(span) if lo | s in dims]
-    else:
-        verts = [v for v in dims if (v ^ lo) & ~span == 0]
-    levels: list[list[int]] = [[] for _ in range(popcount(span) + 1)]
-    for v in verts:
-        levels[k - popcount(v)].append(v)
-    picks = [
-        [i for v in sorted(lv, key=starts.__getitem__)
-         for i in range(starts[v], starts[v] + dims[v])]
-        for lv in levels
-    ]
-    shift, maps = cube.n - k, cube.main.maps
-    return VectorSpaceComplex(cube.field, map(len, picks), [
-        maps[p + shift].select(picks[p], picks[p + 1]) for p in range(len(levels) - 1)
-    ])
 
 
 def matlis_dual(cube: Hypercube) -> Hypercube:

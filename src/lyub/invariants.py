@@ -8,16 +8,18 @@ from dataclasses import dataclass
 from .combinatorics import (
     MonomialIdeal,
     alexander_dual,
+    bits_of,
     full_mask,
     mask_key,
     popcount,
     stanley_reisner,
+    submasks,
     unions_below,
 )
 from .cohomology import cochain_complex, link_cochains
 from .errors import MAX_BASS_WORK, ContractError, DomainError, ResourceError
-from .hypercube import Hypercube, build_hypercube, interval_complex
-from .linalg import Field, homology_dims
+from .hypercube import Hypercube, build_hypercube
+from .linalg import Field, _eliminate, _working_rows, homology_dims
 from .resolution import betti_numbers, lyubeznik_via_strands
 from .tables import BassTable, DualBassTable, LyubeznikTable
 
@@ -26,30 +28,35 @@ from .tables import BassTable, DualBassTable, LyubeznikTable
 # ---------------------------------------------------------------------------
 
 
-def _totals_below(n: int, dims: dict[int, int]) -> list[int]:
-    """Per mask alpha, the total dimension of the nonzero vertices (``dims``)
-    below alpha: one subset-sum sweep per bit, O(n 2^n) in all."""
-    below = [0] * (1 << n)
-    for v, d in dims.items():
-        below[v] = d
-    for i in range(n):
-        bit = 1 << i
-        for m in range(1 << n):
-            if m & bit:
-                below[m] += below[m ^ bit]
+def _below(cube: Hypercube, dual: bool) -> list[int]:
+    """Per mask alpha, the total dimension of the nonzero vertices below
+    alpha (with ``dual``, of the flipped vertices, those of the Matlis
+    dual): one subset-sum sweep per bit, O(n 2^n), kept on the cube."""
+    below = cube._below.get(dual)
+    if below is None:
+        n, flip = cube.n, full_mask(cube.n) if dual else 0
+        below = [0] * (1 << n)
+        for v, d in cube.dims.items():
+            below[flip ^ v] = d
+        for i in range(n):
+            bit = 1 << i
+            for m in range(1 << n):
+                if m & bit:
+                    below[m] += below[m ^ bit]
+        cube._below[dual] = below  # stored only once complete
     return below
 
 
 def support_masks(cube: Hypercube) -> list[int]:
     """Face-ideal masks in the support: upward closure of nonzero vertices."""
-    below = _totals_below(cube.n, cube.dims)
+    below = _below(cube, False)
     return sorted((a for a, t in enumerate(below) if t), key=mask_key)
 
 
 def minimal_support_masks(cube: Hypercube) -> list[int]:
     """Masks of the minimal primes of the support: the nonzero vertices with
     no nonzero vertex strictly below them."""
-    below = _totals_below(cube.n, cube.dims)
+    below = _below(cube, False)
     return sorted((v for v, d in cube.dims.items() if below[v] == d), key=mask_key)
 
 
@@ -58,8 +65,7 @@ def _bass_work(cube: Hypercube, dual: bool) -> list[int]:
     assembles (those below alpha); with ``dual`` the same over the flipped
     vertex dimensions, those of the Matlis dual.  A table whose totals sum
     above ``MAX_BASS_WORK`` is refused."""
-    flip = full_mask(cube.n) if dual else 0
-    below = _totals_below(cube.n, {flip ^ v: d for v, d in cube.dims.items()})
+    below = _below(cube, dual)
     work = sum(below)
     if work > MAX_BASS_WORK:
         raise ResourceError(
@@ -69,55 +75,118 @@ def _bass_work(cube: Hypercube, dual: bool) -> list[int]:
     return below
 
 
+def _hull_rows(cube: Hypercube, dual: bool, hulls: list[int],
+               below: list[int]) -> dict[int, list[int]]:
+    """Row h of the Bass table (with ``dual``, of the dual Bass table) at
+    every support hull h, from the walk that ``_table`` describes."""
+    n, p, starts = cube.n, cube.field.p, cube.starts
+    flip = full_mask(n) if dual else 0
+    keys = {flip ^ v: d for v, d in cube.dims.items()}
+    # columns by increasing key, for the fewest eliminations (main's Bass columns run by full \\ v)
+    if dual:
+        work = [None, *(_working_rows(m.transpose())[0] for m in cube.main.maps)]
+    else:
+        work = [None, *([{m.cols - 1 - c: x for c, x in row.items()}
+                         for row in _working_rows(m)[0]] for m in cube.main.maps[::-1])]
+    basis: list[dict] = [{} for _ in range(n + 2)]  # pivot -> (row, inverse)
+    totals = [keys.get(0, 0)] + [0] * n  # D_l of the keys added (0 is under every hull)
+    children: dict[int, list[int]] = {}
+    for h in sorted({h for h in hulls if below[h]} - {0}, key=popcount):
+        up = max((h & ~(1 << i) for i in bits_of(h)), key=below.__getitem__)
+        children.setdefault(hulls[up], []).append(h)
+    out = {}
+
+    def visit(h: int, parent: int) -> None:
+        fresh = h & ~parent
+        if 1 << popcount(h) < len(keys):
+            new = [u for u in submasks(h) if u & fresh and u in keys]
+        else:
+            new = [u for u in keys if u & fresh and not u & ~h]
+        added = []
+        for u in new:
+            size, d = popcount(u), keys[u]
+            totals[size] += d
+            rows, piv, s = work[size], basis[size], starts[flip ^ u]
+            for i in range(s, s + d):
+                x = dict(rows[i])
+                while x:
+                    c = min(x)
+                    pr = piv.get(c)
+                    if pr is None:
+                        piv[c] = x, pow(x[c], -1, p) if p else 0
+                        added.append((size, c))
+                        break
+                    _eliminate(x, 0, pr[0], c, pr[1], p, None)
+        if below[h]:
+            ranks = [len(b) for b in basis]
+            out[h] = [totals[l] - ranks[l] - ranks[l + 1] for l in range(popcount(h), -1, -1)]
+            if min(out[h]) < 0:
+                raise ContractError("negative homology dimension")
+        for c in children.get(h, ()):
+            visit(c, h)
+        for size, c in added:
+            del basis[size][c]
+        for u in new:
+            totals[popcount(u)] -= keys[u]
+
+    visit(0, 0)
+    return out
+
+
 def _table(cube: Hypercube, dual: bool) -> BassTable | DualBassTable:
     """The cube's Bass table, or with ``dual`` its dual Bass table.
 
     The cap is checked on every call, so a refusal never depends on what
-    ran before; past it, each table's rows are assembled once and kept on
-    the cube.  Each row is the homology of one interval of the cube's main
-    complex (``hypercube.interval_complex``), and one is reduced per
-    support hull h = hull(alpha), the union of the nonzero vertices below
-    alpha (``unions_below``): row alpha is row h shifted, ``[0] *
-    |alpha \\ h|`` followed by row h.
+    ran before; past it, each table's rows are computed once and kept on
+    the cube.  Row alpha is the row of its support hull h = hull(alpha),
+    the union of the nonzero vertices below alpha (``unions_below``),
+    shifted: ``[0] * |alpha \\ h|`` followed by row h.  Proof: with c =
+    alpha \\ h, every nonzero summand alpha \\ gamma of the alpha complex
+    (``restricted_complex`` at amask = bmask = alpha) lies in h, so gamma =
+    c + g with g <= h.  This matches its summands at position p, in order,
+    with those of the h complex at p - |c|, and the signs of a direction-i
+    map differ by s_i = (-1)^{|c & [0, i)|}, which scaling the summand g
+    by the product of s_i over i in g removes.  With full \\ h in place of
+    c, the h complex is the interval [0, h] of main in the same way.  The
+    dual table is the Bass table of the Matlis dual D over the vertices
+    full \\ v, and D's h complex is the cube's interval [full \\ h, full]
+    with positions reversed, blocks transposed and the signs (-1)^{|h &
+    [0, i)|} scaled away; a transpose keeps ranks, so D's row at h is that
+    interval's homology read backwards.
 
-    Proof of the shift: let c = alpha \\ h.  Row alpha is the homology of
-    the alpha complex, ``restricted_complex`` at amask = bmask = alpha.
-    Its summand alpha \\ gamma is nonzero only if it is a nonzero vertex,
-    so it lies in h and gamma contains c.  Writing gamma = c + g with
-    g <= h maps the nonzero summands at position p one to one, in the same
-    order, onto those of the h complex at position p - |c|, with the same
-    vertex h \\ g.  A direction-i map (i in h \\ g) carries the sign of the
-    bits of gamma below i, which is the h complex's sign times s_i =
-    (-1)^{|c & [0, i)|}.  Scaling the summand g by the product of s_i over
-    i in g turns one complex into the other, so their homologies agree,
-    shifted by |c| positions; the first |c| positions hold no summand.  The
-    h complex is the interval [0, h] up to such signs.
-
-    The dual table is pi_p(p_alpha) = mu_p(p_{1-alpha}) of the Matlis dual
-    D, with hulls taken over D's vertices w = full \\ v.  D's edge w ->
-    w + e_i is the transpose of the cube's edge full \\ (w + e_i) ->
-    full \\ w, so D's h complex has the summands of the cube's interval
-    [full \\ h, full], with positions reversed (w sits at |h| - |w|, v at
-    n - |v|) and each block transposed; the signs of a direction-i block
-    differ by (-1)^{|h & [0, i)|}, which a scaling of summands removes.  A
-    map and its transpose have the same rank, so D's row at h is the
-    homology of that interval read backwards.
+    The hull rows come from one depth-first walk (``_hull_rows``) over the
+    keys u of the vertices (for the dual table, their complements).  Main's
+    map sends the summand at w to those at w + e_i, so the interval's map
+    out of key size l is main's rows at the vertices v <= h (for the dual
+    table, its columns at the w >= full \\ h), whose entries all lie in the
+    interval: its rank R_l is that row set's, kept in one row echelon
+    basis per map, and row h holds D_l - R_l - R_{l+1} at |h| - l, D_l the
+    keys' total dimension.  A hull's parent is the hull of largest total
+    among ``hulls[h ^ e_i]``, i in h (every hull strictly below h lies
+    under one).  Entering h reduces the rows of the keys under h but not
+    under its parent in increasing pivot column (``linalg._eliminate``, on
+    rows scaled to integers over Q by ``_working_rows``), keeping each
+    nonzero one with its leading column as pivot; leaving h drops those
+    pivots.  The row at alpha = full (dual: alpha = 0) is checked against
+    ``homology_dims(cube.main)``, main reduced on its own.
     """
     below = _bass_work(cube, dual)
     kind = DualBassTable if dual else BassTable
     rows = cube._bass.get(dual)
     if rows is None:
-        flip = full_mask(cube.n) if dual else 0
+        full = full_mask(cube.n)
+        flip = full if dual else 0
         hulls = unions_below(cube.n, [flip ^ v for v in cube.dims])
-        by_hull, mus = {}, {}
-        for a, t in enumerate(below):
-            if t:
-                h = hulls[a]
-                if h not in by_hull:  # the interval [0, h], or [full \ h, full]
-                    mu = homology_dims(interval_complex(cube, flip & ~h, flip | h))
-                    by_hull[h] = mu[::-1] if dual else mu
-                mus[flip ^ a] = [0] * popcount(a ^ h) + by_hull[h]
-        rows = cube._bass[dual] = kind.from_rows(cube.r, mus).rows
+        by_hull = _hull_rows(cube, dual, hulls, below)
+        rows = kind.from_rows(cube.r, {
+            flip ^ a: [0] * popcount(a ^ hulls[a]) + by_hull[hulls[a]]
+            for a, t in enumerate(below) if t
+        }).rows
+        top = homology_dims(cube.main)
+        whole = kind.from_rows(cube.r, {flip ^ full: top[::-1] if dual else top}).rows
+        if whole != tuple(row for row in rows if row[0] == flip ^ full):
+            raise ContractError(f"{kind.__name__} of H^{cube.r}: whole-cube row is not main's homology")
+        cube._bass[dual] = rows
     return kind(cube.r, rows)
 
 

@@ -277,7 +277,7 @@ def _eliminate(row: dict, rid: int, prow: dict, pc: int, inv: int, p: int,
     Over Q the row stays integral: where the pivot does not divide
     ``row[pc]`` the row is first scaled, and a scaled row is then divided by
     the gcd of its entries.  ``index`` (col -> ids of the rows with an entry
-    there) follows every entry that appears or cancels.
+    there), unless it is None, follows every entry that appears or cancels.
     """
     b = row[pc]
     scale = 1
@@ -297,12 +297,13 @@ def _eliminate(row: dict, rid: int, prow: dict, pc: int, inv: int, p: int,
         if p:
             x %= p
         if x:
-            if c not in row:
+            if c not in row and index is not None:
                 index[c].add(rid)
             row[c] = x
         else:
             del row[c]
-            index[c].discard(rid)
+            if index is not None:
+                index[c].discard(rid)
     if scale == 1:
         return 1
     g = gcd(*row.values()) if row else 1

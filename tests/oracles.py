@@ -14,9 +14,11 @@ constructor checks them as d∘d of its main complex.  ``per_edge_maps`` compute
 the hypercube's edge maps with one ``solve_matrix`` per edge instead of
 the one reduction per vertex the build uses, on cochain complexes formed
 per restriction instead of selected from one complex; ``bass_row``
-assembles a Bass row's complex on its own instead of selecting an
-interval of the main complex, and ``brute_hull`` finds a mask's support
-hull by enumeration instead of the Bass tables' subset sweep.
+assembles a Bass row's complex on its own instead of reading ranks of the
+main complex, ``interval_complex`` selects one interval of the main
+complex as its own checked complex (the per-hull reference for the Bass
+tables' one walk over the hulls), and ``brute_hull`` finds a mask's
+support hull by enumeration instead of the Bass tables' subset sweep.
 
 Reference constructions that the package itself does not need:
 ``brute_lyubeznik_cells`` tests every generator subset against the
@@ -62,7 +64,7 @@ from lyub.combinatorics import (
     popcount,
     submasks,
 )
-from lyub.hypercube import restricted_complex
+from lyub.hypercube import _check_masks, restricted_complex
 from lyub.linalg import (
     HomologySpace,
     VectorSpaceComplex,
@@ -289,6 +291,38 @@ def bass_row(cube, alpha):
     """mu_p(p_alpha) for p = 0..|alpha|, from the complex of alpha assembled
     on its own: the direct reference for the Bass tables' hull selections."""
     return homology_dims(restricted_complex(cube, alpha, alpha))
+
+
+def interval_complex(cube, lo, hi):
+    """The summands of ``cube.main`` whose vertex v has lo <= v <= hi, at
+    positions |hi| - |v|, their maps selected from main's.
+
+    Each map of main goes from a vertex minus one bit to the vertex, so a
+    path of two maps between vertices of the interval stays in it, and
+    d∘d of the selection is the selection of d∘d.  With lo = 0 this is
+    ``restricted_complex`` at amask = bmask = hi up to summand signs: its
+    gammas, joined with full \\ hi, are main's in the same order, and a
+    direction-i map carries its sign times s_i = (-1)^(bits of full \\ hi
+    below i), which scaling the summand gamma by the product of s_i over
+    i in gamma removes.
+    """
+    _check_masks(cube, lo, hi)
+    if lo & ~hi:
+        raise InputError("interval bottom mask is not below its top mask")
+    dims, starts, k = cube.dims, cube.starts, popcount(hi)
+    levels = [[] for _ in range(popcount(hi & ~lo) + 1)]
+    for v in dims:
+        if not v & ~hi and not lo & ~v:
+            levels[k - popcount(v)].append(v)
+    picks = [
+        [i for v in sorted(lv, key=starts.__getitem__)
+         for i in range(starts[v], starts[v] + dims[v])]
+        for lv in levels
+    ]
+    shift, maps = cube.n - k, cube.main.maps
+    return VectorSpaceComplex(cube.field, map(len, picks), [
+        maps[p + shift].select(picks[p], picks[p + 1]) for p in range(len(levels) - 1)
+    ])
 
 
 def brute_hull(cube, alpha):

@@ -184,10 +184,10 @@ def test_main_bass_cap_refuses_before_any_row(tmp_path, capsys, monkeypatch, com
     from lyub import build_hypercube, invariants
     from lyub.hypercube import matlis_dual
 
-    def no_complex(*args):
-        raise AssertionError("a Bass complex was selected")
+    def no_rows(*args):
+        raise AssertionError("a Bass row was computed")
 
-    monkeypatch.setattr(invariants, "interval_complex", no_complex)
+    monkeypatch.setattr(invariants, "_hull_rows", no_rows)
     monkeypatch.setattr(invariants, "MAX_BASS_WORK", 10)
     path = tmp_path / "a5.ideal"
     path.write_text(A5_PRIMES)
@@ -210,8 +210,8 @@ def test_main_bass_cap_covers_every_degree(tmp_path, capsys, monkeypatch, comman
     from lyub import build_hypercube, invariants
     from lyub.hypercube import matlis_dual
 
-    def no_complex(*args):
-        raise AssertionError("a Bass complex was selected")
+    def no_rows(*args):
+        raise AssertionError("a Bass row was computed")
 
     text = "n=4;\nprimes: {2}, {1,4}, {3,4};\n"
     ideal = parse_input(text).ideal()
@@ -223,7 +223,7 @@ def test_main_bass_cap_covers_every_degree(tmp_path, capsys, monkeypatch, comman
         works.append(sum(d for a in range(16) for v, d in cube.dims.items() if v & ~a == 0))
     assert lyub.nonzero_cohomology_degrees(ideal, QQ) == [1, 2]
     assert works[1] > works[0]
-    monkeypatch.setattr(invariants, "interval_complex", no_complex)
+    monkeypatch.setattr(invariants, "_hull_rows", no_rows)
     monkeypatch.setattr(invariants, "MAX_BASS_WORK", works[0])
     path = tmp_path / "mixed.ideal"
     path.write_text(text)
@@ -235,8 +235,8 @@ def test_main_bass_cap_covers_every_degree(tmp_path, capsys, monkeypatch, comman
 
 def test_bass_supp_dims_build_each_bass_row_once(tmp_path, capsys, monkeypatch):
     # the tables bass builds are the ones supp and dims read, and each
-    # selects one interval [0, hull] per support hull (the union of the
-    # nonzero vertices below a support mask) from its cube's main complex,
+    # computes one row per support hull (the union of the nonzero vertices
+    # below a support mask), in one walk over its cube's main complex,
     # which the cube assembled once
     from collections import Counter
 
@@ -244,19 +244,21 @@ def test_bass_supp_dims_build_each_bass_row_once(tmp_path, capsys, monkeypatch):
     from lyub.invariants import support_masks
 
     hypercube._build_all_degrees.cache_clear()  # fresh cubes, no tables kept
-    calls, mains = Counter(), Counter()
-    original, original_main = invariants.interval_complex, hypercube.restricted_complex
+    walks, calls, mains = Counter(), Counter(), Counter()
+    original, original_main = invariants._hull_rows, hypercube.restricted_complex
 
-    def counted(cube, lo, hi):
-        assert lo == 0
-        calls[(cube.r, hi)] += 1
-        return original(cube, lo, hi)
+    def counted(cube, dual, hulls, below):
+        assert not dual
+        walks[cube.r] += 1
+        rows = original(cube, dual, hulls, below)
+        calls.update((cube.r, h) for h in rows)
+        return rows
 
     def counted_main(cube, amask, bmask):
         mains[cube.r] += 1
         return original_main(cube, amask, bmask)
 
-    monkeypatch.setattr(invariants, "interval_complex", counted)
+    monkeypatch.setattr(invariants, "_hull_rows", counted)
     monkeypatch.setattr(hypercube, "restricted_complex", counted_main)
     path = tmp_path / "a5.ideal"
     path.write_text(A5_PRIMES)
@@ -270,6 +272,8 @@ def test_bass_supp_dims_build_each_bass_row_once(tmp_path, capsys, monkeypatch):
         expected |= {(r, brute_hull(cube, alpha)) for alpha in support_masks(cube)}
     assert set(calls) == expected
     assert set(calls.values()) == {1}
+    assert set(walks) == {r for r, _ in expected}
+    assert set(walks.values()) == {1}
     assert set(mains) == set(range(ideal.n + 1))
     assert set(mains.values()) == {1}
 
@@ -535,6 +539,26 @@ OUTPUT_SHA256 = {
     ("rp2", "fp:2"): "94c101ef6e615c01b4892b0868423a16c1c72eb1335c9adf0dd0821b07b05a9b",
 }
 HELP_SHA256 = "cfcf8dc554c9ca6fc5a431d01f862a7f8d2db51ffb704c00f595c17cb6b09e65"
+
+
+# bass and dual-bass --json on the nine-variable cycle non-edge ideal a9,
+# taken when every row was reduced from its own interval complex
+A9_BASS_SHA256 = {
+    "q": "955a9c4d6e5688640a20bcfa14a41ce362e473693cf7d70cbb3b3215b9684e3d",
+    "fp:2": "26cab37266459378bd3250a1edfbe39a185ce673793f9f1f642d63f75995f408",
+}
+
+
+@pytest.mark.parametrize("field", sorted(A9_BASS_SHA256))
+def test_bass_tables_of_a9_print_the_recorded_output(tmp_path, field):
+    comps = [(i, j) for i in range(1, 9) for j in range(i + 2, 10) if (i, j) != (1, 9)]
+    path = tmp_path / "a9.ideal"
+    path.write_text("n=9;\nprimes: " + ", ".join(f"{{{i},{j}}}" for i, j in comps) + ";\n")
+    invocations = [
+        ([command, "--json"], [command, str(path), "--field", field, "--json"])
+        for command in ("bass", "dual-bass")
+    ]
+    assert _transcript_sha256(invocations) == A9_BASS_SHA256[field]
 
 
 @pytest.mark.parametrize("name, field", sorted(OUTPUT_SHA256))

@@ -1,4 +1,5 @@
 import random
+import re
 from functools import reduce
 from operator import and_
 
@@ -30,7 +31,7 @@ from lyub.combinatorics import (
     restriction,
     simplicial_complex,
 )
-from lyub.hypercube import Hypercube, face_restricted_hypercube, interval_complex
+from lyub.hypercube import Hypercube, face_restricted_hypercube
 
 from .conftest import (
     cycle_nonedge_ideal,
@@ -45,6 +46,7 @@ from .oracles import (
     complex_alexander_dual,
     dense_restricted_complex,
     induced_cohomology_map,
+    interval_complex,
     masks,
     per_edge_maps,
     random_ideal,
@@ -230,6 +232,27 @@ def test_interval_above_the_complement_is_the_dual_hull_complex_reversed(a5, ex5
                 want = restricted_complex(dual, h, h)
                 assert got.dims[::-1] == want.dims, (r, h)
                 assert homology_dims(got)[::-1] == homology_dims(want), (r, h)
+
+
+def test_constructor_refuses_a_layout_main_cannot_hold():
+    # n = 2, r = 1 over Q: each cube below breaks the summand layout that
+    # main and starts describe, and is refused in one pass
+    one = ExactMatrix(QQ, 1, 1, [[1]])
+    tall = ExactMatrix(QQ, 2, 1, [[1], [2]])
+    cases = [
+        ({1: 0}, {}, "dimension 0"),
+        ({1: -1}, {}, "dimension -1"),
+        ({1: 1, 3: 1}, {(1, 1): tall}, "is 2x1, not 1x1"),
+        ({1: 1}, {(1, 1): one}, "not stored"),
+        ({1: 1, 3: 1}, {(1, 0): one}, "bit already set"),
+        ({4: 1}, {}, "does not fit"),
+        ({1: 1, 3: 1}, {(1, 2): one}, "outside [0, 2)"),
+    ]
+    for dims, edges, message in cases:
+        with pytest.raises(InputError, match=re.escape(message)):
+            Hypercube(2, 1, QQ, dims, edges)
+    cube = Hypercube(2, 1, QQ, {1: 1, 3: 1}, {(1, 1): one})
+    assert cube.main.dims == (1, 1, 0) and cube.edge(1, 1) == one
 
 
 def test_masks_outside_the_cube_are_refused():

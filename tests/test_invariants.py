@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,6 +7,7 @@ from lyub import (
     BassTable,
     ContractError,
     DualBassTable,
+    ExactMatrix,
     QQ,
     ResourceError,
     alexander_dual,
@@ -47,7 +49,7 @@ from lyub.invariants import minimal_support_masks, support_masks
 from lyub.tables import BettiTable, LyubeznikTable
 
 from .conftest import gens_ideal
-from .oracles import bass_row, brute_hull, masks, random_ideal
+from .oracles import bass_row, brute_hull, interval_complex, masks, random_ideal
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -347,6 +349,171 @@ def test_tables_read_the_main_complex_of_their_cube(monkeypatch, a5, ex57):
             bass_table(ideal, r, QQ)
             dual_bass_table(ideal, r, QQ)
     assert all(main_complex(cube) is cube.main for cube in cubes)
+
+
+def test_tables_form_no_complex_of_their_own(monkeypatch, a8):
+    # main's d∘d check runs once per cube, when the cube is built; the
+    # tables then read ranks off main's maps and form no complex
+    from lyub import linalg
+
+    hypercube._build_all_degrees.cache_clear()  # fresh cubes, no tables kept
+    calls = []
+    real = linalg.check_complex
+
+    def counted(dims, maps):
+        calls.append(len(dims))
+        return real(dims, maps)
+
+    monkeypatch.setattr(linalg, "check_complex", counted)
+    build_hypercube(a8, 2, QQ)
+    assert calls == [a8.n + 1] * (a8.n + 1)  # one main complex per degree
+    calls.clear()
+    assert bass_table(a8, 2, QQ).rows and dual_bass_table(a8, 2, QQ).rows
+    assert calls == []
+
+
+def test_each_support_sweep_runs_once_per_cube_and_orientation(a5, ex57):
+    # the cap, the support and its minimal primes read one sweep of the
+    # totals below each mask per cube and orientation, kept on the cube
+    sweeps = []
+
+    class Counted(dict):
+        def __setitem__(self, key, value):
+            sweeps.append(key)
+            super().__setitem__(key, value)
+
+    hypercube._build_all_degrees.cache_clear()  # fresh cubes, nothing kept
+    cubes = 0
+    for ideal in (a5, ex57):
+        degrees = nonzero_cohomology_degrees(ideal, QQ)
+        for r in degrees:
+            build_hypercube(ideal, r, QQ)._below = Counted()
+        for _ in range(2):
+            for dual in (False, True):
+                invariants.check_bass_work(ideal, degrees, QQ, dual)
+            for r in degrees:
+                cube = build_hypercube(ideal, r, QQ)
+                bass_table(ideal, r, QQ)
+                dual_bass_table(ideal, r, QQ)
+                small_support(ideal, r, QQ)
+                injective_dimensions(ideal, r, QQ)
+                mu0_summand_report(ideal, r, QQ)
+                minimal_support_masks(cube)
+                assert set(cube._below) == {False, True}
+        cubes += len(degrees)
+    assert len(sweeps) == 2 * cubes
+
+
+# ---------------------------------------------------------------------------
+# the walk over the support hulls
+# ---------------------------------------------------------------------------
+
+
+def _walk(cube, dual):
+    """The walk's {hull: row}, and the support hulls it must cover."""
+    flip = full_mask(cube.n) if dual else 0
+    hulls = unions_below(cube.n, [flip ^ v for v in cube.dims])
+    below = invariants._below(cube, dual)
+    return invariants._hull_rows(cube, dual, hulls, below), {h for h in hulls if below[h]}
+
+
+def _interval_row(cube, dual, h):
+    """Row h reduced from its own interval of the main complex: [0, h], or
+    [full \\ h, full] read backwards."""
+    flip = full_mask(cube.n) if dual else 0
+    mu = homology_dims(interval_complex(cube, flip & ~h, flip | h))
+    return mu[::-1] if dual else mu
+
+
+def _assert_walk_matches_intervals(cube):
+    count = 0
+    for dual in (False, True):
+        rows, support = _walk(cube, dual)
+        assert set(rows) == support
+        for h, row in rows.items():
+            assert row == _interval_row(cube, dual, h), (cube.r, dual, h)
+        count += len(rows)
+    return count
+
+
+@pytest.mark.parametrize("f", [QQ, F2, F3], ids=["q", "f2", "f3"])
+def test_walk_rows_equal_each_hulls_own_interval(a5, a8, ex46, ex52, ex53, ex57, f):
+    rng = random.Random(2111)
+    ideals = [a5, a8, ex46, ex52, ex53, ex57]
+    ideals += [random_ideal(rng, rng.randint(4, 7)) for _ in range(10)]
+    hulls = 0
+    for ideal in ideals:
+        for r in nonzero_cohomology_degrees(ideal, f):
+            hulls += _assert_walk_matches_intervals(build_hypercube(ideal, r, f))
+    assert hulls > 1000
+
+
+def _fraction_cube():
+    """A commuting 3-cube over Q, every vertex of dimension 3: the edge in
+    direction i is A_i everywhere, each A_i a polynomial in one nilpotent
+    M, so every square commutes.  The entries are Fractions and non-unit
+    integers, which no cube built from an ideal in the corpus has."""
+    h = Fraction
+    edge = [
+        [[0, 2, h(1, 3)], [0, 0, 2], [0, 0, 0]],  # 2M + M^2 / 3
+        [[0, 0, h(5, 7)], [0, 0, 0], [0, 0, 0]],  # 5 M^2 / 7
+        [[h(3, 2), 4, 0], [0, h(3, 2), 4], [0, 0, h(3, 2)]],  # 3/2 + 4M
+    ]
+    edges = {
+        (a, i): ExactMatrix(QQ, 3, 3, edge[i])
+        for a in range(8) for i in range(3) if not a >> i & 1
+    }
+    return hypercube.Hypercube(3, 2, QQ, {a: 3 for a in range(8)}, edges)
+
+
+def test_walk_over_a_cube_with_fraction_entries():
+    cube = _fraction_cube()
+    assert any(type(x) is Fraction for m in cube.edge_mats.values() for row in m.data for _, x in row)
+    assert _assert_walk_matches_intervals(cube) == 16  # every mask is its own hull
+    full = full_mask(3)
+    dual = matlis_dual(cube)
+    bass = invariants._table(cube, False)
+    assert bass == BassTable.from_rows(2, {a: bass_row(cube, a) for a in range(8)})
+    assert invariants._table(cube, True) == DualBassTable.from_rows(
+        2, {full ^ a: bass_row(dual, a) for a in range(8)}
+    )
+    assert any(sum(map(bool, row)) > 1 for _, row in bass.rows)
+
+
+def test_a_wrong_walk_rank_is_caught_by_the_main_complex(monkeypatch, a8):
+    # a walk that loses every row meeting a pivot ranks too low; its row at
+    # the whole cube then disagrees with main's own homology
+    cube = build_hypercube(a8, 2, QQ)
+
+    def dropping(row, *args):
+        row.clear()
+        return 1
+
+    monkeypatch.setattr(invariants, "_eliminate", dropping)
+    for dual in (False, True):
+        stored = cube._bass.pop(dual, None)
+        try:
+            with pytest.raises(ContractError, match="whole-cube row is not main's homology"):
+                invariants._table(cube, dual)
+            assert dual not in cube._bass
+        finally:
+            if stored is not None:
+                cube._bass[dual] = stored
+
+
+def test_a_negative_walk_row_is_refused(monkeypatch, ex57):
+    # rows made independent by an extra column of their own rank too high
+    cube = build_hypercube(ex57, 3, QQ)
+    real = invariants._working_rows
+
+    def independent(mat):
+        rows, factors = real(mat)
+        return [{**row, mat.cols + k: 1} for k, row in enumerate(rows)], factors
+
+    monkeypatch.setattr(invariants, "_working_rows", independent)
+    for dual in (False, True):
+        with pytest.raises(ContractError, match="negative homology dimension"):
+            _walk(cube, dual)
 
 
 # ---------------------------------------------------------------------------
