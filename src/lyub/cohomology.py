@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .combinatorics import SimplicialComplex, bits_of, popcount
 from .errors import ContractError
-from .linalg import ExactMatrix, Field, check_complex, homology_space, rank
+from .linalg import ExactMatrix, Field, check_complex, rank
 
 # ---------------------------------------------------------------------------
 # cochain complexes
@@ -83,10 +83,14 @@ class CochainComplex:
             return self.coboundaries[s]
         return None
 
-    def cohomology_dims(self) -> dict[int, int]:
-        """Nonzero reduced cohomology dimensions by degree, one rank per map."""
+    def cohomology_dims(self, ranks=None) -> dict[int, int]:
+        """Nonzero reduced cohomology dimensions by degree, from the rank of
+        each coboundary: ``ranks``, listed as ``coboundaries`` are, or one
+        ``rank`` per map when None."""
+        if ranks is None:
+            ranks = map(rank, self.coboundaries)
         # ranks[s] is the rank of the map into faces of size s
-        ranks = [0, *(rank(d) for d in self.coboundaries), 0]
+        ranks = [0, *ranks, 0]
         dims = {}
         for s, faces in enumerate(self.basis):
             h = len(faces) - ranks[s] - ranks[s + 1]
@@ -177,15 +181,6 @@ def link_cochains(cc: CochainComplex, alpha: int) -> CochainComplex:
 def reduced_cohomology_dims_all(cx: SimplicialComplex, field: Field) -> dict[int, int]:
     """Nonzero reduced cohomology dimensions by degree, computed in one pass."""
     return cochain_complex(cx, field).cohomology_dims()
-
-
-def cohomology_space(cc: CochainComplex, q: int, vectors=None):
-    """Degree-q reduced cohomology with explicit cocycle representatives,
-    and the classes of the cocycle columns of ``vectors`` (degree-q
-    cochains, may be None): the pair ``homology_space`` returns."""
-    return homology_space(
-        cc.field, cc.space_dim(q), cc.coboundary(q), cc.coboundary(q - 1), vectors
-    )
 
 
 # ---------------------------------------------------------------------------

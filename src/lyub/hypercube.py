@@ -18,16 +18,22 @@ One build serves every degree r.  The cochain complex of D^v is formed
 once, and each mask a selects the cochain complex of its restriction from
 it (``cohomology.restrict_cochains``): the faces inside a in each size,
 with the same bases and matrices as a complex formed for the restriction
-alone, and its own d∘d check.  Its coboundary ranks give the vertex at a
-in all n+1 degrees.  Only the masks a of the lcm lattice of the Alexander
-dual ideal (the unions of its generators, the minimal primes of I) get a
-complex: at any other a the restriction is a cone, and the vertex is zero
-in every degree.  Representatives and edge maps are computed only
-where a vertex is nonzero, visiting the masks top down, from the full mask
-to 1: when a is reached, every nonzero a+e_i of the same degree has its
-representatives, and one reduction at a gives a's representatives and
-every edge map out of a (``linalg.homology_space``, which reduces only the
-free coordinates of the coboundary out of a's cochains).
+alone, and its own d∘d check.  Each of its coboundaries is reduced once,
+by ``rref``: the pivots give its rank, and so the vertex at a in all n+1
+degrees, and the reduced rows give its kernel wherever that degree is
+nonzero.  The first coboundary, one entry per row, is only ranked
+(``rank``): the restriction has a vertex wherever it exists, so its
+kernel, and degree -1, are zero.  Only the masks a of the lcm lattice of
+the Alexander dual ideal (the unions of its generators, the minimal primes
+of I) get a complex: at any other a the restriction is a cone, and the
+vertex is zero in every degree.  Representatives and edge maps are
+computed only where a vertex is nonzero, visiting the masks top down, from
+the full mask to 1: when a is reached, every nonzero a+e_i of the same
+degree has its representatives, kept as {face: row}, and the rows at a's
+faces, side by side, are the vectors of one solve at a
+(``linalg.homology_space``, handed the reduction of the coboundary out of
+a's cochains).  That solve checks they are cocycles and gives a's
+representatives and every edge map out of a.
 
 Degenerate degrees: vertices sit in cohomological degree q = r - 2, and the
 q = -2 and q = -1 conventions of the cohomology module apply.  The vertex at
@@ -49,12 +55,7 @@ from .combinatorics import (
     submasks,
     unions_below,
 )
-from .cohomology import (
-    cochain_complex,
-    cohomology_space,
-    face_projection,
-    restrict_cochains,
-)
+from .cohomology import cochain_complex, restrict_cochains
 from .errors import (
     MAX_HYPERCUBE_MASKS,
     ContractError,
@@ -62,7 +63,7 @@ from .errors import (
     InputError,
     ResourceError,
 )
-from .linalg import ExactMatrix, Field, VectorSpaceComplex, hstack
+from .linalg import ExactMatrix, Field, VectorSpaceComplex, homology_space, rank, rref
 
 # ---------------------------------------------------------------------------
 # the hypercube
@@ -91,13 +92,16 @@ class Hypercube:
 
     A layout that ``main`` and ``starts`` cannot describe is refused with
     ``InputError`` (``_check_layout``).  Nothing changes after construction
-    but ``_bass`` (the rows of the Bass and dual Bass tables) and
-    ``_below`` (the sweeps of ``invariants._below``), filled on request
-    from the vertices alone, so sharing the cube, as the cache of
+    but ``_homology`` (main's homology, ``invariants._main_homology``),
+    ``_bass`` (the rows of the Bass and dual Bass tables) and ``_below``
+    (the sweeps of ``invariants._below``), each filled on first request
+    from the cube alone, so sharing the cube, as the cache of
     ``build_hypercube`` does, stays safe.
     """
 
-    __slots__ = ("n", "r", "field", "dims", "edge_mats", "main", "starts", "_bass", "_below")
+    __slots__ = (
+        "n", "r", "field", "dims", "edge_mats", "main", "starts", "_homology", "_bass", "_below",
+    )
 
     def __init__(self, n: int, r: int, field: Field, dims, edge_mats):
         self.n = n
@@ -117,6 +121,7 @@ class Hypercube:
         for v in sorted(self.dims, key=full.__xor__):  # main's summand order
             self.starts[v] = sizes[popcount(v)]
             sizes[popcount(v)] += self.dims[v]
+        self._homology: tuple | None = None  # homology_dims(self.main)
         self._bass: dict = {}  # dual? -> rows of the Bass or dual Bass table
         self._below: dict = {}  # dual? -> the per-mask totals of ``_bass_work``
 
@@ -174,9 +179,10 @@ def _build_all_degrees(ideal: MonomialIdeal, field: Field) -> tuple[Hypercube, .
     # restriction to alpha, whose cohomology is then zero in every degree,
     # so only the masks that are unions of them can be nonzero vertices.
     lattice = unions_below(n, minimal_primes(ideal))
-    # per degree r: the nonzero vertices' dimensions, their (representatives,
-    # faces) in cohomological degree r - 2, and the edges between them.  A
-    # complex on |alpha| <= n vertices has no cohomology above degree n - 2.
+    # per degree r: the nonzero vertices' dimensions, their representatives
+    # in cohomological degree r - 2 as {face: row} (nonzero rows only), and
+    # the edges between them.  A complex on |alpha| <= n vertices has no
+    # cohomology above degree n - 2.
     dims: list[dict] = [{} for _ in range(n + 1)]
     spaces: list[dict] = [{} for _ in range(n + 1)]
     edges: list[dict] = [{} for _ in range(n + 1)]
@@ -185,29 +191,44 @@ def _build_all_degrees(ideal: MonomialIdeal, field: Field) -> tuple[Hypercube, .
         if lattice[alpha] != alpha:
             continue
         cc = restrict_cochains(cochains, alpha)
-        for q, h in cc.cohomology_dims().items():
+        # one reduction per coboundary: its pivots give the rank, its rows
+        # the kernel.  A map with at most one entry per row (the first) is
+        # only ranked; ``homology_space`` would reduce it if it needed it
+        cobs = cc.coboundaries
+        reduced = [rref(d) if any(len(row) > 1 for row in d.data) else None for d in cobs]
+        ranks = [rank(d) if red is None else len(red[1]) for d, red in zip(cobs, reduced)]
+        for q, h in cc.cohomology_dims(ranks).items():
             faces, above = cc.faces(q), spaces[q + 2]
             ups = [
                 i for i in range(n)
                 if not alpha >> i & 1 and alpha | 1 << i in above
             ]
-            # the big representatives restricted to alpha's faces
-            blocks = []
+            # the representatives of each alpha + e_i restricted to alpha's
+            # faces, side by side: one row per face of alpha
+            vecs = [[] for _ in faces]
+            width = 0
             for i in ups:
-                reps, faces_big = above[alpha | 1 << i]
-                blocks.append(face_projection(field, faces, faces_big).matmul(reps))
-            hsp, classes = cohomology_space(cc, q, hstack(field, blocks, len(faces)))
+                reps = above[alpha | 1 << i]
+                for out, f in zip(vecs, faces):
+                    row = reps.get(f)
+                    if row:
+                        out.extend([(width + j, x) for j, x in row] if width else row)
+                width += dims[q + 2][alpha | 1 << i]
+            vectors = ExactMatrix._wrap(field, len(faces), width, list(map(tuple, vecs)))
+            hsp, classes = homology_space(
+                field, len(faces), cc.coboundary(q), cc.coboundary(q - 1), vectors,
+                reduced[q + 1] if q + 1 < len(reduced) else None,
+            )
             if hsp.dim != h:
                 raise ContractError("cocycle space disagrees with coboundary ranks")
             dims[q + 2][alpha] = h
-            above[alpha] = (hsp.reps, faces)
+            above[alpha] = {f: row for f, row in zip(faces, hsp.reps.data) if row}
             # the edge alpha -> alpha + e_i is the transposed induced map
             cols, c0 = classes.transpose().data, 0
-            for i, b in zip(ups, blocks):
-                edges[q + 2][(alpha, i)] = ExactMatrix._wrap(
-                    field, b.cols, h, cols[c0:c0 + b.cols]
-                )
-                c0 += b.cols
+            for i in ups:
+                w = dims[q + 2][alpha | 1 << i]
+                edges[q + 2][(alpha, i)] = ExactMatrix._wrap(field, w, h, cols[c0:c0 + w])
+                c0 += w
     return tuple(Hypercube(n, r, field, dims[r], edges[r]) for r in range(n + 1))
 
 

@@ -19,13 +19,22 @@ from .combinatorics import (
 from .cohomology import cochain_complex, link_cochains
 from .errors import MAX_BASS_WORK, ContractError, DomainError, ResourceError
 from .hypercube import Hypercube, build_hypercube
-from .linalg import Field, _eliminate, _working_rows, homology_dims
+from .linalg import Field, _eliminate, _integral_rows, homology_dims
 from .resolution import betti_numbers, lyubeznik_via_strands
 from .tables import BassTable, DualBassTable, LyubeznikTable
 
 # ---------------------------------------------------------------------------
 # support sets
 # ---------------------------------------------------------------------------
+
+
+def _main_homology(cube: Hypercube) -> tuple[int, ...]:
+    """``homology_dims(cube.main)``, reduced on first read and kept on the
+    cube: the Lyubeznik table reads it, and both Bass tables check their
+    row at the whole cube against it."""
+    if cube._homology is None:
+        cube._homology = tuple(homology_dims(cube.main))
+    return cube._homology
 
 
 def _below(cube: Hypercube, dual: bool) -> list[int]:
@@ -82,12 +91,13 @@ def _hull_rows(cube: Hypercube, dual: bool, hulls: list[int],
     n, p, starts = cube.n, cube.field.p, cube.starts
     flip = full_mask(n) if dual else 0
     keys = {flip ^ v: d for v, d in cube.dims.items()}
-    # columns by increasing key, for the fewest eliminations (main's Bass columns run by full \\ v)
-    if dual:
-        work = [None, *(_working_rows(m.transpose())[0] for m in cube.main.maps)]
-    else:
-        work = [None, *([{m.cols - 1 - c: x for c, x in row.items()}
-                         for row in _working_rows(m)[0]] for m in cube.main.maps[::-1])]
+    # main's maps by key size as tuples of integral rows: the dual walk reads
+    # main's columns, the Bass walk its rows.  Each reduces in increasing
+    # key order, for the fewest eliminations; main's Bass columns run by
+    # full \\ v, so the Bass walk's leading column is its largest
+    maps = cube.main.maps
+    work = [None, *map(_integral_rows, [m.transpose() for m in maps] if dual else maps[::-1])]
+    lead = min if dual else max
     basis: list[dict] = [{} for _ in range(n + 2)]  # pivot -> (row, inverse)
     totals = [keys.get(0, 0)] + [0] * n  # D_l of the keys added (0 is under every hull)
     children: dict[int, list[int]] = {}
@@ -110,7 +120,7 @@ def _hull_rows(cube: Hypercube, dual: bool, hulls: list[int],
             for i in range(s, s + d):
                 x = dict(rows[i])
                 while x:
-                    c = min(x)
+                    c = lead(x)
                     pr = piv.get(c)
                     if pr is None:
                         piv[c] = x, pow(x[c], -1, p) if p else 0
@@ -164,11 +174,12 @@ def _table(cube: Hypercube, dual: bool) -> BassTable | DualBassTable:
     keys' total dimension.  A hull's parent is the hull of largest total
     among ``hulls[h ^ e_i]``, i in h (every hull strictly below h lies
     under one).  Entering h reduces the rows of the keys under h but not
-    under its parent in increasing pivot column (``linalg._eliminate``, on
-    rows scaled to integers over Q by ``_working_rows``), keeping each
-    nonzero one with its leading column as pivot; leaving h drops those
-    pivots.  The row at alpha = full (dual: alpha = 0) is checked against
-    ``homology_dims(cube.main)``, main reduced on its own.
+    under its parent in increasing key order (``linalg._eliminate``), each
+    row made a dict only then, from main's rows scaled to integers over Q
+    (``linalg._integral_rows``); it keeps each nonzero one with its leading
+    column as pivot, and leaving h drops those pivots.  The row at
+    alpha = full (dual: alpha = 0) is checked against main's homology
+    (``_main_homology``, main reduced on its own, once per cube).
     """
     below = _bass_work(cube, dual)
     kind = DualBassTable if dual else BassTable
@@ -182,7 +193,7 @@ def _table(cube: Hypercube, dual: bool) -> BassTable | DualBassTable:
             flip ^ a: [0] * popcount(a ^ hulls[a]) + by_hull[hulls[a]]
             for a, t in enumerate(below) if t
         }).rows
-        top = homology_dims(cube.main)
+        top = _main_homology(cube)
         whole = kind.from_rows(cube.r, {flip ^ full: top[::-1] if dual else top}).rows
         if whole != tuple(row for row in rows if row[0] == flip ^ full):
             raise ContractError(f"{kind.__name__} of H^{cube.r}: whole-cube row is not main's homology")
@@ -215,7 +226,7 @@ def lyubeznik_table(
         raise DomainError("Lyubeznik table needs a proper nonzero ideal")
     cubes = (build_hypercube(ideal, r, field) for r in range(ideal.n + 1))
     table = LyubeznikTable.from_homology(ideal.n, ideal.dim_quotient(), {
-        cube.r: homology_dims(cube.main) for cube in cubes if not cube.is_zero()
+        cube.r: _main_homology(cube) for cube in cubes if not cube.is_zero()
     })
     if check:
         other = lyubeznik_via_strands(ideal, field)

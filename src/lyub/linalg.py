@@ -233,38 +233,39 @@ class ExactMatrix:
         return f"ExactMatrix({self.field.name()}, {self.rows}x{self.cols})"
 
 
-def hstack(field, blocks, rows):
-    """Concatenate matrices (all with ``rows`` rows) side by side."""
-    data = [[] for _ in range(rows)]
-    off = 0
-    for b in blocks:
-        if b.rows != rows:
-            raise InputError("hstack row mismatch")
-        for out, row in zip(data, b.data):
-            out.extend([(off + j, v) for j, v in row] if off else row)
-        off += b.cols
-    return ExactMatrix._wrap(field, rows, off, list(map(tuple, data)))
-
-
 # ---------------------------------------------------------------------------
 # elimination
 # ---------------------------------------------------------------------------
 
 
-def _working_rows(mat: ExactMatrix) -> tuple[list[dict], dict]:
-    """One mutable {col: int} dict per row, and {row: factor} for the rows
-    it scaled.
+def _integral(row: dict) -> tuple[dict, int]:
+    """A {col: scalar} row over Q multiplied by the lcm of its entries'
+    denominators (which leaves its span unchanged), and that factor; a row
+    of ints, or any row over F_p, comes back as it is with factor 1."""
+    if all(type(v) is int for v in row.values()):
+        return row, 1
+    scale = lcm(*(v.denominator for v in row.values()))
+    return {j: int(v * scale) for j, v in row.items()}, scale
 
-    Over Q a row with fractions is multiplied by the lcm of its
-    denominators, which leaves its span unchanged.
-    """
+
+def _integral_rows(mat: ExactMatrix) -> list[tuple]:
+    """The stored rows of mat, each scaled to integers over Q (``_integral``),
+    without a copy where every entry is an int already."""
+    if mat.field.p or all(type(v) is int for row in mat.data for _, v in row):
+        return mat.data
+    return [tuple(_integral(dict(row))[0].items()) for row in mat.data]
+
+
+def _working_rows(mat: ExactMatrix) -> tuple[list[dict], dict]:
+    """One mutable {col: int} dict per row (``_integral`` over Q), and
+    {row: factor} for the rows it scaled."""
     rows = [dict(row) for row in mat.data]
     factors = {}
     if not mat.field.p and any(type(v) is not int for row in mat.data for _, v in row):
         for k, row in enumerate(rows):
-            if any(type(v) is not int for v in row.values()):
-                scale = factors[k] = lcm(*(v.denominator for v in row.values()))
-                rows[k] = {j: int(v * scale) for j, v in row.items()}
+            rows[k], scale = _integral(row)
+            if scale != 1:
+                factors[k] = scale
     return rows, factors
 
 
@@ -443,29 +444,6 @@ def rref(mat: ExactMatrix):
     return ExactMatrix._wrap(f, nrows, mat.cols, data), pivots
 
 
-def _kernel(mat: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
-    """``kernel_basis(mat)`` and the free (non-pivot) columns of mat, in
-    increasing order, from one rref.  Row free[k] of the basis is the unit
-    vector e_k."""
-    f = mat.field
-    red, pivots = rref(mat)
-    pivset = set(pivots)
-    free = [c for c in range(mat.cols) if c not in pivset]
-    at = {c: k for k, c in enumerate(free)}
-    data = [()] * mat.cols
-    for c, k in at.items():
-        data[c] = ((k, 1),)
-    # a reduced row has entries only at its pivot and at free columns
-    for row, pc in zip(red.data, pivots):
-        data[pc] = tuple((at[c], f.neg(v)) for c, v in row if c != pc)
-    return ExactMatrix._wrap(f, mat.cols, len(free), data), free
-
-
-def kernel_basis(mat: ExactMatrix) -> ExactMatrix:
-    """Columns form a deterministic basis of ker(mat); A @ K = 0."""
-    return _kernel(mat)[0]
-
-
 # ---------------------------------------------------------------------------
 # complexes of based vector spaces
 # ---------------------------------------------------------------------------
@@ -537,37 +515,51 @@ class HomologySpace:
 
     ``reps`` is (space_dim x dim): columns are cocycle/cycle representatives
     whose classes form a basis.  ``image`` is a basis of the boundary
-    subspace.  Bases are deterministic given the ambient ordered basis.
+    subspace: the columns ``image_cols`` of ``d_in``, selected only when
+    read.  Bases are deterministic given the ambient ordered basis.
     """
 
     field: Field
     space_dim: int
     dim: int
     reps: ExactMatrix
-    image: ExactMatrix
+    d_in: ExactMatrix
+    image_cols: tuple[int, ...]
+
+    @property
+    def image(self) -> ExactMatrix:
+        return self.d_in.select(range(self.space_dim), self.image_cols)
 
 
-def homology_space(field, dim, d_out, d_in, vectors=None):
+def homology_space(field, dim, d_out, d_in, vectors=None, reduced=None):
     """Homology of  <- d_out - [this space] <- d_in -  made explicit, with
     the classes of the cycle columns of ``vectors`` (may be None) in it.
 
     d_out maps out of the space (may be None), d_in into it (may be None);
-    d_out @ d_in must be zero, as it is in a checked complex.  A column of
-    ``vectors`` that d_out does not kill is refused.
+    d_out @ d_in must be zero, as it is in a checked complex.  ``reduced``
+    is ``rref(d_out)`` where the caller has it already; it is formed here
+    otherwise, so d_out is reduced once either way.
 
-    One rref of d_out gives K = ker d_out and its free (non-pivot)
-    coordinates.  Every column of [d_in | K | vectors] lies in ker d_out,
-    and keeping only the free coordinates is injective there, so the rows
-    at the free coordinates have the null space, and so the nonzero
-    reduced rows and pivots, of the whole matrix; K's block in them is
-    the identity.  One rref of those rows gives everything.  Its pivots in
-    the d_in block pick the image basis, and those in the kernel block the
-    representatives: the kernel columns completing the image, in canonical
-    column order.  The identity block spans the free coordinates, so no
-    pivot falls in the vectors block, and every vector column is the
-    unique combination of the image and representative columns that its
-    reduced entries give; those at the representative pivots are its
-    class.  Returns (space, classes), classes being (dim x vectors.cols).
+    A column of ``vectors`` that d_out does not kill is refused.  The test
+    multiplies the vectors by the nonzero reduced rows R of d_out, not by
+    d_out: they are a basis of d_out's row space, so R v = 0 exactly when
+    d_out v = 0, and there are only rank(d_out) of them.
+
+    R gives K = ker d_out and its free (non-pivot) coordinates: K's row at
+    the k-th free column is e_k, and at the pivot of a row of R the negated
+    entries of that row.  Every column of [d_in | K | vectors] lies in ker
+    d_out, and keeping only the free coordinates is injective there, so
+    the rows at the free coordinates have the null space, and so the
+    nonzero reduced rows and pivots, of the whole matrix; K's block in them
+    is the identity.  One rref of those rows gives everything.  Its pivots
+    in the d_in block pick the image basis, and those in the kernel block
+    the representatives: the kernel columns completing the image, in
+    canonical column order, written straight from R without forming K.
+    The identity block spans the free coordinates, so no pivot falls in the
+    vectors block, and every vector column is the unique combination of
+    the image and representative columns that its reduced entries give;
+    those at the representative pivots are its class.  Returns (space,
+    classes), classes being (dim x vectors.cols).
     """
     if d_out is not None and d_out.cols != dim:
         raise InputError("d_out shape mismatch")
@@ -579,25 +571,52 @@ def homology_space(field, dim, d_out, d_in, vectors=None):
         vectors = ExactMatrix(field, dim, 0)
     elif vectors.rows != dim:
         raise InputError("vectors shape mismatch")
+    p, vdata = field.p, vectors.data
     if d_out is None:
-        ker, free = ExactMatrix.identity(field, dim), range(dim)
-    elif vectors.cols and any(d_out.matmul(vectors).data):
-        raise ContractError("inconsistent linear system")
+        ech, pivots = (), []
     else:
-        ker, free = _kernel(d_out)
+        red, pivots = rref(d_out) if reduced is None else reduced
+        if red.cols != dim:
+            raise InputError("reduced d_out shape mismatch")
+        ech = red.data[:len(pivots)]
+        for row in ech if vectors.cols else ():
+            acc = {}
+            for c, x in row:
+                for j, y in vdata[c]:
+                    acc[j] = acc.get(j, 0) + x * y
+            if any(v % p for v in acc.values()) if p else any(acc.values()):
+                raise ContractError("inconsistent linear system")
+    pivset = set(pivots)
+    free = [c for c in range(dim) if c not in pivset]
     k0 = d_in.cols
-    v0 = k0 + ker.cols
+    v0 = k0 + len(free)
     rows = [
-        (*d_in.data[c], (k0 + k, 1), *[(v0 + j, x) for j, x in vectors.data[c]])
+        (*d_in.data[c], (k0 + k, 1), *[(v0 + j, x) for j, x in vdata[c]])
         for k, c in enumerate(free)
     ]
-    red, pivots = rref(ExactMatrix._wrap(field, ker.cols, v0 + vectors.cols, rows))
-    image = d_in.select(range(dim), [c for c in pivots if c < k0])
-    reps = ker.select(range(dim), [c - k0 for c in pivots if c >= k0])
+    sol, spivots = rref(ExactMatrix._wrap(field, len(free), v0 + vectors.cols, rows))
+    # the free coordinate of each representative, and its index
+    rep_at = {free[c - k0]: j for j, c in enumerate(c for c in spivots if c >= k0)}
+    data = [()] * dim
+    for c, j in rep_at.items():
+        data[c] = ((j, 1),)
+    neg = field.neg
+    for row, pc in zip(ech, pivots):
+        data[pc] = tuple([(rep_at[c], neg(x)) for c, x in row if c in rep_at])
+    h = len(rep_at)
+    reps = ExactMatrix._wrap(field, dim, h, data)
     classes = [
         tuple((c - v0, x) for c, x in row if c >= v0)
-        for row, pc in zip(red.data, pivots)
+        for row, pc in zip(sol.data, spivots)
         if pc >= k0
     ]
-    space = HomologySpace(field, dim, reps.cols, reps, image)
-    return space, ExactMatrix._wrap(field, reps.cols, vectors.cols, classes)
+    space = HomologySpace(field, dim, h, reps, d_in, tuple(c for c in spivots if c < k0))
+    return space, ExactMatrix._wrap(field, h, vectors.cols, classes)
+
+
+def kernel_basis(mat: ExactMatrix) -> ExactMatrix:
+    """Columns form a deterministic basis of ker(mat); A @ K = 0: the
+    representatives of the homology at the source of mat with nothing
+    mapping in, which are all of K.  Row free[k] of the basis is the unit
+    vector e_k, free being the non-pivot columns of mat's rref."""
+    return homology_space(mat.field, mat.cols, mat, None)[0].reps

@@ -29,7 +29,10 @@ map on cohomology induced by an inclusion of complexes, and
 ``transpose_reverse`` builds the transposed complex whose homology
 ``resolution.lyubeznik_via_strands`` reads off the frame in reverse order;
 ``complex_alexander_dual`` and ``ideal_of`` (the inverse of
-``stanley_reisner``) state the duality identities that the tests check.
+``stanley_reisner``) state the duality identities that the tests check;
+``hstack`` puts matrices side by side, and ``cohomology_space`` runs
+``homology_space`` on one degree of a cochain complex, for the oracles
+that solve per restriction or per edge.
 """
 
 import random
@@ -46,7 +49,6 @@ from lyub import (
 )
 from lyub.cohomology import (
     cochain_complex,
-    cohomology_space,
     face_projection,
     reduced_cohomology_dims_all,
 )
@@ -69,10 +71,33 @@ from lyub.linalg import (
     HomologySpace,
     VectorSpaceComplex,
     homology_dims,
-    hstack,
+    homology_space,
     kernel_basis,
     rref,
 )
+
+
+def hstack(field, blocks, rows):
+    """Concatenate matrices (all with ``rows`` rows) side by side."""
+    data = [[] for _ in range(rows)]
+    off = 0
+    for b in blocks:
+        if b.rows != rows:
+            raise InputError("hstack row mismatch")
+        for out, row in zip(data, b.data):
+            out.extend([(off + j, v) for j, v in row] if off else row)
+        off += b.cols
+    return ExactMatrix._wrap(field, rows, off, list(map(tuple, data)))
+
+
+def cohomology_space(cc, q, vectors=None):
+    """Degree-q reduced cohomology of the cochain complex ``cc`` with
+    explicit cocycle representatives, and the classes of the cocycle
+    columns of ``vectors`` (degree-q cochains, may be None): the pair
+    ``homology_space`` returns."""
+    return homology_space(
+        cc.field, cc.space_dim(q), cc.coboundary(q), cc.coboundary(q - 1), vectors
+    )
 
 
 def brute_membership(ideal, mask):
@@ -214,14 +239,13 @@ def homology_space_full_rows(field, dim, d_out, d_in, vectors=None):
     red, pivots = rref(hstack(field, [d_in, ker, vectors], dim))
     if pivots and pivots[-1] >= v0:
         raise ContractError("inconsistent linear system")
-    image = d_in.select(range(dim), [c for c in pivots if c < k0])
     reps = ker.select(range(dim), [c - k0 for c in pivots if c >= k0])
     classes = [
         tuple((c - v0, x) for c, x in row if c >= v0)
         for row, pc in zip(red.data, pivots)
         if pc >= k0
     ]
-    space = HomologySpace(field, dim, reps.cols, reps, image)
+    space = HomologySpace(field, dim, reps.cols, reps, d_in, tuple(c for c in pivots if c < k0))
     return space, ExactMatrix._wrap(field, reps.cols, vectors.cols, classes)
 
 

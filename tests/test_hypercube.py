@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from functools import reduce
@@ -604,3 +605,94 @@ def test_edges_match_per_edge_solve_oracle(a5, ex53, ex57, ex52, f):
                 assert [[type(v) for _, v in row] for row in mat.data] == [
                     [type(v) for _, v in row] for row in oracle[key].data
                 ]
+
+
+# sha256 of every vertex dimension and edge matrix (rows, cols, data) of
+# every degree, recorded before the build reduced each coboundary once
+CUBE_SHA256 = {
+    ("a8", "Q"): "f1c830d03e79217aafa733638e6ae63edcf8059dc4c22f73f8d3dcf57995f2a6",
+    ("a8", "F2"): "12ab12aae1d0cf68d4f11d62d93e0e49e5ec15fac085291c4939b5b5872931c6",
+    ("nine", "Q"): "ca2905807c73af982fe011184c5bb99101caae4242b0eee47d08e9e0ba93d913",
+    ("nine", "F2"): "34a58ddac0921cb7aaae9d8a4a6ddc6709ffacfacb752967c57e48b5ecbce88d",
+    ("a10", "Q"): "a0c9bf1be7186e93849649b4ea66706664a963712fc0becc44316692a6530490",
+    ("a10", "F2"): "267c31f8ef76656c5930bfaf998f0d5822d882cac3b89c0dec68e3dfac5ac7c1",
+}
+
+
+@pytest.mark.parametrize(
+    "name, ideal",
+    [("a8", cycle_nonedge_ideal(8)), ("nine", nine_vars_ideal()), ("a10", cycle_nonedge_ideal(10))],
+    ids=["a8", "nine", "a10"],
+)
+@pytest.mark.parametrize("f", [QQ, F2], ids=["q", "f2"])
+def test_cubes_are_pinned_byte_for_byte(name, ideal, f):
+    # repr tells an int from a Fraction, so scalar types are pinned too
+    digest = hashlib.sha256()
+    for r in range(ideal.n + 1):
+        cube = build_hypercube(ideal, r, f)
+        digest.update(repr((r, sorted(cube.dims.items()), sorted(
+            (key, m.rows, m.cols, m.data) for key, m in cube.edge_mats.items()
+        ))).encode())
+    assert digest.hexdigest() == CUBE_SHA256[(name, f.name())]
+
+
+@pytest.mark.parametrize("f", [QQ, F2], ids=["q", "f2"])
+def test_build_refuses_a_projected_representative_that_is_not_a_cocycle(monkeypatch, f):
+    # change the first projected representative at the pivot of a reduced
+    # row of d_out: that row then no longer kills it, so neither does d_out
+    real, changed = hypercube.homology_space, []
+
+    def corrupting(field, dim, d_out, d_in, vectors, reduced):
+        if vectors.cols and reduced[1] and not changed:
+            c = reduced[1][0]
+            row = dict(vectors.data[c])
+            row[0] = field.coerce(row.get(0, 0) + 1)
+            data = list(vectors.data)
+            data[c] = tuple(sorted((j, x) for j, x in row.items() if x))
+            vectors = ExactMatrix._wrap(field, dim, vectors.cols, data)
+            changed.append(c)
+        return real(field, dim, d_out, d_in, vectors, reduced)
+
+    monkeypatch.setattr(hypercube, "homology_space", corrupting)
+    with pytest.raises(ContractError, match="inconsistent linear system"):
+        hypercube._build_all_degrees.__wrapped__(cycle_nonedge_ideal(8), f)  # never cached
+    assert changed
+
+
+@pytest.mark.parametrize(
+    "shift, message",
+    [(1, "negative cohomology dimension"), (-1, "cocycle space disagrees with coboundary ranks")],
+    ids=["too-high", "too-low"],
+)
+def test_build_checks_vertex_dimensions_against_ranks_and_solves(monkeypatch, shift, message):
+    # the first coboundary of every restriction is ranked by ``rank`` alone.
+    # Ranked one too high, degree -1 gets a negative dimension; one too low,
+    # it gets a class that the solve, reducing that map itself, does not find
+    real = hypercube.rank
+    monkeypatch.setattr(hypercube, "rank", lambda mat: real(mat) + shift)
+    with pytest.raises(ContractError, match=message):
+        hypercube._build_all_degrees.__wrapped__(cycle_nonedge_ideal(5), QQ)
+
+
+def test_build_checks_d_d_of_every_restricted_complex(monkeypatch):
+    # a cochain complex of D^v with one coboundary entry doubled, let in
+    # without its check: the restriction to the full mask, selected from
+    # it, refuses itself
+    from lyub.cohomology import CochainComplex
+
+    real = hypercube.cochain_complex
+
+    def doubled(cx, field):
+        cc = real(cx, field)
+        first = cc.coboundaries[0]
+        data = [((0, 2),), *first.data[1:]]
+        bad = object.__new__(CochainComplex)
+        for name, value in (("field", field), ("basis", cc.basis), ("coboundaries", (
+            ExactMatrix._wrap(field, first.rows, first.cols, data), *cc.coboundaries[1:]
+        ))):
+            object.__setattr__(bad, name, value)
+        return bad
+
+    monkeypatch.setattr(hypercube, "cochain_complex", doubled)
+    with pytest.raises(ContractError, match="d∘d != 0"):
+        hypercube._build_all_degrees.__wrapped__(cycle_nonedge_ideal(5), QQ)

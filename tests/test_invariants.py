@@ -501,16 +501,51 @@ def test_a_wrong_walk_rank_is_caught_by_the_main_complex(monkeypatch, a8):
                 cube._bass[dual] = stored
 
 
+def test_main_homology_is_reduced_once_per_cube(monkeypatch, ex52):
+    # table, bass and dual-bass read main's homology off the cube: one pass
+    # of the three reduces each of nine's four nonzero mains once
+    hypercube._build_all_degrees.cache_clear()  # fresh cubes, nothing kept
+    reduced = []
+    real = invariants.homology_dims
+
+    def counted(cx):
+        reduced.append(cx)
+        return real(cx)
+
+    monkeypatch.setattr(invariants, "homology_dims", counted)
+    lyubeznik_table(ex52, QQ)
+    degrees = nonzero_cohomology_degrees(ex52, QQ)
+    for r in degrees:
+        assert bass_table(ex52, r, QQ).rows and dual_bass_table(ex52, r, QQ).rows
+    assert degrees == [2, 3, 4, 5]
+    assert len(reduced) == len(degrees)
+    assert all(x is build_hypercube(ex52, r, QQ).main for x, r in zip(reduced, degrees))
+
+
+def test_a_stored_main_homology_that_disagrees_is_caught(ex57):
+    # the whole-cube row of each table is still compared with the homology
+    # kept on the cube, so a kept value off by one is refused
+    cube = build_hypercube(ex57, 3, QQ)
+    kept, tables = invariants._main_homology(cube), cube._bass
+    try:
+        cube._homology, cube._bass = (*kept[:-1], kept[-1] + 1), {}
+        for dual in (False, True):
+            with pytest.raises(ContractError, match="whole-cube row is not main's homology"):
+                invariants._table(cube, dual)
+            assert dual not in cube._bass
+    finally:
+        cube._homology, cube._bass = kept, tables
+
+
 def test_a_negative_walk_row_is_refused(monkeypatch, ex57):
     # rows made independent by an extra column of their own rank too high
     cube = build_hypercube(ex57, 3, QQ)
-    real = invariants._working_rows
+    real = invariants._integral_rows
 
     def independent(mat):
-        rows, factors = real(mat)
-        return [{**row, mat.cols + k: 1} for k, row in enumerate(rows)], factors
+        return [(*row, (mat.cols + k, 1)) for k, row in enumerate(real(mat))]
 
-    monkeypatch.setattr(invariants, "_working_rows", independent)
+    monkeypatch.setattr(invariants, "_integral_rows", independent)
     for dual in (False, True):
         with pytest.raises(ContractError, match="negative homology dimension"):
             _walk(cube, dual)

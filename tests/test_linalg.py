@@ -16,10 +16,11 @@ from lyub import (
     rank,
 )
 from lyub import hypercube, linalg
-from lyub.linalg import Field, cancel, homology_space, hstack, rref
+from lyub.linalg import Field, cancel, homology_space, rref
 
 from .oracles import (
     homology_space_full_rows,
+    hstack,
     random_fraction_matrix,
     random_matrix,
     rank_naive,
@@ -245,6 +246,10 @@ def test_homology_space_classes_match_a_solve(f):
         plain, none = homology_space(f, dim, d_out, d_in)
         assert (plain.image, plain.reps) == (space.image, space.reps)
         assert (none.rows, none.cols) == (space.dim, 0)
+        # a supplied reduction of d_out gives the same space and classes
+        _assert_same_space(
+            homology_space(f, dim, d_out, d_in, cycles, rref(d_out)), (space, classes)
+        )
 
 
 @pytest.mark.parametrize("f", [QQ, F2, Field(3)], ids=["q", "f2", "f3"])
@@ -254,12 +259,16 @@ def test_homology_space_refuses_a_vector_that_is_not_a_cycle(f):
     j = next(c for c in range(dim) if any(c == k for row in d_out.data for k, _ in row))
     # the first column d_out touches is its first pivot, so the unit vector
     # there is zero at every free coordinate of d_out: only the explicit
-    # d_out @ vectors test can see that it is not a cycle
+    # test against d_out's reduced rows can see that it is not a cycle,
+    # whether the solve reduces d_out itself or is handed that reduction
     assert rref(d_out)[1][0] == j
     unit = ExactMatrix.from_entries(f, dim, 1, [((j, 0), 1)])
+    vectors = hstack(f, [cycles, unit], dim)
     for space in (homology_space, homology_space_full_rows):
         with pytest.raises(ContractError, match="inconsistent linear system"):
-            space(f, dim, d_out, d_in, hstack(f, [cycles, unit], dim))
+            space(f, dim, d_out, d_in, vectors)
+    with pytest.raises(ContractError, match="inconsistent linear system"):
+        homology_space(f, dim, d_out, d_in, vectors, rref(d_out))
 
 
 def _typed(mat):
@@ -318,20 +327,21 @@ def test_homology_space_without_maps_keeps_every_vector():
 
 
 def test_induced_cohomology_map_is_the_classes_of_one_homology_space(monkeypatch, a5):
-    from lyub import cohomology, restriction, stanley_reisner
+    from lyub import restriction, stanley_reisner
 
+    from . import oracles
     from .oracles import complex_alexander_dual, induced_cohomology_map
 
     (alpha, i), edge = next(iter(build_hypercube(a5, 2, QQ).edge_mats.items()))
     calls = []
-    original = cohomology.homology_space
+    original = oracles.homology_space
 
     def spy(*args):
         out = original(*args)
         calls.append((args[4], out))
         return out
 
-    monkeypatch.setattr(cohomology, "homology_space", spy)
+    monkeypatch.setattr(oracles, "homology_space", spy)
     dual = complex_alexander_dual(stanley_reisner(a5))
     small, big = restriction(dual, alpha), restriction(dual, alpha | 1 << i)
     induced = induced_cohomology_map(small, big, 0, QQ)
