@@ -57,7 +57,6 @@ from .linalg import (
     ExactMatrix,
     VectorSpaceComplex,
     homology_dims,
-    kernel_basis,
     prime_field,
     rank,
 )

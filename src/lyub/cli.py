@@ -436,13 +436,22 @@ def render_report(report: dict) -> str:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _command(name: str) -> str:
+    """A known command; an unknown one is refused in argparse's wording as
+    Python 3.11 prints it, which some later releases print unquoted."""
+    if name not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise argparse.ArgumentTypeError(f"invalid choice: {name!r} (choose from {choices})")
+    return name
+
+
 @functools.cache  # built once per process: ``main`` may run many times
 def _build_argparser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="lyub",
         description="Exact invariants of local cohomology of squarefree monomial ideals.",
     )
-    ap.add_argument("command", choices=_COMMANDS)
+    ap.add_argument("command", type=_command, choices=_COMMANDS)
     ap.add_argument("file", help="ideal file, or - for stdin")
     ap.add_argument("--field", default="q", help="q (default) or fp:<prime>")
     reads_r = ", ".join(c for c in _COMMANDS if c in _READS_R)

@@ -19,8 +19,7 @@ vertex, so every matrix here is deterministic.
 from dataclasses import dataclass
 
 from .combinatorics import SimplicialComplex, bits_of, popcount
-from .errors import ContractError
-from .linalg import ExactMatrix, Field, check_complex, rank
+from .linalg import ExactMatrix, Field, check_complex, homology_from_ranks, rank
 
 # ---------------------------------------------------------------------------
 # cochain complexes
@@ -83,22 +82,11 @@ class CochainComplex:
             return self.coboundaries[s]
         return None
 
-    def cohomology_dims(self, ranks=None) -> dict[int, int]:
-        """Nonzero reduced cohomology dimensions by degree, from the rank of
-        each coboundary: ``ranks``, listed as ``coboundaries`` are, or one
-        ``rank`` per map when None."""
-        if ranks is None:
-            ranks = map(rank, self.coboundaries)
-        # ranks[s] is the rank of the map into faces of size s
-        ranks = [0, *ranks, 0]
-        dims = {}
-        for s, faces in enumerate(self.basis):
-            h = len(faces) - ranks[s] - ranks[s + 1]
-            if h < 0:
-                raise ContractError("negative cohomology dimension")
-            if h:
-                dims[s - 1] = h
-        return dims
+    def cohomology_dims(self) -> dict[int, int]:
+        """Nonzero reduced cohomology dimensions by degree, from the faces
+        by size and the ``rank`` of each coboundary (``homology_from_ranks``)."""
+        dims = homology_from_ranks(map(len, self.basis), map(rank, self.coboundaries))
+        return {s - 1: h for s, h in enumerate(dims) if h}
 
 
 def cochain_complex(cx: SimplicialComplex, field: Field) -> CochainComplex:

@@ -20,10 +20,12 @@ it (``cohomology.restrict_cochains``): the faces inside a in each size,
 with the same bases and matrices as a complex formed for the restriction
 alone, and its own d∘d check.  Each of its coboundaries is reduced once,
 by ``rref``: the pivots give its rank, and so the vertex at a in all n+1
-degrees, and the reduced rows give its kernel wherever that degree is
-nonzero.  The first coboundary, one entry per row, is only ranked
-(``rank``): the restriction has a vertex wherever it exists, so its
-kernel, and degree -1, are zero.  Only the masks a of the lcm lattice of
+degrees (``linalg.homology_from_ranks``), and the reduced rows give its
+kernel wherever that degree is nonzero.  The first coboundary is only
+ranked (``rank``): its rows, the vertices, have one entry each, while a
+later row, a face of s+1 >= 2 vertices, has all s+1 of its facets kept.
+The restriction has a vertex wherever the first coboundary exists, so
+its kernel, and degree -1, are zero.  Only the masks a of the lcm lattice of
 the Alexander dual ideal (the unions of its generators, the minimal primes
 of I) get a complex: at any other a the restriction is a cone, and the
 vertex is zero in every degree.  Representatives and edge maps are
@@ -63,7 +65,7 @@ from .errors import (
     InputError,
     ResourceError,
 )
-from .linalg import ExactMatrix, Field, VectorSpaceComplex, homology_space, rank, rref
+from .linalg import ExactMatrix, Field, VectorSpaceComplex, homology_from_ranks, homology_space, rank, rref
 
 # ---------------------------------------------------------------------------
 # the hypercube
@@ -192,12 +194,12 @@ def _build_all_degrees(ideal: MonomialIdeal, field: Field) -> tuple[Hypercube, .
             continue
         cc = restrict_cochains(cochains, alpha)
         # one reduction per coboundary: its pivots give the rank, its rows
-        # the kernel.  A map with at most one entry per row (the first) is
-        # only ranked; ``homology_space`` would reduce it if it needed it
-        cobs = cc.coboundaries
-        reduced = [rref(d) if any(len(row) > 1 for row in d.data) else None for d in cobs]
-        ranks = [rank(d) if red is None else len(red[1]) for d, red in zip(cobs, reduced)]
-        for q, h in cc.cohomology_dims(ranks).items():
+        # the kernel.  The first map, one entry per row, is only ranked
+        reduced = [None, *map(rref, cc.coboundaries[1:])]
+        ranks = [rank(d) for d in cc.coboundaries[:1]] + [len(piv) for _, piv in reduced[1:]]
+        for q, h in enumerate(homology_from_ranks(map(len, cc.basis), ranks), -1):
+            if not h:
+                continue
             faces, above = cc.faces(q), spaces[q + 2]
             ups = [
                 i for i in range(n)

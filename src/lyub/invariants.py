@@ -19,7 +19,7 @@ from .combinatorics import (
 from .cohomology import cochain_complex, link_cochains
 from .errors import MAX_BASS_WORK, ContractError, DomainError, ResourceError
 from .hypercube import Hypercube, build_hypercube
-from .linalg import Field, _eliminate, _integral_rows, homology_dims
+from .linalg import Field, _eliminate, _integral_rows, homology_dims, homology_from_ranks
 from .resolution import betti_numbers, lyubeznik_via_strands
 from .tables import BassTable, DualBassTable, LyubeznikTable
 
@@ -98,7 +98,7 @@ def _hull_rows(cube: Hypercube, dual: bool, hulls: list[int],
     maps = cube.main.maps
     work = [None, *map(_integral_rows, [m.transpose() for m in maps] if dual else maps[::-1])]
     lead = min if dual else max
-    basis: list[dict] = [{} for _ in range(n + 2)]  # pivot -> (row, inverse)
+    basis: list[dict] = [{} for _ in range(n + 1)]  # pivot -> (row, inverse)
     totals = [keys.get(0, 0)] + [0] * n  # D_l of the keys added (0 is under every hull)
     children: dict[int, list[int]] = {}
     for h in sorted({h for h in hulls if below[h]} - {0}, key=popcount):
@@ -127,11 +127,8 @@ def _hull_rows(cube: Hypercube, dual: bool, hulls: list[int],
                         added.append((size, c))
                         break
                     _eliminate(x, 0, pr[0], c, pr[1], p, None)
-        if below[h]:
-            ranks = [len(b) for b in basis]
-            out[h] = [totals[l] - ranks[l] - ranks[l + 1] for l in range(popcount(h), -1, -1)]
-            if min(out[h]) < 0:
-                raise ContractError("negative homology dimension")
+        if below[h]:  # sizes above |h| hold no key and no pivot
+            out[h] = homology_from_ranks(totals, map(len, basis[1:]))[popcount(h)::-1]
         for c in children.get(h, ()):
             visit(c, h)
         for size, c in added:
@@ -171,15 +168,17 @@ def _table(cube: Hypercube, dual: bool) -> BassTable | DualBassTable:
     table, its columns at the w >= full \\ h), whose entries all lie in the
     interval: its rank R_l is that row set's, kept in one row echelon
     basis per map, and row h holds D_l - R_l - R_{l+1} at |h| - l, D_l the
-    keys' total dimension.  A hull's parent is the hull of largest total
-    among ``hulls[h ^ e_i]``, i in h (every hull strictly below h lies
-    under one).  Entering h reduces the rows of the keys under h but not
-    under its parent in increasing key order (``linalg._eliminate``), each
-    row made a dict only then, from main's rows scaled to integers over Q
-    (``linalg._integral_rows``); it keeps each nonzero one with its leading
-    column as pivot, and leaving h drops those pivots.  The row at
-    alpha = full (dual: alpha = 0) is checked against main's homology
-    (``_main_homology``, main reduced on its own, once per cube).
+    keys' total dimension: the interval's homology from those ranks
+    (``linalg.homology_from_ranks``), read backwards.  A hull's parent is
+    the hull of largest total among ``hulls[h ^ e_i]``, i in h (every hull
+    strictly below h lies under one).  Entering h reduces the rows of the
+    keys under h but not under its parent in increasing key order
+    (``linalg._eliminate``), each row made a dict only then, from main's
+    rows scaled to integers over Q (``linalg._integral_rows``); it keeps
+    each nonzero one with its leading column as pivot, and leaving h drops
+    those pivots.  The row at alpha = full (dual: alpha = 0) is checked
+    against main's homology (``_main_homology``, main reduced on its own,
+    once per cube).
     """
     below = _bass_work(cube, dual)
     kind = DualBassTable if dual else BassTable

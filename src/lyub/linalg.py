@@ -7,15 +7,17 @@ leaves a non-integer; ints and Fractions compare and hash equal, so the two
 never need telling apart.  Over F_p they are ints in [0, p).
 
 ``ExactMatrix`` stores only its nonzero entries: one row per matrix row,
-each a tuple of (col, value) pairs in increasing column order.  Products,
-transposes, equality and the one d∘d check (``check_complex``) walk those
+each a tuple of (col, value) pairs in increasing column order.
+Selections, transposes, equality and the one zero-product test
+(``product_is_zero``, the d∘d check and the cocycle test) walk those
 entries alone.  Every elimination copies the rows into mutable {col: int}
 dicts and runs one engine shared by both kinds of field: over Q the rows
 stay integral (fraction-free updates, each rescaled row divided by its
 gcd), over F_p they are reduced mod p.  ``cancel`` is its pivot loop, and
 both ``rank`` and the minimization of free resolutions run on it;
 ``rref`` keeps a column-order loop on the same row update, since the
-canonical bases of kernels and homology need it.
+canonical bases of kernels and homology need it.  Every homology
+dimension is read off ranks by one rule, ``homology_from_ranks``.
 """
 
 from dataclasses import dataclass
@@ -136,18 +138,8 @@ class ExactMatrix:
         return out
 
     @classmethod
-    def zeros(cls, field, rows, cols):
-        return cls(field, rows, cols)
-
-    @classmethod
     def identity(cls, field, n):
         return cls._wrap(field, n, n, [((i, 1),) for i in range(n)])
-
-    @classmethod
-    def from_rows(cls, field, rows):
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        return cls(field, r, c, rows)
 
     @classmethod
     def from_entries(cls, field, rows, cols, entries):
@@ -200,24 +192,6 @@ class ExactMatrix:
             for j, v in row:
                 cols[j].append((i, v))
         return ExactMatrix._wrap(self.field, self.cols, self.rows, list(map(tuple, cols)))
-
-    def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
-        """The product, walking only the nonzero entries of both factors."""
-        if self.cols != other.rows:
-            raise InputError("matmul shape mismatch")
-        p = self.field.p
-        right = other.data
-        data = []
-        for arow in self.data:
-            if len(arow) == 1 and arow[0][1] == 1:
-                data.append(right[arow[0][0]])  # a unit row picks a row of other
-                continue
-            acc = {}
-            for k, a in arow:
-                for j, b in right[k]:
-                    acc[j] = acc.get(j, 0) + a * b
-            data.append(_pack(acc, p))
-        return ExactMatrix._wrap(self.field, self.rows, other.cols, data)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -381,8 +355,6 @@ def rank(mat: ExactMatrix) -> int:
     coboundary does), the rank is the number of distinct columns among the
     nonzero rows, and no elimination is needed.
     """
-    if mat.rows == 0 or mat.cols == 0:
-        return 0
     if all(len(row) <= 1 for row in mat.data):
         return len({row[0][0] for row in mat.data if row})
     return len(cancel(_working_rows(mat)[0], mat.field.p)[0])
@@ -449,13 +421,29 @@ def rref(mat: ExactMatrix):
 # ---------------------------------------------------------------------------
 
 
+def product_is_zero(left, right, p: int) -> bool:
+    """Whether the matrix of the sparse rows ``left`` times that of
+    ``right`` (left's columns index right's rows) is zero in characteristic
+    p.  Each row of the product is summed on its own, and the test returns
+    at the first nonzero one without building the product."""
+    for arow in left:
+        if len(arow) == 1:
+            # a nonzero scalar times a row is zero only for a zero row
+            if right[arow[0][0]]:
+                return False
+            continue
+        acc = {}
+        for k, a in arow:
+            for j, b in right[k]:
+                acc[j] = acc.get(j, 0) + a * b
+        if any(v % p for v in acc.values()) if p else any(acc.values()):
+            return False
+    return True
+
+
 def check_complex(dims, maps) -> None:
     """Refuse maps[p] : position p+1 -> position p that do not fit ``dims``
-    or do not compose to zero.
-
-    Each row of maps[p] @ maps[p+1] is summed on its own, and the check
-    returns at the first nonzero row without building the product.
-    """
+    or do not compose to zero (``product_is_zero``)."""
     if len(maps) != max(len(dims) - 1, 0):
         raise InputError("need one map per consecutive pair of positions")
     for p, m in enumerate(maps):
@@ -463,20 +451,8 @@ def check_complex(dims, maps) -> None:
             raise InputError(f"map {p} has shape {m.rows}x{m.cols}, "
                              f"expected {dims[p]}x{dims[p+1]}")
     for p in range(len(maps) - 1):
-        q = maps[p].field.p
-        right = maps[p + 1].data
-        for arow in maps[p].data:
-            if len(arow) == 1:
-                # a nonzero scalar times a row is zero only for a zero row
-                nonzero = bool(right[arow[0][0]])
-            else:
-                acc = {}
-                for k, a in arow:
-                    for j, b in right[k]:
-                        acc[j] = acc.get(j, 0) + a * b
-                nonzero = any(v % q for v in acc.values()) if q else any(acc.values())
-            if nonzero:
-                raise ContractError(f"d∘d != 0 at position {p}")
+        if not product_is_zero(maps[p].data, maps[p + 1].data, maps[p].field.p):
+            raise ContractError(f"d∘d != 0 at position {p}")
 
 
 class VectorSpaceComplex:
@@ -493,20 +469,20 @@ class VectorSpaceComplex:
         self.maps = maps
 
 
+def homology_from_ranks(dims, ranks) -> list[int]:
+    """The homology dimensions dims[p] - ranks[p-1] - ranks[p], ranks[p]
+    being the rank of the map between positions p and p+1 (0 past either
+    end), in either direction; a negative one is refused."""
+    ranks = [0, *ranks, 0]
+    out = [d - ranks[p] - ranks[p + 1] for p, d in enumerate(dims)]
+    if min(out, default=0) < 0:
+        raise ContractError("negative homology dimension")
+    return out
+
+
 def homology_dims(cx: VectorSpaceComplex) -> list[int]:
     """H_p = dim ker(maps[p-1]) - rank(maps[p]) with boundary conventions."""
-    ranks = [rank(m) for m in cx.maps]
-    out = []
-    for p, d in enumerate(cx.dims):
-        h = d
-        if p > 0:
-            h -= ranks[p - 1]
-        if p < len(cx.maps):
-            h -= ranks[p]
-        if h < 0:
-            raise ContractError("negative homology dimension")
-        out.append(h)
-    return out
+    return homology_from_ranks(cx.dims, map(rank, cx.maps))
 
 
 @dataclass(frozen=True)
@@ -579,13 +555,8 @@ def homology_space(field, dim, d_out, d_in, vectors=None, reduced=None):
         if red.cols != dim:
             raise InputError("reduced d_out shape mismatch")
         ech = red.data[:len(pivots)]
-        for row in ech if vectors.cols else ():
-            acc = {}
-            for c, x in row:
-                for j, y in vdata[c]:
-                    acc[j] = acc.get(j, 0) + x * y
-            if any(v % p for v in acc.values()) if p else any(acc.values()):
-                raise ContractError("inconsistent linear system")
+        if vectors.cols and not product_is_zero(ech, vdata, p):
+            raise ContractError("inconsistent linear system")
     pivset = set(pivots)
     free = [c for c in range(dim) if c not in pivset]
     k0 = d_in.cols
@@ -613,10 +584,3 @@ def homology_space(field, dim, d_out, d_in, vectors=None, reduced=None):
     space = HomologySpace(field, dim, h, reps, d_in, tuple(c for c in spivots if c < k0))
     return space, ExactMatrix._wrap(field, h, vectors.cols, classes)
 
-
-def kernel_basis(mat: ExactMatrix) -> ExactMatrix:
-    """Columns form a deterministic basis of ker(mat); A @ K = 0: the
-    representatives of the homology at the source of mat with nothing
-    mapping in, which are all of K.  Row free[k] of the basis is the unit
-    vector e_k, free being the non-pivot columns of mat's rref."""
-    return homology_space(mat.field, mat.cols, mat, None)[0].reps

@@ -319,7 +319,7 @@ def strand_frame(ideal: MonomialIdeal, r: int, field: Field) -> VectorSpaceCompl
     picks += [[]] * (n - r + 1 - len(picks))
     maps = [
         res.diffs[j].select(picks[j], picks[j + 1]) if j < len(res.diffs)
-        else ExactMatrix.zeros(field, len(picks[j]), 0)  # past the last term
+        else ExactMatrix(field, len(picks[j]), 0)  # past the last term
         for j in range(n - r)
     ]
     return VectorSpaceComplex(field, map(len, picks), maps)

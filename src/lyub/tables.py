@@ -7,7 +7,7 @@ rendering lives in the CLI module.
 from dataclasses import dataclass
 
 from .combinatorics import mask_key
-from .errors import ContractError
+from .errors import ContractError, InputError
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,11 @@ class LyubeznikTable:
 
     @classmethod
     def from_entries(cls, d: int, values) -> "LyubeznikTable":
-        """Build from a mapping (p, i) -> value."""
+        """Build from a mapping (p, i) -> value, refusing a key off the table."""
         grid = [[0] * (d + 1) for _ in range(d + 1)]
         for (p, i), v in values.items():
+            if not (0 <= p <= d and 0 <= i <= d):
+                raise ContractError(f"lambda_{{{p},{i}}} outside a {d + 1}x{d + 1} table")
             if v:
                 grid[p][i] = v
         return cls(d, tuple(tuple(row) for row in grid))
@@ -89,6 +91,8 @@ class BassTable:
         return dict(self.rows)
 
     def mu(self, alpha: int, p: int) -> int:
+        if p < 0:
+            raise InputError(f"index p={p} is negative")
         for a, vals in self.rows:
             if a == alpha:
                 return vals[p] if p < len(vals) else 0

@@ -30,7 +30,9 @@ map on cohomology induced by an inclusion of complexes, and
 ``resolution.lyubeznik_via_strands`` reads off the frame in reverse order;
 ``complex_alexander_dual`` and ``ideal_of`` (the inverse of
 ``stanley_reisner``) state the duality identities that the tests check;
-``hstack`` puts matrices side by side, and ``cohomology_space`` runs
+``from_rows`` makes a matrix from dense rows, ``hstack`` puts matrices
+side by side, ``matmul`` multiplies two of them and ``kernel_basis``
+gives a basis of a kernel, and ``cohomology_space`` runs
 ``homology_space`` on one degree of a cochain complex, for the oracles
 that solve per restriction or per edge.
 """
@@ -70,9 +72,9 @@ from lyub.hypercube import _check_masks, restricted_complex
 from lyub.linalg import (
     HomologySpace,
     VectorSpaceComplex,
+    _pack,
     homology_dims,
     homology_space,
-    kernel_basis,
     rref,
 )
 
@@ -88,6 +90,38 @@ def hstack(field, blocks, rows):
             out.extend([(off + j, v) for j, v in row] if off else row)
         off += b.cols
     return ExactMatrix._wrap(field, rows, off, list(map(tuple, data)))
+
+
+def from_rows(field, rows):
+    """The matrix with the given dense row lists (no rows: 0 x 0)."""
+    return ExactMatrix(field, len(rows), len(rows[0]) if rows else 0, rows)
+
+
+def matmul(left, right):
+    """The product left @ right, walking only the nonzero entries of both
+    factors."""
+    if left.cols != right.rows:
+        raise InputError("matmul shape mismatch")
+    p = left.field.p
+    data = []
+    for arow in left.data:
+        if len(arow) == 1 and arow[0][1] == 1:
+            data.append(right.data[arow[0][0]])  # a unit row picks a row of right
+            continue
+        acc = {}
+        for k, a in arow:
+            for j, b in right.data[k]:
+                acc[j] = acc.get(j, 0) + a * b
+        data.append(_pack(acc, p))
+    return ExactMatrix._wrap(left.field, left.rows, right.cols, data)
+
+
+def kernel_basis(mat):
+    """Columns form a deterministic basis of ker(mat); mat @ K = 0: the
+    representatives of the homology at the source of mat with nothing
+    mapping in, which are all of K.  Row free[k] of the basis is the unit
+    vector e_k, free being the non-pivot columns of mat's rref."""
+    return homology_space(mat.field, mat.cols, mat, None)[0].reps
 
 
 def cohomology_space(cc, q, vectors=None):
@@ -259,7 +293,7 @@ def squares_commute(n, dims, edges):
         first, second = edges.get((alpha, i)), edges.get((alpha | 1 << i, j))
         if first is None or second is None:
             return None
-        prod = second.matmul(first)
+        prod = matmul(second, first)
         return prod if any(prod.data) else None
 
     for alpha in dims:
@@ -480,7 +514,7 @@ def induced_cohomology_map(small, big, q, field):
     big_cc = cochain_complex(big, field)
     big_space, _ = cohomology_space(big_cc, q)
     restricted = face_projection(field, small_cc.faces(q), big_cc.faces(q))
-    _, induced = cohomology_space(small_cc, q, restricted.matmul(big_space.reps))
+    _, induced = cohomology_space(small_cc, q, matmul(restricted, big_space.reps))
     return induced
 
 

@@ -570,7 +570,8 @@ def test_every_command_prints_the_recorded_output(name, field):
 
 
 def test_help_and_usage_errors_print_the_recorded_text(monkeypatch):
-    # argparse's own wording, as Python 3.11 prints it
+    # argparse's help and usage text as Python 3.11 prints it; the unknown
+    # command is worded by the CLI itself, so it reads the same on every Python
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
     invocations = [
         (["--help"], ["--help"]),

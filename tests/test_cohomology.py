@@ -31,7 +31,7 @@ from .conftest import (
     small_supp_ideal,
     three_component_ideal,
 )
-from .oracles import induced_cohomology_map, masks, random_ideal, reduced_homology_dim
+from .oracles import induced_cohomology_map, masks, matmul, random_ideal, reduced_homology_dim
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -67,6 +67,13 @@ def test_projective_plane_depends_on_characteristic():
     assert reduced_cohomology_dims_all(cx, F2).get(1, 0) == 1
     assert reduced_cohomology_dims_all(cx, QQ).get(2, 0) == 0
     assert reduced_cohomology_dims_all(cx, F2).get(2, 0) == 1
+
+
+def test_cohomology_dims_refuses_through_the_one_rule(monkeypatch):
+    real = cohomology.rank
+    monkeypatch.setattr(cohomology, "rank", lambda mat: real(mat) + 1)
+    with pytest.raises(ContractError, match="negative homology dimension"):
+        cochain_complex(HOLLOW_TRIANGLE, QQ).cohomology_dims()
 
 
 def test_cochain_complex_squares_to_zero_and_dims():
@@ -228,7 +235,7 @@ def test_induced_map_functoriality():
     f_ms = induced_cohomology_map(small, mid, 0, QQ)
     f_bm = induced_cohomology_map(mid, big, 0, QQ)
     f_bs = induced_cohomology_map(small, big, 0, QQ)
-    assert f_ms.matmul(f_bm) == f_bs
+    assert matmul(f_ms, f_bm) == f_bs
 
 
 def test_induced_map_random_functoriality():
@@ -246,4 +253,4 @@ def test_induced_map_random_functoriality():
                 f_ms = induced_cohomology_map(small, mid, q, field)
                 f_bm = induced_cohomology_map(mid, big, q, field)
                 f_bs = induced_cohomology_map(small, big, q, field)
-                assert f_ms.matmul(f_bm) == f_bs
+                assert matmul(f_ms, f_bm) == f_bs

@@ -49,6 +49,7 @@ from .oracles import (
     induced_cohomology_map,
     interval_complex,
     masks,
+    matmul,
     per_edge_maps,
     random_ideal,
     squares_commute,
@@ -357,7 +358,7 @@ def test_square_check_agrees_with_the_square_loop(ex57, a5, ex52, f):
                 assert commute, (cube.r, key)
             outcomes.add(commute)
             for alpha, k, m in paths.get(key, ()):
-                one_path = edges[(alpha | 1 << k, m)].matmul(edges[(alpha, k)])
+                one_path = matmul(edges[(alpha | 1 << k, m)], edges[(alpha, k)])
                 zero_middle_broken += any(one_path.data)
     assert outcomes == {True, False}
     assert zero_middle_broken
@@ -661,7 +662,7 @@ def test_build_refuses_a_projected_representative_that_is_not_a_cocycle(monkeypa
 
 @pytest.mark.parametrize(
     "shift, message",
-    [(1, "negative cohomology dimension"), (-1, "cocycle space disagrees with coboundary ranks")],
+    [(1, "negative homology dimension"), (-1, "cocycle space disagrees with coboundary ranks")],
     ids=["too-high", "too-low"],
 )
 def test_build_checks_vertex_dimensions_against_ranks_and_solves(monkeypatch, shift, message):

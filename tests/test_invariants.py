@@ -8,6 +8,7 @@ from lyub import (
     ContractError,
     DualBassTable,
     ExactMatrix,
+    InputError,
     QQ,
     ResourceError,
     alexander_dual,
@@ -102,6 +103,23 @@ def test_lyubeznik_table_shape_validation():
         table_from(2, {(2, 2): 0})  # lambda_{d,d} must be positive
     with pytest.raises(ContractError):
         LyubeznikTable(1, ((0, 0), (1, 1)))  # below-diagonal entry
+
+
+@pytest.mark.parametrize("key", [(0, -1), (0, 3), (-1, 2), (3, 3)])
+def test_lyubeznik_table_refuses_a_key_off_the_table(key):
+    # (0, -1) would otherwise land at lambda_{0,2}, (0, 3) past the last column
+    with pytest.raises(ContractError, match=r"outside a 3x3 table"):
+        table_from(2, {key: 5, (2, 2): 1})
+
+
+@pytest.mark.parametrize("kind", [BassTable, DualBassTable])
+def test_bass_tables_refuse_a_negative_index(kind):
+    # p = -1 would otherwise read the last entry of the row
+    table = kind.from_rows(2, {3: [1, 2]})
+    read = table.pi if kind is DualBassTable else table.mu
+    assert [read(3, p) for p in range(3)] == [1, 2, 0]
+    with pytest.raises(InputError, match="index p=-1 is negative"):
+        read(3, -1)
 
 
 def test_lyubeznik_table_from_homology_keeps_to_the_triangle():

@@ -11,16 +11,18 @@ from lyub import (
     VectorSpaceComplex,
     build_hypercube,
     homology_dims,
-    kernel_basis,
     prime_field,
     rank,
 )
 from lyub import hypercube, linalg
-from lyub.linalg import Field, cancel, homology_space, rref
+from lyub.linalg import Field, cancel, homology_from_ranks, homology_space, product_is_zero, rref
 
 from .oracles import (
+    from_rows,
     homology_space_full_rows,
     hstack,
+    kernel_basis,
+    matmul,
     random_fraction_matrix,
     random_matrix,
     rank_naive,
@@ -30,6 +32,7 @@ from .oracles import (
 )
 
 F2 = prime_field(2)
+F3 = prime_field(3)
 F5 = prime_field(5)
 
 # the rank-4 level map of the height-two five-variable cycle ideal
@@ -144,13 +147,13 @@ def test_from_entries_reduces_and_refuses_outside_entries():
 
 
 def test_rank_cycle5_matrix():
-    assert rank(ExactMatrix.from_rows(QQ, CYCLE5_MATRIX)) == 4
+    assert rank(from_rows(QQ, CYCLE5_MATRIX)) == 4
 
 
 def test_rank_trivial_cases():
-    assert rank(ExactMatrix.zeros(QQ, 4, 3)) == 0
+    assert rank(ExactMatrix(QQ, 4, 3)) == 0
     assert rank(ExactMatrix.identity(QQ, 7)) == 7
-    assert rank(ExactMatrix.zeros(QQ, 0, 5)) == 0
+    assert rank(ExactMatrix(QQ, 0, 5)) == 0
 
 
 @pytest.mark.parametrize("field", [QQ, F2, prime_field(3)], ids=["q", "f2", "f3"])
@@ -189,9 +192,9 @@ def test_rank_equals_rank_of_transpose():
 
 
 def test_kernel_of_all_ones_row():
-    k = kernel_basis(ExactMatrix.from_rows(QQ, [[1, 1, 1]]))
+    k = kernel_basis(from_rows(QQ, [[1, 1, 1]]))
     assert k.cols == 2
-    assert not any(ExactMatrix.from_rows(QQ, [[1, 1, 1]]).matmul(k).data)
+    assert not any(matmul(from_rows(QQ, [[1, 1, 1]]), k).data)
 
 
 def test_kernel_of_identity_is_empty():
@@ -204,12 +207,12 @@ def test_kernel_random_f2():
         m = random_matrix(rng, F2, 6, 9, span=1)
         k = kernel_basis(m)
         assert k.cols == 9 - rank(m)
-        assert not any(m.matmul(k).data)
+        assert not any(matmul(m, k).data)
 
 
 def test_solve_matrix_inconsistent_raises():
-    a = ExactMatrix.from_rows(QQ, [[1], [1]])
-    b = ExactMatrix.from_rows(QQ, [[1], [2]])
+    a = from_rows(QQ, [[1], [1]])
+    b = from_rows(QQ, [[1], [2]])
     with pytest.raises(ContractError):
         solve_matrix(a, b)
 
@@ -219,14 +222,14 @@ def _space_with_cycles(rng, field):
     dim = 8
     d_in = random_matrix(rng, field, dim, 3, span=3)
     left = kernel_basis(d_in.transpose()).transpose()
-    d_out = random_matrix(rng, field, 2, left.rows, span=3).matmul(left)
-    assert not any(d_out.matmul(d_in).data)
+    d_out = matmul(random_matrix(rng, field, 2, left.rows, span=3), left)
+    assert not any(matmul(d_out, d_in).data)
     if field.p:
         coeffs = random_matrix(rng, field, dim - rank(d_out), 4, span=3)
     else:
         coeffs = random_fraction_matrix(rng, field, dim - rank(d_out), 4)
     # cycles with a boundary part, so the image block is used
-    cycles = kernel_basis(d_out).matmul(coeffs)
+    cycles = matmul(kernel_basis(d_out), coeffs)
     return dim, d_out, d_in, cycles
 
 
@@ -296,7 +299,7 @@ def _cochain_inputs(ideal, field):
             dim, d_out, d_in = cc.space_dim(q), cc.coboundary(q), cc.coboundary(q - 1)
             ker = kernel_basis(d_out) if d_out is not None else ExactMatrix.identity(field, dim)
             sums = ExactMatrix(field, ker.cols, 2, [[1, k] for k in range(ker.cols)])
-            blocks = [ker.matmul(sums)] + ([d_in] if d_in is not None else [])
+            blocks = [matmul(ker, sums)] + ([d_in] if d_in is not None else [])
             yield dim, d_out, d_in, hstack(field, blocks, dim)
 
 
@@ -319,7 +322,7 @@ def test_homology_space_matches_the_full_row_reduction(a5, ex53, ex52, f):
 
 
 def test_homology_space_without_maps_keeps_every_vector():
-    v = ExactMatrix.from_rows(QQ, [[1, Fraction(1, 2)], [0, 3]])
+    v = from_rows(QQ, [[1, Fraction(1, 2)], [0, 3]])
     space, classes = homology_space(QQ, 2, None, None, v)
     assert space.reps == ExactMatrix.identity(QQ, 2)
     assert space.image.cols == 0
@@ -354,7 +357,7 @@ def test_induced_cohomology_map_is_the_classes_of_one_homology_space(monkeypatch
 
 def _cycle_complex(field):
     # 0 <- k <- k^3 <- k <- 0 with maps (1 1 1) and (-1, 1, 0)^T
-    m0 = ExactMatrix.from_rows(field, [[1, 1, 1]])
+    m0 = from_rows(field, [[1, 1, 1]])
     m1 = ExactMatrix(field, 3, 1, [[-1], [1], [0]])
     return VectorSpaceComplex(field, (1, 3, 1), (m0, m1))
 
@@ -365,10 +368,71 @@ def test_homology_dims_paper_complex():
 
 
 def test_homology_dims_zero_maps_and_iso():
-    cx = VectorSpaceComplex(QQ, (2, 3), (ExactMatrix.zeros(QQ, 2, 3),))
+    cx = VectorSpaceComplex(QQ, (2, 3), (ExactMatrix(QQ, 2, 3),))
     assert homology_dims(cx) == [2, 3]
     iso = VectorSpaceComplex(QQ, (1, 1), (ExactMatrix.identity(QQ, 1),))
     assert homology_dims(iso) == [0, 0]
+
+
+def test_homology_from_ranks_is_the_per_position_formula():
+    rng = random.Random(23)
+    refused = kept = 0
+    for _ in range(300):
+        dims = [rng.randint(0, 8) for _ in range(rng.randint(0, 6))]
+        ranks = [rng.randint(0, 4) for _ in dims[1:]]
+        direct = [
+            d - (ranks[p - 1] if p > 0 else 0) - (ranks[p] if p < len(ranks) else 0)
+            for p, d in enumerate(dims)
+        ]
+        if any(h < 0 for h in direct):
+            refused += 1
+            with pytest.raises(ContractError, match="negative homology dimension"):
+                homology_from_ranks(dims, ranks)
+        else:
+            kept += 1
+            assert homology_from_ranks(dims, iter(ranks)) == direct
+    assert refused and kept
+
+
+def test_homology_dims_refuses_through_the_one_rule(monkeypatch):
+    real = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda mat: real(mat) + 1)
+    with pytest.raises(ContractError, match="negative homology dimension"):
+        homology_dims(_cycle_complex(QQ))
+
+
+def _sparse_matrix(rng, field, rows, cols):
+    """Rows of three kinds: zero, one entry, and a random sparse row."""
+    data = []
+    for _ in range(rows):
+        row = [0] * cols
+        kind = rng.randrange(3)
+        if kind == 1 and cols:
+            row[rng.randrange(cols)] = rng.choice([-2, -1, 1, 2, 3])
+        elif kind == 2:
+            row = [rng.choice([0, 0, 0, -1, 1, 2, 3]) for _ in range(cols)]
+        data.append(row)
+    return ExactMatrix(field, rows, cols, data)
+
+
+@pytest.mark.parametrize("f", [QQ, F2, F3], ids=["Q", "F2", "F3"])
+def test_product_is_zero_agrees_with_the_product(f):
+    # half the right factors lie in the kernel of the left one, so both
+    # answers occur, with one-entry and zero rows on both sides
+    rng = random.Random(29)
+    answers = []
+    for _ in range(300):
+        k, m = rng.randint(0, 5), rng.randint(0, 5)
+        left = _sparse_matrix(rng, f, k, m)
+        if rng.randrange(2):
+            ker = kernel_basis(left)
+            right = matmul(ker, _sparse_matrix(rng, f, ker.cols, rng.randint(0, 4)))
+        else:
+            right = _sparse_matrix(rng, f, m, rng.randint(0, 4))
+        want = not any(matmul(left, right).data)
+        assert product_is_zero(left.data, right.data, f.p) == want
+        answers.append(want)
+    assert set(answers) == {True, False}
 
 
 def test_composability_checked():
@@ -399,7 +463,7 @@ def _random_complex(rng, field, maxdim=5, length=4):
             # force composability: post-compose with projection onto the
             # kernel of the previous map
             k = prev_kernel
-            raw = k.matmul(random_matrix(rng, field, k.cols, dims[p + 1], span=2))
+            raw = matmul(k, random_matrix(rng, field, k.cols, dims[p + 1], span=2))
         maps.append(raw)
         prev_kernel = kernel_basis(raw)
     return VectorSpaceComplex(field, tuple(dims), tuple(maps))
@@ -463,14 +527,14 @@ def test_sparse_engine_cross_check():
             ]
             assert len(pivots) == r
             # the reduced rows span the row space of m
-            assert rank_naive(ExactMatrix.from_rows(field, m.dense() + red.dense())) == r
+            assert rank_naive(from_rows(field, m.dense() + red.dense())) == r
             prefix = [rank(ExactMatrix(field, rows, c, [row[:c] for row in m.dense()]))
                       for c in range(cols + 1)]
             assert pivots == [c for c in range(cols) if prefix[c + 1] > prefix[c]]
 
             k = kernel_basis(m)
             assert k.rows == cols and k.cols == cols - r
-            assert not any(m.matmul(k).data)
+            assert not any(matmul(m, k).data)
             assert rank_naive(k) == k.cols
         rank_drops += ranks["F2"] < ranks["Q"]
     assert rank_drops
@@ -487,7 +551,7 @@ def test_cancel_pivots_only_where_eligible():
     assert factors == {}
     # without a rule every row pivots, as in rank
     pivots, _ = cancel([{0: 1, 1: 1}, {0: 1}, {2: 5}], 0)
-    mat = ExactMatrix.from_rows(QQ, [[1, 1, 0], [1, 0, 0], [0, 0, 5]])
+    mat = from_rows(QQ, [[1, 1, 0], [1, 0, 0], [0, 0, 5]])
     assert len(pivots) == 3 == rank(mat=mat)
 
 
