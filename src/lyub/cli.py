@@ -10,8 +10,9 @@ or, equivalently for an ideal given by generators::
     n=4;
     gens: x1*x2, x1*x4, x2*x3, x3*x4;
 
-Variables are named x1..xn.  Masks are printed both as variable products and
-as 0/1 vectors.  All reported numbers are exact integers.
+Variables are named x1..xn, 1 <= n <= 24; every number is in ASCII digits,
+flags included.  Masks are printed both as variable products and as 0/1
+vectors.  All reported numbers are exact integers.
 
 Exit codes: 0 success; 1 a failed check or a refused computation
 (``error:``); 2 unreadable or malformed input (``input error:``);
@@ -40,7 +41,7 @@ from .combinatorics import (
     minimalize,
     popcount,
 )
-from .errors import InputError, LyubError
+from .errors import MAX_VARIABLES, InputError, LyubError
 from .hypercube import build_hypercube  # noqa: F401  (perfbench traces this binding)
 from .invariants import (
     bass_table,
@@ -76,7 +77,7 @@ class ProblemSpec:
         return minimalize(self.n, self.masks)
 
 
-_TOKEN = re.compile(r"(?P<num>\d+)|(?P<word>[A-Za-z]\w*)|(?P<punct>[={}:;,*])|(?P<space>\s+)|(?P<bad>.)")
+_TOKEN = re.compile(r"(?P<num>[0-9]+)|(?P<word>[A-Za-z]\w*)|(?P<punct>[={}:;,*])|(?P<space>\s+)|(?P<bad>.)")
 
 
 def _tokenize(text: str):
@@ -140,7 +141,7 @@ def _parse_monomial(p: _Parser, n: int) -> int:
     mask = 0
     while True:
         tok = p.take("word")
-        m = re.fullmatch(r"x(\d+)", tok[1])
+        m = re.fullmatch(r"x([0-9]+)", tok[1])
         if not m:
             p.error(f"expected a variable x1..x{n}, found {tok[1]!r}", tok)
         i = _number(m.group(1), tok)
@@ -178,6 +179,8 @@ def parse_input(text: str) -> ProblemSpec:
     p.take(value="=")
     tok = p.take("num")
     n = _number(tok[1], tok)
+    if not 1 <= n <= MAX_VARIABLES:  # before any index is read against it
+        p.error(f"variable count n={n} outside [1, {MAX_VARIABLES}]", tok)
     p.take(value=";")
     tok = p.take("word")
     form = tok[1]
@@ -205,7 +208,7 @@ def parse_input(text: str) -> ProblemSpec:
 def parse_field(text: str) -> Field:
     if text == "q":
         return QQ
-    m = re.fullmatch(r"fp:(\d+)", text)
+    m = re.fullmatch(r"fp:([0-9]+)", text)
     if m:
         return prime_field(_number(m.group(1)))
     raise InputError(f"unknown field {text!r}; use 'q' or 'fp:<prime>'")
@@ -445,6 +448,18 @@ def _command(name: str) -> str:
     return name
 
 
+def _degree(text: str) -> int:
+    """An ``--r`` value: ASCII digits, optionally negative (``run`` refuses
+    a degree outside [0, n]).  Anything else is refused in argparse's own
+    wording for ``type=int``."""
+    try:
+        if re.fullmatch(r"-?[0-9]+", text):
+            return int(text)
+    except ValueError:  # more digits than ``int`` converts
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 @functools.cache  # built once per process: ``main`` may run many times
 def _build_argparser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -455,7 +470,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     ap.add_argument("file", help="ideal file, or - for stdin")
     ap.add_argument("--field", default="q", help="q (default) or fp:<prime>")
     reads_r = ", ".join(c for c in _COMMANDS if c in _READS_R)
-    ap.add_argument("--r", type=int, default=None, help=f"cohomological degree ({reads_r})")
+    ap.add_argument("--r", type=_degree, default=None, help=f"cohomological degree ({reads_r})")
     ap.add_argument("--json", action="store_true", help="emit JSON")
     ap.add_argument("--check", action="store_true",
                     help="table only: cross-validate the two Lyubeznik routes")

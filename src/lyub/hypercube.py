@@ -217,14 +217,15 @@ def _build_all_degrees(ideal: MonomialIdeal, field: Field) -> tuple[Hypercube, .
                         out.extend([(width + j, x) for j, x in row] if width else row)
                 width += dims[q + 2][alpha | 1 << i]
             vectors = ExactMatrix._wrap(field, len(faces), width, list(map(tuple, vecs)))
-            hsp, classes = homology_space(
-                field, len(faces), cc.coboundary(q), cc.coboundary(q - 1), vectors,
-                reduced[q + 1] if q + 1 < len(reduced) else None,
-            )
-            if hsp.dim != h:
+            # the first coboundary is reduced only if degree -1 is nonzero,
+            # which its rank rules out wherever it exists
+            d_out = cc.coboundary(q)
+            red = None if d_out is None else reduced[q + 1] or rref(d_out)
+            reps, classes = homology_space(vectors, cc.coboundary(q - 1), red)
+            if reps.cols != h:
                 raise ContractError("cocycle space disagrees with coboundary ranks")
             dims[q + 2][alpha] = h
-            above[alpha] = {f: row for f, row in zip(faces, hsp.reps.data) if row}
+            above[alpha] = {f: row for f, row in zip(faces, reps.data) if row}
             # the edge alpha -> alpha + e_i is the transposed induced map
             cols, c0 = classes.transpose().data, 0
             for i in ups:

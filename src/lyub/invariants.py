@@ -95,8 +95,8 @@ def _hull_rows(cube: Hypercube, dual: bool, hulls: list[int],
     # main's columns, the Bass walk its rows.  Each reduces in increasing
     # key order, for the fewest eliminations; main's Bass columns run by
     # full \\ v, so the Bass walk's leading column is its largest
-    maps = cube.main.maps
-    work = [None, *map(_integral_rows, [m.transpose() for m in maps] if dual else maps[::-1])]
+    maps = [m.transpose() for m in cube.main.maps] if dual else cube.main.maps[::-1]
+    work = [None, *(_integral_rows(m)[0] for m in maps)]
     lead = min if dual else max
     basis: list[dict] = [{} for _ in range(n + 1)]  # pivot -> (row, inverse)
     totals = [keys.get(0, 0)] + [0] * n  # D_l of the keys added (0 is under every hull)

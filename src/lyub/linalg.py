@@ -10,14 +10,14 @@ never need telling apart.  Over F_p they are ints in [0, p).
 each a tuple of (col, value) pairs in increasing column order.
 Selections, transposes, equality and the one zero-product test
 (``product_is_zero``, the d∘d check and the cocycle test) walk those
-entries alone.  Every elimination copies the rows into mutable {col: int}
-dicts and runs one engine shared by both kinds of field: over Q the rows
-stay integral (fraction-free updates, each rescaled row divided by its
-gcd), over F_p they are reduced mod p.  ``cancel`` is its pivot loop, and
-both ``rank`` and the minimization of free resolutions run on it;
-``rref`` keeps a column-order loop on the same row update, since the
-canonical bases of kernels and homology need it.  Every homology
-dimension is read off ranks by one rule, ``homology_from_ranks``.
+entries alone.  Every elimination reads the rows scaled to integers
+(``_integral_rows``) and runs one engine shared by both kinds of field:
+over Q the rows stay integral (fraction-free updates, each rescaled row
+divided by its gcd), over F_p they are reduced mod p.  ``cancel`` is its
+pivot loop, under ``rank`` and the minimization of free resolutions;
+``rref`` scans columns in order on the same row update, and
+``homology_space`` reads a homology basis off one ``rref``.  Every
+homology dimension is read off ranks by one rule, ``homology_from_ranks``.
 """
 
 from dataclasses import dataclass
@@ -212,34 +212,19 @@ class ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _integral(row: dict) -> tuple[dict, int]:
-    """A {col: scalar} row over Q multiplied by the lcm of its entries'
-    denominators (which leaves its span unchanged), and that factor; a row
-    of ints, or any row over F_p, comes back as it is with factor 1."""
-    if all(type(v) is int for v in row.values()):
-        return row, 1
-    scale = lcm(*(v.denominator for v in row.values()))
-    return {j: int(v * scale) for j, v in row.items()}, scale
-
-
-def _integral_rows(mat: ExactMatrix) -> list[tuple]:
-    """The stored rows of mat, each scaled to integers over Q (``_integral``),
-    without a copy where every entry is an int already."""
+def _integral_rows(mat: ExactMatrix) -> tuple[list[tuple], dict]:
+    """The stored rows of mat, each over Q multiplied by the lcm of its
+    entries' denominators (which leaves its span unchanged), and {row:
+    factor} for the rows so scaled; the rows themselves, not a copy, where
+    every entry is an int already (always over F_p)."""
     if mat.field.p or all(type(v) is int for row in mat.data for _, v in row):
-        return mat.data
-    return [tuple(_integral(dict(row))[0].items()) for row in mat.data]
-
-
-def _working_rows(mat: ExactMatrix) -> tuple[list[dict], dict]:
-    """One mutable {col: int} dict per row (``_integral`` over Q), and
-    {row: factor} for the rows it scaled."""
-    rows = [dict(row) for row in mat.data]
-    factors = {}
-    if not mat.field.p and any(type(v) is not int for row in mat.data for _, v in row):
-        for k, row in enumerate(rows):
-            rows[k], scale = _integral(row)
-            if scale != 1:
-                factors[k] = scale
+        return mat.data, {}
+    rows, factors = [], {}
+    for k, row in enumerate(mat.data):
+        scale = lcm(*(v.denominator for _, v in row))
+        if scale != 1:
+            factors[k] = scale
+        rows.append(tuple((j, int(v * scale)) for j, v in row))
     return rows, factors
 
 
@@ -357,39 +342,32 @@ def rank(mat: ExactMatrix) -> int:
     """
     if all(len(row) <= 1 for row in mat.data):
         return len({row[0][0] for row in mat.data if row})
-    return len(cancel(_working_rows(mat)[0], mat.field.p)[0])
+    return len(cancel(list(map(dict, _integral_rows(mat)[0])), mat.field.p)[0])
 
 
 def rref(mat: ExactMatrix):
     """Reduced row echelon form; returns (rref ExactMatrix, pivot columns).
 
     Columns are scanned left to right.  In each, the pivot row is the
-    candidate with the fewest entries, ties going to the earliest position
-    (rows swap into place as in dense elimination), which keeps the fill-in
-    of a wide sparse matrix low where dense elimination's first candidate
-    would spread its entries.  The reduced form of a matrix is unique, so
-    the choice moves neither rows nor pivots: they come out exactly as a
-    dense elimination over the field would give them.
+    candidate with the fewest entries, ties going to the lowest row id,
+    which keeps the fill-in of a wide sparse matrix low where dense
+    elimination's first candidate would spread its entries.  Row t of the
+    result is the row that took pivot t, divided by its pivot.  The reduced
+    form of a matrix is unique, so the choice moves neither rows nor
+    pivots: they come out exactly as a dense elimination over the field
+    would give them.
     """
-    f = mat.field
-    p = f.p
-    nrows = mat.rows
-    rows = _working_rows(mat)[0]
+    p = mat.field.p
+    rows = list(map(dict, _integral_rows(mat)[0]))
     index = _column_index(rows)
-    order = list(range(nrows))  # order[position] = row id
-    pos = list(range(nrows))  # pos[row id] = position
-    pivots = []
-    r = 0
+    taken = {}  # row id -> the pivot column it took, in pivot order
     for c in sorted(index):
-        if r == nrows:
+        if len(taken) == mat.rows:
             break
-        cand = [i for i in index[c] if pos[i] >= r]
+        cand = [i for i in index[c] if i not in taken]
         if not cand:
             continue
-        i = min(cand, key=lambda k: (len(rows[k]), pos[k]))
-        j, at = order[r], pos[i]
-        order[r], order[at] = i, j
-        pos[i], pos[j] = r, at
+        i = min(cand, key=lambda k: (len(rows[k]), k))
         prow = rows[i]
         if p:
             inv = pow(prow[c], -1, p)
@@ -398,13 +376,12 @@ def rref(mat: ExactMatrix):
         for k in list(index[c]):
             if k != i:
                 _eliminate(rows[k], k, prow, c, 1, p, index)
-        pivots.append(c)
-        r += 1
-    data = [()] * nrows
-    for t in range(r):
+        taken[i] = c
+    data = [()] * mat.rows
+    for t, (i, c) in enumerate(taken.items()):
         # over Q the pivot row is an integer multiple of its reduced form
-        row = rows[order[t]]
-        a = row[pivots[t]]
+        row = rows[i]
+        a = row[c]
         if a == 1:
             data[t] = tuple(sorted(row.items()))
             continue
@@ -413,7 +390,7 @@ def rref(mat: ExactMatrix):
             q, rem = divmod(row[k], a)
             out.append((k, Fraction(row[k], a) if rem else q))
         data[t] = tuple(out)
-    return ExactMatrix._wrap(f, nrows, mat.cols, data), pivots
+    return ExactMatrix._wrap(mat.field, mat.rows, mat.cols, data), list(taken.values())
 
 
 # ---------------------------------------------------------------------------
@@ -485,36 +462,14 @@ def homology_dims(cx: VectorSpaceComplex) -> list[int]:
     return homology_from_ranks(cx.dims, map(rank, cx.maps))
 
 
-@dataclass(frozen=True)
-class HomologySpace:
-    """Homology at one position, with chosen cycle representatives.
-
-    ``reps`` is (space_dim x dim): columns are cocycle/cycle representatives
-    whose classes form a basis.  ``image`` is a basis of the boundary
-    subspace: the columns ``image_cols`` of ``d_in``, selected only when
-    read.  Bases are deterministic given the ambient ordered basis.
-    """
-
-    field: Field
-    space_dim: int
-    dim: int
-    reps: ExactMatrix
-    d_in: ExactMatrix
-    image_cols: tuple[int, ...]
-
-    @property
-    def image(self) -> ExactMatrix:
-        return self.d_in.select(range(self.space_dim), self.image_cols)
-
-
-def homology_space(field, dim, d_out, d_in, vectors=None, reduced=None):
+def homology_space(vectors, d_in, reduced):
     """Homology of  <- d_out - [this space] <- d_in -  made explicit, with
-    the classes of the cycle columns of ``vectors`` (may be None) in it.
+    the classes of the cycle columns of ``vectors`` in it.  The space is
+    that of vectors' rows, over its field; vectors may have no columns.
 
-    d_out maps out of the space (may be None), d_in into it (may be None);
-    d_out @ d_in must be zero, as it is in a checked complex.  ``reduced``
-    is ``rref(d_out)`` where the caller has it already; it is formed here
-    otherwise, so d_out is reduced once either way.
+    d_in maps into the space (None where nothing does), and ``reduced`` is
+    ``rref(d_out)`` for the map d_out out of it (None where nothing maps
+    out); d_out @ d_in must be zero, as it is in a checked complex.
 
     A column of ``vectors`` that d_out does not kill is refused.  The test
     multiplies the vectors by the nonzero reduced rows R of d_out, not by
@@ -528,34 +483,29 @@ def homology_space(field, dim, d_out, d_in, vectors=None, reduced=None):
     the rows at the free coordinates have the null space, and so the
     nonzero reduced rows and pivots, of the whole matrix; K's block in them
     is the identity.  One rref of those rows gives everything.  Its pivots
-    in the d_in block pick the image basis, and those in the kernel block
-    the representatives: the kernel columns completing the image, in
-    canonical column order, written straight from R without forming K.
-    The identity block spans the free coordinates, so no pivot falls in the
-    vectors block, and every vector column is the unique combination of
-    the image and representative columns that its reduced entries give;
-    those at the representative pivots are its class.  Returns (space,
-    classes), classes being (dim x vectors.cols).
+    in the kernel block pick the representatives: the kernel columns
+    completing the image of d_in, in canonical column order, written
+    straight from R without forming K.  The identity block spans the free
+    coordinates, so no pivot falls in the vectors block, and every vector
+    column is the unique combination of the image and representative
+    columns that its reduced entries give; those at the representative
+    pivots are its class.  Returns (reps, classes): reps is (dim x h), its
+    columns representatives whose classes form a basis of the homology,
+    and classes is (h x vectors.cols).
     """
-    if d_out is not None and d_out.cols != dim:
-        raise InputError("d_out shape mismatch")
+    field, dim, vdata = vectors.field, vectors.rows, vectors.data
     if d_in is None:
         d_in = ExactMatrix(field, dim, 0)
     elif d_in.rows != dim:
-        raise InputError("d_in shape mismatch")
-    if vectors is None:
-        vectors = ExactMatrix(field, dim, 0)
-    elif vectors.rows != dim:
-        raise InputError("vectors shape mismatch")
-    p, vdata = field.p, vectors.data
-    if d_out is None:
+        raise InputError(f"d_in has {d_in.rows} rows, the space {dim}")
+    if reduced is None:
         ech, pivots = (), []
     else:
-        red, pivots = rref(d_out) if reduced is None else reduced
+        red, pivots = reduced
         if red.cols != dim:
-            raise InputError("reduced d_out shape mismatch")
+            raise InputError(f"reduced d_out has {red.cols} columns, the space {dim}")
         ech = red.data[:len(pivots)]
-        if vectors.cols and not product_is_zero(ech, vdata, p):
+        if vectors.cols and not product_is_zero(ech, vdata, field.p):
             raise ContractError("inconsistent linear system")
     pivset = set(pivots)
     free = [c for c in range(dim) if c not in pivset]
@@ -575,12 +525,9 @@ def homology_space(field, dim, d_out, d_in, vectors=None, reduced=None):
     for row, pc in zip(ech, pivots):
         data[pc] = tuple([(rep_at[c], neg(x)) for c, x in row if c in rep_at])
     h = len(rep_at)
-    reps = ExactMatrix._wrap(field, dim, h, data)
     classes = [
         tuple((c - v0, x) for c, x in row if c >= v0)
         for row, pc in zip(sol.data, spivots)
         if pc >= k0
     ]
-    space = HomologySpace(field, dim, h, reps, d_in, tuple(c for c in spivots if c < k0))
-    return space, ExactMatrix._wrap(field, h, vectors.cols, classes)
-
+    return ExactMatrix._wrap(field, dim, h, data), ExactMatrix._wrap(field, h, vectors.cols, classes)

@@ -47,7 +47,7 @@ from .linalg import (
     ExactMatrix,
     Field,
     VectorSpaceComplex,
-    _working_rows,
+    _integral_rows,
     cancel,
     check_complex,
     homology_dims,
@@ -241,7 +241,8 @@ def minimize(cx: GradedFreeComplex, order: str = "forward") -> GradedFreeComplex
             () if r in dead_r else tuple(e for e in row if e[0] not in dead_c)
             for r, row in enumerate(d.data)
         ]
-        rows, scale = _working_rows(ExactMatrix._wrap(f, d.rows, d.cols, data))
+        rows, scale = _integral_rows(ExactMatrix._wrap(f, d.rows, d.cols, data))
+        rows = list(map(dict, rows))
         deg_r, deg_c = deg[j], deg[j + 1]
         pivots, scaled = cancel(rows, f.p, lambda r, c: deg_r[r] == deg_c[c])
         for k, s in scaled.items():

@@ -70,7 +70,6 @@ from lyub.combinatorics import (
 )
 from lyub.hypercube import _check_masks, restricted_complex
 from lyub.linalg import (
-    HomologySpace,
     VectorSpaceComplex,
     _pack,
     homology_dims,
@@ -121,17 +120,18 @@ def kernel_basis(mat):
     representatives of the homology at the source of mat with nothing
     mapping in, which are all of K.  Row free[k] of the basis is the unit
     vector e_k, free being the non-pivot columns of mat's rref."""
-    return homology_space(mat.field, mat.cols, mat, None)[0].reps
+    return homology_space(ExactMatrix(mat.field, mat.cols, 0), None, rref(mat))[0]
 
 
 def cohomology_space(cc, q, vectors=None):
-    """Degree-q reduced cohomology of the cochain complex ``cc`` with
-    explicit cocycle representatives, and the classes of the cocycle
-    columns of ``vectors`` (degree-q cochains, may be None): the pair
-    ``homology_space`` returns."""
-    return homology_space(
-        cc.field, cc.space_dim(q), cc.coboundary(q), cc.coboundary(q - 1), vectors
-    )
+    """Degree-q reduced cohomology of the cochain complex ``cc``: explicit
+    cocycle representatives, and the classes of the cocycle columns of
+    ``vectors`` (degree-q cochains, may be None), the pair (reps, classes)
+    that ``homology_space`` returns."""
+    if vectors is None:
+        vectors = ExactMatrix(cc.field, cc.space_dim(q), 0)
+    d_out = cc.coboundary(q)
+    return homology_space(vectors, cc.coboundary(q - 1), None if d_out is None else rref(d_out))
 
 
 def brute_membership(ideal, mask):
@@ -279,8 +279,7 @@ def homology_space_full_rows(field, dim, d_out, d_in, vectors=None):
         for row, pc in zip(red.data, pivots)
         if pc >= k0
     ]
-    space = HomologySpace(field, dim, reps.cols, reps, d_in, tuple(c for c in pivots if c < k0))
-    return space, ExactMatrix._wrap(field, reps.cols, vectors.cols, classes)
+    return reps, ExactMatrix._wrap(field, reps.cols, vectors.cols, classes)
 
 
 def squares_commute(n, dims, edges):
@@ -415,7 +414,8 @@ def per_edge_maps(ideal, r, field):
     The vertex at alpha is H^{r-2} of the alpha-restriction of the dual
     complex (alpha = 0 pinned to zero).  For an edge, the big vertex's
     representatives are restricted to the small faces, densely, and
-    ``solve_matrix`` of [image | reps | v] gives their classes; the edge is
+    ``solve_matrix`` of [image | reps | v] gives their classes, the image
+    basis being the columns of d_in at the pivots of its rref; the edge is
     the transpose of the reps part.
     """
     dual = complex_alexander_dual(stanley_reisner(ideal))
@@ -423,21 +423,23 @@ def per_edge_maps(ideal, r, field):
     spaces = {}
     for alpha in range(1, 1 << ideal.n):
         cc = cochain_complex(restriction(dual, alpha), field)
-        hsp, _ = cohomology_space(cc, q)
-        if hsp.dim:
-            spaces[alpha] = (hsp, cc.faces(q))
+        reps, _ = cohomology_space(cc, q)
+        if reps.cols:
+            d_in, dim = cc.coboundary(q - 1), reps.rows
+            image = ExactMatrix(field, dim, 0) if d_in is None else d_in.select(range(dim), rref(d_in)[1])
+            spaces[alpha] = (reps, image, cc.faces(q))
     edges = {}
-    for alpha, (small, faces_small) in spaces.items():
-        basis = hstack(field, [small.image, small.reps], small.space_dim)
+    for alpha, (small, image, faces_small) in spaces.items():
+        basis = hstack(field, [image, small], small.rows)
         for i in range(ideal.n):
             if alpha >> i & 1 or alpha | 1 << i not in spaces:
                 continue
-            big, faces_big = spaces[alpha | 1 << i]
-            reps = big.reps.dense()
+            big, _, faces_big = spaces[alpha | 1 << i]
+            reps = big.dense()
             at = {f: k for k, f in enumerate(faces_big)}
-            v = ExactMatrix(field, len(faces_small), big.dim, [reps[at[f]] for f in faces_small])
-            x = solve_matrix(basis, v).dense()[small.image.cols:]
-            edges[(alpha, i)] = ExactMatrix(field, small.dim, big.dim, x).transpose()
+            v = ExactMatrix(field, len(faces_small), big.cols, [reps[at[f]] for f in faces_small])
+            x = solve_matrix(basis, v).dense()[image.cols:]
+            edges[(alpha, i)] = ExactMatrix(field, small.cols, big.cols, x).transpose()
     return edges
 
 
@@ -512,9 +514,9 @@ def induced_cohomology_map(small, big, q, field):
     """
     small_cc = cochain_complex(small, field)
     big_cc = cochain_complex(big, field)
-    big_space, _ = cohomology_space(big_cc, q)
+    big_reps, _ = cohomology_space(big_cc, q)
     restricted = face_projection(field, small_cc.faces(q), big_cc.faces(q))
-    _, induced = cohomology_space(small_cc, q, matmul(restricted, big_space.reps))
+    _, induced = cohomology_space(small_cc, q, matmul(restricted, big_reps))
     return induced
 
 

@@ -480,6 +480,54 @@ def test_main_refuses_an_oversized_field_modulus(tmp_path, capsys):
     assert err == "input error: --field: number of 5000 digits is too large\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("n=\uff13;\ngens: x1;\n", "line 1, col 3: unexpected character '\uff13'"),
+    ("n=3;\ngens: x\u0661*x\u0662, x3;\n", "line 2, col 7: expected a variable x1..x3, found 'x\u0661'"),
+    ("n=3;\nprimes: {\u0661};\n", "line 2, col 10: unexpected character '\u0661'"),
+], ids=["n", "variable", "prime-index"])
+def test_parse_reads_only_ascii_digits(text, message):
+    # a fullwidth or Arabic-Indic digit is no number, though int() reads it
+    with pytest.raises(InputError) as err:
+        parse_input(text)
+    assert str(err.value) == message
+
+
+def test_parse_field_reads_only_ascii_digits():
+    with pytest.raises(InputError, match="unknown field 'fp:\u0663'"):
+        parse_field("fp:\u0663")
+
+
+@pytest.mark.parametrize("value", ["\u0663", "1_0", "+1", " 1", "x"],
+                         ids=["arabic-indic", "underscore", "plus", "space", "letter"])
+def test_main_reads_r_as_ascii_digits(tmp_path, value):
+    # int() reads the first four as 3, 10, 1 and 1
+    path = tmp_path / "a4.ideal"
+    path.write_text(A4_GENS)
+    code, out, err = _invoke(["bass", str(path), "--r", value])
+    assert (code, out) == (2, "")
+    assert err.endswith(f"lyub: error: argument --r: invalid int value: {value!r}\n")
+
+
+def test_main_refuses_a_negative_r_as_out_of_range(tmp_path, capsys):
+    path = tmp_path / "a4.ideal"
+    path.write_text(A4_GENS)
+    assert main(["bass", str(path), "--r", "-1"]) == 2
+    assert capsys.readouterr().err == "input error: cohomological degree r=-1 outside [0, 4]\n"
+
+
+@pytest.mark.parametrize("text, n", [
+    ("n=0;\ngens: x1;\n", 0),
+    ("n=0;\nprimes: {1};\n", 0),
+    ("n=25;\ngens: x1;\n", 25),
+    # refused before the index, whose mask would be a 12.5 MB int
+    ("n=999999999999;\ngens: x99999999;\n", 999999999999),
+], ids=["zero-gens", "zero-primes", "25", "huge"])
+def test_parse_refuses_a_variable_count_at_its_token(text, n):
+    with pytest.raises(InputError) as err:
+        parse_input(text)
+    assert str(err.value) == f"line 1, col 3: variable count n={n} outside [1, 24]"
+
+
 # ---------------------------------------------------------------------------
 # the whole output of every command, pinned
 # ---------------------------------------------------------------------------

@@ -643,16 +643,16 @@ def test_build_refuses_a_projected_representative_that_is_not_a_cocycle(monkeypa
     # row of d_out: that row then no longer kills it, so neither does d_out
     real, changed = hypercube.homology_space, []
 
-    def corrupting(field, dim, d_out, d_in, vectors, reduced):
+    def corrupting(vectors, d_in, reduced):
         if vectors.cols and reduced[1] and not changed:
             c = reduced[1][0]
             row = dict(vectors.data[c])
-            row[0] = field.coerce(row.get(0, 0) + 1)
+            row[0] = f.coerce(row.get(0, 0) + 1)
             data = list(vectors.data)
             data[c] = tuple(sorted((j, x) for j, x in row.items() if x))
-            vectors = ExactMatrix._wrap(field, dim, vectors.cols, data)
+            vectors = ExactMatrix._wrap(f, vectors.rows, vectors.cols, data)
             changed.append(c)
-        return real(field, dim, d_out, d_in, vectors, reduced)
+        return real(vectors, d_in, reduced)
 
     monkeypatch.setattr(hypercube, "homology_space", corrupting)
     with pytest.raises(ContractError, match="inconsistent linear system"):

@@ -561,7 +561,8 @@ def test_a_negative_walk_row_is_refused(monkeypatch, ex57):
     real = invariants._integral_rows
 
     def independent(mat):
-        return [(*row, (mat.cols + k, 1)) for k, row in enumerate(real(mat))]
+        rows, factors = real(mat)
+        return [(*row, (mat.cols + k, 1)) for k, row in enumerate(rows)], factors
 
     monkeypatch.setattr(invariants, "_integral_rows", independent)
     for dual in (False, True):

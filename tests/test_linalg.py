@@ -238,21 +238,18 @@ def test_homology_space_classes_match_a_solve(f):
     rng = random.Random(29)
     for _ in range(12):
         dim, d_out, d_in, cycles = _space_with_cycles(rng, f)
-        space, classes = homology_space(f, dim, d_out, d_in, cycles)
-        assert space.dim == dim - rank(d_in) - rank(d_out)
-        assert (classes.rows, classes.cols) == (space.dim, cycles.cols)
+        reps, classes = homology_space(cycles, d_in, rref(d_out))
+        assert reps.cols == dim - rank(d_in) - rank(d_out)
+        assert (classes.rows, classes.cols) == (reps.cols, cycles.cols)
         # the reps part of the unique solution of [image | reps] x = v
-        basis = hstack(f, [space.image, space.reps], dim)
-        x = solve_matrix(basis, cycles).dense()[space.image.cols:]
+        image = d_in.select(range(dim), rref(d_in)[1])
+        basis = hstack(f, [image, reps], dim)
+        x = solve_matrix(basis, cycles).dense()[image.cols:]
         assert classes.dense() == x
-        # the vectors change neither the image nor the representatives
-        plain, none = homology_space(f, dim, d_out, d_in)
-        assert (plain.image, plain.reps) == (space.image, space.reps)
-        assert (none.rows, none.cols) == (space.dim, 0)
-        # a supplied reduction of d_out gives the same space and classes
-        _assert_same_space(
-            homology_space(f, dim, d_out, d_in, cycles, rref(d_out)), (space, classes)
-        )
+        # the vectors do not change the representatives
+        plain, none = homology_space(ExactMatrix(f, dim, 0), d_in, rref(d_out))
+        assert plain == reps
+        assert (none.rows, none.cols) == (reps.cols, 0)
 
 
 @pytest.mark.parametrize("f", [QQ, F2, Field(3)], ids=["q", "f2", "f3"])
@@ -262,27 +259,36 @@ def test_homology_space_refuses_a_vector_that_is_not_a_cycle(f):
     j = next(c for c in range(dim) if any(c == k for row in d_out.data for k, _ in row))
     # the first column d_out touches is its first pivot, so the unit vector
     # there is zero at every free coordinate of d_out: only the explicit
-    # test against d_out's reduced rows can see that it is not a cycle,
-    # whether the solve reduces d_out itself or is handed that reduction
+    # test against d_out's reduced rows can see that it is not a cycle
     assert rref(d_out)[1][0] == j
     unit = ExactMatrix.from_entries(f, dim, 1, [((j, 0), 1)])
     vectors = hstack(f, [cycles, unit], dim)
-    for space in (homology_space, homology_space_full_rows):
-        with pytest.raises(ContractError, match="inconsistent linear system"):
-            space(f, dim, d_out, d_in, vectors)
     with pytest.raises(ContractError, match="inconsistent linear system"):
-        homology_space(f, dim, d_out, d_in, vectors, rref(d_out))
+        homology_space_full_rows(f, dim, d_out, d_in, vectors)
+    with pytest.raises(ContractError, match="inconsistent linear system"):
+        homology_space(vectors, d_in, rref(d_out))
+
+
+@pytest.mark.parametrize("wrong", ["vectors", "d_in", "reduced"])
+def test_homology_space_refuses_a_shape_off_the_space(wrong):
+    # the space is that of the vectors' rows; d_in's rows and the reduced
+    # d_out's columns must match it
+    rng = random.Random(37)
+    dim, d_out, d_in, cycles = _space_with_cycles(rng, QQ)
+    args = {"vectors": cycles, "d_in": d_in, "reduced": rref(d_out)}
+    homology_space(**args)
+    short = {
+        "vectors": cycles.select(range(dim - 1), range(cycles.cols)),
+        "d_in": d_in.select(range(dim - 1), range(d_in.cols)),
+        "reduced": rref(d_out.select(range(d_out.rows), range(dim - 1))),
+    }
+    args[wrong] = short[wrong]
+    with pytest.raises(InputError, match=f"the space {dim - (wrong == 'vectors')}$"):
+        homology_space(**args)
 
 
 def _typed(mat):
     return mat.rows, mat.cols, [[(c, type(x), x) for c, x in row] for row in mat.data]
-
-
-def _assert_same_space(got, want):
-    (space, classes), (ref, ref_classes) = got, want
-    assert space.dim == ref.dim
-    for a, b in ((space.image, ref.image), (space.reps, ref.reps), (classes, ref_classes)):
-        assert _typed(a) == _typed(b)
 
 
 def _cochain_inputs(ideal, field):
@@ -305,27 +311,28 @@ def _cochain_inputs(ideal, field):
 
 @pytest.mark.parametrize("f", [QQ, F2, Field(3)], ids=["q", "f2", "f3"])
 def test_homology_space_matches_the_full_row_reduction(a5, ex53, ex52, f):
-    # reducing only the free coordinates of d_out gives the image, the
-    # representatives and the classes of the reduction of every coordinate,
-    # scalar types included
+    # reducing only the free coordinates of d_out gives the representatives
+    # and the classes of the reduction of every coordinate, scalar types
+    # included
     rng = random.Random(43)
     inputs = [_space_with_cycles(rng, f) for _ in range(12)]
     for ideal in (a5, ex53, ex52):
         inputs += _cochain_inputs(ideal, f)
     fractions = 0
     for dim, d_out, d_in, vectors in inputs:
-        for vecs in (vectors, None):
-            got = homology_space(f, dim, d_out, d_in, vecs)
-            _assert_same_space(got, homology_space_full_rows(f, dim, d_out, d_in, vecs))
+        reduced = None if d_out is None else rref(d_out)
+        for vecs in (vectors, ExactMatrix(f, dim, 0)):
+            got = homology_space(vecs, d_in, reduced)
+            want = homology_space_full_rows(f, dim, d_out, d_in, vecs)
+            assert list(map(_typed, got)) == list(map(_typed, want))
         fractions += any(type(x) is Fraction for row in vectors.data for _, x in row)
     assert bool(fractions) == (f == QQ)
 
 
 def test_homology_space_without_maps_keeps_every_vector():
     v = from_rows(QQ, [[1, Fraction(1, 2)], [0, 3]])
-    space, classes = homology_space(QQ, 2, None, None, v)
-    assert space.reps == ExactMatrix.identity(QQ, 2)
-    assert space.image.cols == 0
+    reps, classes = homology_space(v, None, None)
+    assert reps == ExactMatrix.identity(QQ, 2)
     assert classes == v
 
 
@@ -341,7 +348,7 @@ def test_induced_cohomology_map_is_the_classes_of_one_homology_space(monkeypatch
 
     def spy(*args):
         out = original(*args)
-        calls.append((args[4], out))
+        calls.append((args[0], out))
         return out
 
     monkeypatch.setattr(oracles, "homology_space", spy)
@@ -349,7 +356,7 @@ def test_induced_cohomology_map_is_the_classes_of_one_homology_space(monkeypatch
     small, big = restriction(dual, alpha), restriction(dual, alpha | 1 << i)
     induced = induced_cohomology_map(small, big, 0, QQ)
     # the big space alone, then the small one with the restricted big reps
-    assert [vectors is None for vectors, _ in calls] == [True, False]
+    assert [vectors.cols for vectors, _ in calls] == [0, calls[0][1][0].cols]
     assert induced is calls[1][1][1]
     assert induced.transpose() == edge
     assert any(induced.data)
@@ -505,7 +512,7 @@ def _assert_reduced_echelon(field, red, pivots):
 def test_sparse_engine_cross_check():
     # seeded sparse integer matrices with entries in -3..3: non-unit pivots
     # and rank drops mod 2 both occur
-    rng = random.Random(29)
+    rng, perm_rng = random.Random(29), random.Random(30)
     rank_drops = 0
     for _ in range(40):
         rows, cols = rng.randint(1, 30), rng.randint(1, 30)
@@ -531,6 +538,13 @@ def test_sparse_engine_cross_check():
             prefix = [rank(ExactMatrix(field, rows, c, [row[:c] for row in m.dense()]))
                       for c in range(cols + 1)]
             assert pivots == [c for c in range(cols) if prefix[c + 1] > prefix[c]]
+            # a permutation of the rows reduces to the same rows and pivots,
+            # scalar types included: ties between pivot rows go by row id
+            shuffled = list(range(rows))
+            perm_rng.shuffle(shuffled)
+            red_perm, pivots_perm = rref(ExactMatrix(field, rows, cols, [int_rows[i] for i in shuffled]))
+            assert pivots_perm == pivots
+            assert _typed(red_perm) == _typed(red)
 
             k = kernel_basis(m)
             assert k.rows == cols and k.cols == cols - r
