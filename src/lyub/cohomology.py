@@ -136,11 +136,29 @@ def _twist_mask(alpha: int) -> int:
     return odd
 
 
-def link_cochains(cc: CochainComplex, alpha: int) -> CochainComplex:
+def faces_by_vertex(cc: CochainComplex) -> list[dict[int, list[int]]]:
+    """Per face size s, each vertex v -> the positions in ``cc.basis[s]``
+    of the faces containing v, increasing: the index ``link_cochains``
+    selects from."""
+    out = []
+    for faces in cc.basis:
+        by_vertex: dict[int, list[int]] = {}
+        for i, f in enumerate(faces):
+            for v in bits_of(f):
+                by_vertex.setdefault(v, []).append(i)
+        out.append(by_vertex)
+    return out
+
+
+def link_cochains(cc: CochainComplex, alpha: int, index: list[dict]) -> CochainComplex:
     """The reduced cochain complex of the link of ``alpha`` in the
     simplicial complex behind ``cc``, read off ``cc`` by keeping the faces
     f ⊇ alpha in each size and relabelling each as f ^ alpha.  A non-face
     keeps nothing: the void link.
+
+    The faces of a size that contain alpha are found among those that
+    contain its rarest vertex, read off ``index``, ``faces_by_vertex(cc)``,
+    which a caller taking many links forms once.
 
     Dropping a vertex that two faces share keeps their lexicographic order,
     so kept faces stay in order.  It also moves a vertex u of sigma down by
@@ -152,9 +170,14 @@ def link_cochains(cc: CochainComplex, alpha: int) -> CochainComplex:
     """
     twist = _twist_mask(alpha)
     s0 = popcount(alpha)
+    verts = bits_of(alpha)
     picks, basis = [], []
-    for faces in cc.basis[s0:]:
-        kept = [i for i, f in enumerate(faces) if f & alpha == alpha]
+    for faces, by_vertex in zip(cc.basis[s0:], index[s0:]):
+        if verts:
+            rarest = min((by_vertex.get(v, ()) for v in verts), key=len)
+            kept = [i for i in rarest if faces[i] & alpha == alpha]
+        else:
+            kept = list(range(len(faces)))
         if not kept:  # then no larger face contains alpha either
             break
         picks.append(kept)

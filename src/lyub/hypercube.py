@@ -18,24 +18,43 @@ One build serves every degree r.  The cochain complex of D^v is formed
 once, and each mask a selects the cochain complex of its restriction from
 it (``cohomology.restrict_cochains``): the faces inside a in each size,
 with the same bases and matrices as a complex formed for the restriction
-alone, and its own d∘d check.  Each of its coboundaries is reduced once,
-by ``rref``: the pivots give its rank, and so the vertex at a in all n+1
-degrees (``linalg.homology_from_ranks``), and the reduced rows give its
-kernel wherever that degree is nonzero.  The first coboundary is only
-ranked (``rank``): its rows, the vertices, have one entry each, while a
-later row, a face of s+1 >= 2 vertices, has all s+1 of its facets kept.
-The restriction has a vertex wherever the first coboundary exists, so
-its kernel, and degree -1, are zero.  Only the masks a of the lcm lattice of
-the Alexander dual ideal (the unions of its generators, the minimal primes
-of I) get a complex: at any other a the restriction is a cone, and the
-vertex is zero in every degree.  Representatives and edge maps are
-computed only where a vertex is nonzero, visiting the masks top down, from
-the full mask to 1: when a is reached, every nonzero a+e_i of the same
-degree has its representatives, kept as {face: row}, and the rows at a's
-faces, side by side, are the vectors of one solve at a
-(``linalg.homology_space``, handed the reduction of the coboundary out of
-a's cochains).  That solve checks they are cocycles and gives a's
-representatives and every edge map out of a.
+alone, and its own d∘d check.  Only the masks a of the lcm lattice of the
+Alexander dual ideal (the unions of its generators, the minimal primes of
+I) get a complex: at any other a the restriction is a cone, and the vertex
+is zero in every degree.
+
+Each distinct restricted complex is solved once per build (``_solve``).
+Each of its coboundaries is reduced once, by ``rref``: the pivots give its
+rank, and so the vertex in all n+1 degrees (``linalg.homology_from_ranks``),
+and the reduced rows give its kernel wherever that degree is nonzero.  The
+first coboundary is only ranked (``rank``): its rows, the vertices, have
+one entry each, while a later row, a face of s+1 >= 2 vertices, has all
+s+1 of its facets kept.  The restriction has a vertex wherever the first
+coboundary exists, so its kernel, and degree -1, are zero.  At each
+nonzero degree ``linalg.homology_space`` gives the representatives and
+the projection taking a cocycle to its class.  A dict local to the build
+(freed when it returns, at most one entry per lattice mask) keeps the
+solve under the restriction's basis sizes and the rows of every
+coboundary.  The key is sound because the solve reads nothing else: the
+field is fixed per build, and the solve is a function of the matrices,
+which the sizes and rows determine.  It is often shared because a
+complex's bases are its faces in lexicographic order and each coboundary
+sign depends only on positions inside a face, so two masks whose
+restrictions match under an order-preserving relabelling of vertices
+(paths of equal length in a cycle, small simplices) have the same
+matrices.  A solve's refusals (``negative homology dimension``,
+``cocycle space disagrees with coboundary ranks``) depend on the matrices
+alone too, so they fire at the first mask that carries the complex.
+
+Representatives and edge maps are computed only where a vertex is
+nonzero, visiting the masks top down, from the full mask to 1: when a is
+reached, every nonzero a+e_i of the same degree has its representatives,
+kept as {face: row}, and the rows at a's faces, side by side, are a's
+vectors.  Per mask, ``linalg.homology_classes`` checks they are cocycles,
+against the reduced coboundary out of a's cochains, and multiplies them by
+the projection; the classes give every edge map out of a.  So every mask
+keeps its own d∘d check, cocycle test, edge matrices and the ``Hypercube``
+constructor's checks, and only the reductions are shared.
 
 Degenerate degrees: vertices sit in cohomological degree q = r - 2, and the
 q = -2 and q = -1 conventions of the cohomology module apply.  The vertex at
@@ -65,7 +84,16 @@ from .errors import (
     InputError,
     ResourceError,
 )
-from .linalg import ExactMatrix, Field, VectorSpaceComplex, homology_from_ranks, homology_space, rank, rref
+from .linalg import (
+    ExactMatrix,
+    Field,
+    VectorSpaceComplex,
+    homology_classes,
+    homology_from_ranks,
+    homology_space,
+    rank,
+    rref,
+)
 
 # ---------------------------------------------------------------------------
 # the hypercube
@@ -188,18 +216,18 @@ def _build_all_degrees(ideal: MonomialIdeal, field: Field) -> tuple[Hypercube, .
     dims: list[dict] = [{} for _ in range(n + 1)]
     spaces: list[dict] = [{} for _ in range(n + 1)]
     edges: list[dict] = [{} for _ in range(n + 1)]
+    # restricted complex (basis sizes, coboundary rows) -> its solve
+    solved: dict[tuple, list] = {}
     # top down, so each alpha + e_i already has its representatives
     for alpha in range(full, 0, -1):  # alpha = 0 is pinned to zero
         if lattice[alpha] != alpha:
             continue
         cc = restrict_cochains(cochains, alpha)
-        # one reduction per coboundary: its pivots give the rank, its rows
-        # the kernel.  The first map, one entry per row, is only ranked
-        reduced = [None, *map(rref, cc.coboundaries[1:])]
-        ranks = [rank(d) for d in cc.coboundaries[:1]] + [len(piv) for _, piv in reduced[1:]]
-        for q, h in enumerate(homology_from_ranks(map(len, cc.basis), ranks), -1):
-            if not h:
-                continue
+        key = (tuple(map(len, cc.basis)), tuple(tuple(d.data) for d in cc.coboundaries))
+        degrees = solved.get(key)
+        if degrees is None:
+            degrees = solved[key] = _solve(cc)
+        for q, h, red, reps, proj in degrees:
             faces, above = cc.faces(q), spaces[q + 2]
             ups = [
                 i for i in range(n)
@@ -210,20 +238,14 @@ def _build_all_degrees(ideal: MonomialIdeal, field: Field) -> tuple[Hypercube, .
             vecs = [[] for _ in faces]
             width = 0
             for i in ups:
-                reps = above[alpha | 1 << i]
+                big = above[alpha | 1 << i]
                 for out, f in zip(vecs, faces):
-                    row = reps.get(f)
+                    row = big.get(f)
                     if row:
                         out.extend([(width + j, x) for j, x in row] if width else row)
                 width += dims[q + 2][alpha | 1 << i]
             vectors = ExactMatrix._wrap(field, len(faces), width, list(map(tuple, vecs)))
-            # the first coboundary is reduced only if degree -1 is nonzero,
-            # which its rank rules out wherever it exists
-            d_out = cc.coboundary(q)
-            red = None if d_out is None else reduced[q + 1] or rref(d_out)
-            reps, classes = homology_space(vectors, cc.coboundary(q - 1), red)
-            if reps.cols != h:
-                raise ContractError("cocycle space disagrees with coboundary ranks")
+            classes = homology_classes(vectors, red, proj)
             dims[q + 2][alpha] = h
             above[alpha] = {f: row for f, row in zip(faces, reps.data) if row}
             # the edge alpha -> alpha + e_i is the transposed induced map
@@ -233,6 +255,29 @@ def _build_all_degrees(ideal: MonomialIdeal, field: Field) -> tuple[Hypercube, .
                 edges[q + 2][(alpha, i)] = ExactMatrix._wrap(field, w, h, cols[c0:c0 + w])
                 c0 += w
     return tuple(Hypercube(n, r, field, dims[r], edges[r]) for r in range(n + 1))
+
+
+def _solve(cc) -> list[tuple]:
+    """(q, h, rref of d_out or None, reps, proj) at each degree q where the
+    cochain complex cc has cohomology h > 0, reps and proj as
+    ``homology_space`` returns them."""
+    # one reduction per coboundary: its pivots give the rank, its rows the
+    # kernel.  The first map, one entry per row, is only ranked
+    reduced = [None, *map(rref, cc.coboundaries[1:])]
+    ranks = [rank(d) for d in cc.coboundaries[:1]] + [len(piv) for _, piv in reduced[1:]]
+    out = []
+    for q, h in enumerate(homology_from_ranks(map(len, cc.basis), ranks), -1):
+        if not h:
+            continue
+        # the first coboundary is reduced only if degree -1 is nonzero,
+        # which its rank rules out wherever it exists
+        d_out = cc.coboundary(q)
+        red = None if d_out is None else reduced[q + 1] or rref(d_out)
+        reps, proj = homology_space(cc.field, cc.space_dim(q), cc.coboundary(q - 1), red)
+        if reps.cols != h:
+            raise ContractError("cocycle space disagrees with coboundary ranks")
+        out.append((q, h, red, reps, proj))
+    return out
 
 
 def _check_masks(cube: Hypercube, *masks: int) -> None:

@@ -4,6 +4,7 @@ tie the hypercube route to the resolution route.
 """
 
 from dataclasses import dataclass
+from math import lcm
 
 from .combinatorics import (
     MonomialIdeal,
@@ -16,10 +17,10 @@ from .combinatorics import (
     submasks,
     unions_below,
 )
-from .cohomology import cochain_complex, link_cochains
+from .cohomology import cochain_complex, faces_by_vertex, link_cochains
 from .errors import MAX_BASS_WORK, ContractError, DomainError, ResourceError
 from .hypercube import Hypercube, build_hypercube
-from .linalg import Field, _eliminate, _integral_rows, homology_dims, homology_from_ranks
+from .linalg import ExactMatrix, Field, _eliminate, homology_dims, homology_from_ranks
 from .resolution import betti_numbers, lyubeznik_via_strands
 from .tables import BassTable, DualBassTable, LyubeznikTable
 
@@ -84,6 +85,32 @@ def _bass_work(cube: Hypercube, dual: bool) -> list[int]:
     return below
 
 
+def _walk_rows(mat: ExactMatrix, by_cols: bool) -> tuple[list, list]:
+    """The rows of ``mat`` (with ``by_cols``, its columns, the rows of its
+    transpose, read without forming it) as (cols, vals): row i holds the
+    entries zip(cols[i], vals[i]), columns increasing.  Over Q each row is
+    multiplied by the lcm of its entries' denominators, as
+    ``linalg._integral_rows`` scales it.  A tuple of columns and a tuple
+    of values per row hold a map of main in half the memory of its rows
+    as tuples of (col, value) pairs, and make a dict as fast."""
+    if by_cols:
+        cols: list = [[] for _ in range(mat.cols)]
+        vals: list = [[] for _ in range(mat.cols)]
+        for i, row in enumerate(mat.data):
+            for j, v in row:
+                cols[j].append(i)
+                vals[j].append(v)
+    else:
+        cols = [[j for j, _ in row] for row in mat.data]
+        vals = [[v for _, v in row] for row in mat.data]
+    if not mat.field.p:
+        for k, row in enumerate(vals):
+            if any(type(v) is not int for v in row):
+                scale = lcm(*(v.denominator for v in row))
+                vals[k] = [int(v * scale) for v in row]
+    return list(map(tuple, cols)), list(map(tuple, vals))
+
+
 def _hull_rows(cube: Hypercube, dual: bool, hulls: list[int],
                below: list[int]) -> dict[int, list[int]]:
     """Row h of the Bass table (with ``dual``, of the dual Bass table) at
@@ -91,13 +118,13 @@ def _hull_rows(cube: Hypercube, dual: bool, hulls: list[int],
     n, p, starts = cube.n, cube.field.p, cube.starts
     flip = full_mask(n) if dual else 0
     keys = {flip ^ v: d for v, d in cube.dims.items()}
-    # main's maps by key size as tuples of integral rows: the dual walk reads
+    # main's maps by key size as integral rows: the dual walk reads
     # main's columns, the Bass walk its rows.  Each reduces in increasing
     # key order, for the fewest eliminations; main's Bass columns run by
     # full \\ v, so the Bass walk's leading column is its largest
-    maps = [m.transpose() for m in cube.main.maps] if dual else cube.main.maps[::-1]
-    work = [None, *(_integral_rows(m)[0] for m in maps)]
-    lead = min if dual else max
+    maps = cube.main.maps if dual else cube.main.maps[::-1]
+    work = [None, *(_walk_rows(m, dual) for m in maps)]
+    lead, end = (min, 0) if dual else (max, -1)
     basis: list[dict] = [{} for _ in range(n + 1)]  # pivot -> (row, inverse)
     totals = [keys.get(0, 0)] + [0] * n  # D_l of the keys added (0 is under every hull)
     children: dict[int, list[int]] = {}
@@ -116,17 +143,21 @@ def _hull_rows(cube: Hypercube, dual: bool, hulls: list[int],
         for u in new:
             size, d = popcount(u), keys[u]
             totals[size] += d
-            rows, piv, s = work[size], basis[size], starts[flip ^ u]
+            (cols, vals), piv, s = work[size], basis[size], starts[flip ^ u]
             for i in range(s, s + d):
-                x = dict(rows[i])
-                while x:
-                    c = lead(x)
+                if not cols[i]:
+                    continue
+                x, c = dict(zip(cols[i], vals[i])), cols[i][end]  # columns increase
+                while True:
                     pr = piv.get(c)
                     if pr is None:
                         piv[c] = x, pow(x[c], -1, p) if p else 0
                         added.append((size, c))
                         break
                     _eliminate(x, 0, pr[0], c, pr[1], p, None)
+                    if not x:
+                        break
+                    c = lead(x)
         if below[h]:  # sizes above |h| hold no key and no pivot
             out[h] = homology_from_ranks(totals, map(len, basis[1:]))[popcount(h)::-1]
         for c in children.get(h, ()):
@@ -174,7 +205,8 @@ def _table(cube: Hypercube, dual: bool) -> BassTable | DualBassTable:
     strictly below h lies under one).  Entering h reduces the rows of the
     keys under h but not under its parent in increasing key order
     (``linalg._eliminate``), each row made a dict only then, from main's
-    rows scaled to integers over Q (``linalg._integral_rows``); it keeps
+    rows (dual: columns) scaled to integers over Q, each kept as a tuple of
+    columns and a tuple of values (``_walk_rows``); it keeps
     each nonzero one with its leading column as pivot, and leaving h drops
     those pivots.  The row at alpha = full (dual: alpha = 0) is checked
     against main's homology (``_main_homology``, main reduced on its own,
@@ -337,10 +369,12 @@ def terai_mustata_consistent(ideal: MonomialIdeal, field: Field) -> bool:
     dim H~_{n-r-|a|-1}(link(a)) must equal the degree-r hypercube vertex at
     the complementary mask 1-a, for every a and r.  The link of each face
     is selected from one cochain complex of the Stanley-Reisner complex
-    (``link_cochains``); a non-face has the void link, which has no
+    (``link_cochains``), through one index of its faces by the vertices
+    they contain (``faces_by_vertex``); a non-face has the void link, which has no
     homology.  The link side reads that complex alone, never the cube.
     """
     cc = cochain_complex(stanley_reisner(ideal), field)
+    index = faces_by_vertex(cc)
     n = ideal.n
     full = full_mask(n)
     # homology and cohomology dimensions agree over a field
@@ -348,7 +382,7 @@ def terai_mustata_consistent(ideal: MonomialIdeal, field: Field) -> bool:
         (full ^ alpha, n - popcount(alpha) - 1 - q): h
         for faces in cc.basis
         for alpha in faces
-        for q, h in link_cochains(cc, alpha).cohomology_dims().items()
+        for q, h in link_cochains(cc, alpha, index).cohomology_dims().items()
     }
     return link_side == {
         (v, r): dim

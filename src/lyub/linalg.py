@@ -16,8 +16,10 @@ over Q the rows stay integral (fraction-free updates, each rescaled row
 divided by its gcd), over F_p they are reduced mod p.  ``cancel`` is its
 pivot loop, under ``rank`` and the minimization of free resolutions;
 ``rref`` scans columns in order on the same row update, and
-``homology_space`` reads a homology basis off one ``rref``.  Every
-homology dimension is read off ranks by one rule, ``homology_from_ranks``.
+``homology_space`` reads a homology basis, and the map taking a cycle to
+its class, off one ``rref``; ``homology_classes`` applies that map to the
+cycles of one caller.  Every homology dimension is read off ranks by one
+rule, ``homology_from_ranks``.
 """
 
 from dataclasses import dataclass
@@ -462,38 +464,35 @@ def homology_dims(cx: VectorSpaceComplex) -> list[int]:
     return homology_from_ranks(cx.dims, map(rank, cx.maps))
 
 
-def homology_space(vectors, d_in, reduced):
-    """Homology of  <- d_out - [this space] <- d_in -  made explicit, with
-    the classes of the cycle columns of ``vectors`` in it.  The space is
-    that of vectors' rows, over its field; vectors may have no columns.
+def homology_space(field, dim, d_in, reduced):
+    """Homology of  <- d_out - [k^dim] <- d_in -  made explicit, as the
+    part of a solve that does not depend on the vectors solved for.
 
     d_in maps into the space (None where nothing does), and ``reduced`` is
     ``rref(d_out)`` for the map d_out out of it (None where nothing maps
     out); d_out @ d_in must be zero, as it is in a checked complex.
 
-    A column of ``vectors`` that d_out does not kill is refused.  The test
-    multiplies the vectors by the nonzero reduced rows R of d_out, not by
-    d_out: they are a basis of d_out's row space, so R v = 0 exactly when
-    d_out v = 0, and there are only rank(d_out) of them.
-
-    R gives K = ker d_out and its free (non-pivot) coordinates: K's row at
-    the k-th free column is e_k, and at the pivot of a row of R the negated
-    entries of that row.  Every column of [d_in | K | vectors] lies in ker
-    d_out, and keeping only the free coordinates is injective there, so
-    the rows at the free coordinates have the null space, and so the
-    nonzero reduced rows and pivots, of the whole matrix; K's block in them
-    is the identity.  One rref of those rows gives everything.  Its pivots
-    in the kernel block pick the representatives: the kernel columns
-    completing the image of d_in, in canonical column order, written
-    straight from R without forming K.  The identity block spans the free
-    coordinates, so no pivot falls in the vectors block, and every vector
-    column is the unique combination of the image and representative
-    columns that its reduced entries give; those at the representative
-    pivots are its class.  Returns (reps, classes): reps is (dim x h), its
-    columns representatives whose classes form a basis of the homology,
-    and classes is (h x vectors.cols).
+    R, the nonzero reduced rows of d_out, gives K = ker d_out and its free
+    (non-pivot) coordinates F: K's row at the k-th free column is e_k, and
+    at the pivot of a row of R the negated entries of that row.  Every
+    column of [d_in | K | V], V any cycles, lies in ker d_out, and keeping
+    only the coordinates F is injective there, so the rows at F have the
+    null space, and so the nonzero reduced rows and pivots, of the whole
+    matrix; K's block in them is the identity.  That block has full row
+    rank, so every pivot of rref([d_in_F | I | V_F]) lies in the first two
+    blocks, the identity block of rref([d_in_F | I]) is the transform E
+    that reduces it, and the vectors block is E V_F.  One rref of [d_in_F
+    | I] gives everything.  Its pivots in the identity block pick the
+    representatives: the kernel columns completing the image of d_in, in
+    canonical column order, written straight from R without forming K.
+    Every cycle v is the unique combination of the image and
+    representative columns that E v_F gives, and its entries at the
+    representative pivots are its class.  Returns (reps, proj): reps is
+    (dim x h), its columns representatives whose classes form a basis of
+    the homology, and proj is (h x dim), E's rows at the representative
+    pivots placed on the free columns, so that the class of a cycle v is
+    proj v (``homology_classes``).
     """
-    field, dim, vdata = vectors.field, vectors.rows, vectors.data
     if d_in is None:
         d_in = ExactMatrix(field, dim, 0)
     elif d_in.rows != dim:
@@ -505,17 +504,11 @@ def homology_space(vectors, d_in, reduced):
         if red.cols != dim:
             raise InputError(f"reduced d_out has {red.cols} columns, the space {dim}")
         ech = red.data[:len(pivots)]
-        if vectors.cols and not product_is_zero(ech, vdata, field.p):
-            raise ContractError("inconsistent linear system")
     pivset = set(pivots)
     free = [c for c in range(dim) if c not in pivset]
     k0 = d_in.cols
-    v0 = k0 + len(free)
-    rows = [
-        (*d_in.data[c], (k0 + k, 1), *[(v0 + j, x) for j, x in vdata[c]])
-        for k, c in enumerate(free)
-    ]
-    sol, spivots = rref(ExactMatrix._wrap(field, len(free), v0 + vectors.cols, rows))
+    rows = [(*d_in.data[c], (k0 + k, 1)) for k, c in enumerate(free)]
+    sol, spivots = rref(ExactMatrix._wrap(field, len(free), k0 + len(free), rows))
     # the free coordinate of each representative, and its index
     rep_at = {free[c - k0]: j for j, c in enumerate(c for c in spivots if c >= k0)}
     data = [()] * dim
@@ -525,9 +518,37 @@ def homology_space(vectors, d_in, reduced):
     for row, pc in zip(ech, pivots):
         data[pc] = tuple([(rep_at[c], neg(x)) for c, x in row if c in rep_at])
     h = len(rep_at)
-    classes = [
-        tuple((c - v0, x) for c, x in row if c >= v0)
+    proj = [
+        tuple((free[c - k0], x) for c, x in row if c >= k0)
         for row, pc in zip(sol.data, spivots)
         if pc >= k0
     ]
-    return ExactMatrix._wrap(field, dim, h, data), ExactMatrix._wrap(field, h, vectors.cols, classes)
+    return ExactMatrix._wrap(field, dim, h, data), ExactMatrix._wrap(field, h, dim, proj)
+
+
+def homology_classes(vectors, reduced, proj):
+    """The classes proj v of the columns v of ``vectors``, ``proj`` and
+    ``reduced`` as ``homology_space`` takes and returns them; (h x
+    vectors.cols), scalars canonical.
+
+    A column that d_out does not kill is refused.  The test multiplies the
+    vectors by the nonzero reduced rows R of d_out, not by d_out: they are
+    a basis of d_out's row space, so R v = 0 exactly when d_out v = 0, and
+    there are only rank(d_out) of them.
+    """
+    field, vdata = vectors.field, vectors.data
+    p = field.p
+    if vectors.rows != proj.cols:
+        raise InputError(f"vectors have {vectors.rows} rows, the space {proj.cols}")
+    if reduced is not None and vectors.cols:
+        red, pivots = reduced
+        if not product_is_zero(red.data[:len(pivots)], vdata, p):
+            raise ContractError("inconsistent linear system")
+    classes = []
+    for prow in proj.data:
+        acc = {}
+        for k, a in prow:
+            for j, x in vdata[k]:
+                acc[j] = acc.get(j, 0) + a * x
+        classes.append(_pack(acc, p))
+    return ExactMatrix._wrap(field, proj.rows, vectors.cols, classes)

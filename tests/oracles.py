@@ -8,12 +8,17 @@ and ``rref_naive`` are dense elimination, and ``dense_restricted_complex``
 assembles a restricted hypercube complex block by block over every subset;
 they read matrices only through ``ExactMatrix.dense``.
 ``homology_space_full_rows`` reduces every coordinate of a space where
-``homology_space`` reduces only the free coordinates of d_out, and
+``homology_space`` reduces only the free coordinates of d_out;
+``solve_homology`` solves for the classes of given cycles with the
+cycles in the reduction, where ``homology_space`` reduces without them
+and ``homology_classes`` multiplies them by its projection; and
 ``squares_commute`` multiplies out every square of a hypercube where its
 constructor checks them as d∘d of its main complex.  ``per_edge_maps`` computes
 the hypercube's edge maps with one ``solve_matrix`` per edge instead of
 the one reduction per vertex the build uses, on cochain complexes formed
-per restriction instead of selected from one complex; ``bass_row``
+per restriction instead of selected from one complex, and
+``per_mask_hypercubes`` solves every mask on its own, where the build
+solves each distinct restricted complex once; ``bass_row``
 assembles a Bass row's complex on its own instead of reading ranks of the
 main complex, ``interval_complex`` selects one interval of the main
 complex as its own checked complex (the per-hull reference for the Bass
@@ -33,7 +38,7 @@ map on cohomology induced by an inclusion of complexes, and
 ``from_rows`` makes a matrix from dense rows, ``hstack`` puts matrices
 side by side, ``matmul`` multiplies two of them and ``kernel_basis``
 gives a basis of a kernel, and ``cohomology_space`` runs
-``homology_space`` on one degree of a cochain complex, for the oracles
+``solve_homology`` on one degree of a cochain complex, for the oracles
 that solve per restriction or per edge.
 """
 
@@ -53,6 +58,7 @@ from lyub.cohomology import (
     cochain_complex,
     face_projection,
     reduced_cohomology_dims_all,
+    restrict_cochains,
 )
 from lyub.combinatorics import (
     MonomialIdeal,
@@ -68,12 +74,11 @@ from lyub.combinatorics import (
     popcount,
     submasks,
 )
-from lyub.hypercube import _check_masks, restricted_complex
+from lyub.hypercube import Hypercube, _check_masks, restricted_complex
 from lyub.linalg import (
     VectorSpaceComplex,
     _pack,
     homology_dims,
-    homology_space,
     rref,
 )
 
@@ -115,23 +120,100 @@ def matmul(left, right):
     return ExactMatrix._wrap(left.field, left.rows, right.cols, data)
 
 
+def solve_homology(vectors, d_in, reduced):
+    """(reps, classes) of the homology at the space of vectors' rows, with
+    the classes of vectors' columns, by one rref of [d_in_F | I | V_F] on
+    the free coordinates F of d_out, ``reduced`` being rref(d_out): the
+    cycles reduced along with the space, one solve per call, the reference
+    for ``homology_space`` and ``homology_classes``.  A column that the
+    reduced rows of d_out do not kill is refused."""
+    field, dim, vdata = vectors.field, vectors.rows, vectors.data
+    if d_in is None:
+        d_in = ExactMatrix(field, dim, 0)
+    ech, pivots = ((), []) if reduced is None else (reduced[0].data[:len(reduced[1])], reduced[1])
+    for row in ech:
+        acc = {}
+        for k, a in row:
+            for j, x in vdata[k]:
+                acc[j] = acc.get(j, 0) + a * x
+        if _pack(acc, field.p):
+            raise ContractError("inconsistent linear system")
+    pivset = set(pivots)
+    free = [c for c in range(dim) if c not in pivset]
+    k0 = d_in.cols
+    v0 = k0 + len(free)
+    rows = [
+        (*d_in.data[c], (k0 + k, 1), *[(v0 + j, x) for j, x in vdata[c]])
+        for k, c in enumerate(free)
+    ]
+    sol, spivots = rref(ExactMatrix._wrap(field, len(free), v0 + vectors.cols, rows))
+    rep_at = {free[c - k0]: j for j, c in enumerate(c for c in spivots if c >= k0)}
+    data = [()] * dim
+    for c, j in rep_at.items():
+        data[c] = ((j, 1),)
+    for row, pc in zip(ech, pivots):
+        data[pc] = tuple([(rep_at[c], field.neg(x)) for c, x in row if c in rep_at])
+    classes = [
+        tuple((c - v0, x) for c, x in row if c >= v0)
+        for row, pc in zip(sol.data, spivots)
+        if pc >= k0
+    ]
+    h = len(rep_at)
+    return ExactMatrix._wrap(field, dim, h, data), ExactMatrix._wrap(field, h, vectors.cols, classes)
+
+
 def kernel_basis(mat):
     """Columns form a deterministic basis of ker(mat); mat @ K = 0: the
     representatives of the homology at the source of mat with nothing
     mapping in, which are all of K.  Row free[k] of the basis is the unit
     vector e_k, free being the non-pivot columns of mat's rref."""
-    return homology_space(ExactMatrix(mat.field, mat.cols, 0), None, rref(mat))[0]
+    return solve_homology(ExactMatrix(mat.field, mat.cols, 0), None, rref(mat))[0]
 
 
 def cohomology_space(cc, q, vectors=None):
     """Degree-q reduced cohomology of the cochain complex ``cc``: explicit
     cocycle representatives, and the classes of the cocycle columns of
     ``vectors`` (degree-q cochains, may be None), the pair (reps, classes)
-    that ``homology_space`` returns."""
+    that ``solve_homology`` returns."""
     if vectors is None:
         vectors = ExactMatrix(cc.field, cc.space_dim(q), 0)
     d_out = cc.coboundary(q)
-    return homology_space(vectors, cc.coboundary(q - 1), None if d_out is None else rref(d_out))
+    return solve_homology(vectors, cc.coboundary(q - 1), None if d_out is None else rref(d_out))
+
+
+def per_mask_hypercubes(ideal, field):
+    """The cubes of every degree r = 0..n, every nonzero mask solved on its
+    own: the restriction's complex selected from that of D^v
+    (``restrict_cochains``), the representatives of each nonzero alpha +
+    e_i restricted to alpha's faces by ``face_projection``, and one
+    ``solve_homology`` per (mask, degree) giving alpha's representatives
+    and the classes of those vectors, whose transposed blocks are the
+    edges.  The reference for the build, which solves each distinct
+    restricted complex once."""
+    n = ideal.n
+    full = full_mask(n)
+    cochains = cochain_complex(complex_alexander_dual(stanley_reisner(ideal)), field)
+    dims, spaces, edges = ([{} for _ in range(n + 2)] for _ in range(3))
+    for alpha in range(full, 0, -1):
+        cc = restrict_cochains(cochains, alpha)
+        for q in range(-1, len(cc.basis) - 1):
+            faces, above = cc.faces(q), spaces[q + 2]
+            ups = [i for i in range(n) if not alpha >> i & 1 and alpha | 1 << i in above]
+            blocks = [
+                matmul(face_projection(field, faces, above[alpha | 1 << i][0]), above[alpha | 1 << i][1])
+                for i in ups
+            ]
+            vectors = hstack(field, blocks, len(faces))
+            d_out = cc.coboundary(q)
+            reps, classes = solve_homology(vectors, cc.coboundary(q - 1), None if d_out is None else rref(d_out))
+            if not reps.cols:
+                continue
+            dims[q + 2][alpha], above[alpha] = reps.cols, (faces, reps)
+            cols, c0 = classes.transpose().data, 0
+            for i, block in zip(ups, blocks):
+                edges[q + 2][(alpha, i)] = ExactMatrix._wrap(field, block.cols, reps.cols, cols[c0:c0 + block.cols])
+                c0 += block.cols
+    return tuple(Hypercube(n, r, field, dims[r], edges[r]) for r in range(n + 1))
 
 
 def brute_membership(ideal, mask):

@@ -7,6 +7,7 @@ from lyub import ContractError, QQ, cohomology, prime_field, stanley_reisner
 from lyub.cli import parse_input
 from lyub.cohomology import (
     cochain_complex,
+    faces_by_vertex,
     link_cochains,
     reduced_cohomology_dims_all,
     restrict_cochains,
@@ -163,18 +164,32 @@ def test_selected_link_is_the_links_own_complex():
         delta = stanley_reisner(ideal)
         for field in (QQ, F2, F3):
             whole = cochain_complex(delta, field)
+            index = faces_by_vertex(whole)
             for alpha in range(1 << ideal.n):
                 want = cochain_complex(link(delta, alpha), field)
-                assert _same_complex(link_cochains(whole, alpha), want)
+                assert _same_complex(link_cochains(whole, alpha, index), want)
                 faces += delta.has_face(alpha)
     assert faces > 3000
+
+
+def test_faces_by_vertex_lists_the_faces_containing_each_vertex():
+    # every (size, vertex) list holds exactly the positions of the faces of
+    # that size containing the vertex, increasing
+    for ideal in _link_corpus():
+        whole = cochain_complex(stanley_reisner(ideal), QQ)
+        index = faces_by_vertex(whole)
+        assert len(index) == len(whole.basis)
+        for faces, by_vertex in zip(whole.basis, index):
+            for v in range(ideal.n):
+                want = [i for i, f in enumerate(faces) if f >> v & 1]
+                assert by_vertex.get(v, []) == want
 
 
 def test_the_link_of_a_facet_is_the_irrelevant_complex():
     delta = stanley_reisner(cycle_nonedge_ideal(6))
     whole = cochain_complex(delta, QQ)
     for facet in delta.facets:
-        got = link_cochains(whole, facet)
+        got = link_cochains(whole, facet, faces_by_vertex(whole))
         assert got.basis == ((0,),) and got.coboundaries == ()
         assert got.cohomology_dims() == {-1: 1}
 
@@ -197,7 +212,7 @@ def test_a_wrong_sign_twist_is_caught(monkeypatch, name):
         whole = cochain_complex(delta, field)
         for alpha in sorted(delta.faces()):
             try:
-                got = link_cochains(whole, alpha)
+                got = link_cochains(whole, alpha, faces_by_vertex(whole))
             except ContractError:
                 caught += 1
                 continue

@@ -51,6 +51,7 @@ from .oracles import (
     masks,
     matmul,
     per_edge_maps,
+    per_mask_hypercubes,
     random_ideal,
     squares_commute,
 )
@@ -573,9 +574,8 @@ def test_build_forms_one_complex_per_lattice_mask(monkeypatch, ideal, complexes)
 
 def test_edges_are_transposed_induced_cohomology_maps(ex53, a5):
     # every stored edge equals the transpose of the inclusion-induced map
-    # between the restricted dual complexes, in the same deterministic bases;
-    # both go through linalg.homology_space with the restricted representatives
-    # as its vectors, so per_edge_maps is the independent check
+    # between the restricted dual complexes, in the same deterministic bases,
+    # each map solved on its own (``oracles.solve_homology``)
     from lyub import stanley_reisner
 
     for ideal, r in ((ex53, 4), (a5, 2)):
@@ -640,24 +640,84 @@ def test_cubes_are_pinned_byte_for_byte(name, ideal, f):
 @pytest.mark.parametrize("f", [QQ, F2], ids=["q", "f2"])
 def test_build_refuses_a_projected_representative_that_is_not_a_cocycle(monkeypatch, f):
     # change the first projected representative at the pivot of a reduced
-    # row of d_out: that row then no longer kills it, so neither does d_out
-    real, changed = hypercube.homology_space, []
+    # row of d_out: that row then no longer kills it, so neither does d_out.
+    # Once at a mask whose complex it solves (a miss) and once at a mask
+    # whose complex an earlier mask solved (a hit): each mask tests its own
+    # vectors
+    real = hypercube.homology_classes
+    for corrupt_hit in (False, True):
+        used, changed = [], []
 
-    def corrupting(vectors, d_in, reduced):
-        if vectors.cols and reduced[1] and not changed:
-            c = reduced[1][0]
-            row = dict(vectors.data[c])
-            row[0] = f.coerce(row.get(0, 0) + 1)
-            data = list(vectors.data)
-            data[c] = tuple(sorted((j, x) for j, x in row.items() if x))
-            vectors = ExactMatrix._wrap(f, vectors.rows, vectors.cols, data)
-            changed.append(c)
-        return real(vectors, d_in, reduced)
+        def corrupting(vectors, reduced, proj):
+            hit = any(p is proj for p in used)  # an earlier mask's solve
+            used.append(proj)
+            if vectors.cols and reduced and reduced[1] and hit == corrupt_hit and not changed:
+                c = reduced[1][0]
+                row = dict(vectors.data[c])
+                row[0] = f.coerce(row.get(0, 0) + 1)
+                data = list(vectors.data)
+                data[c] = tuple(sorted((j, x) for j, x in row.items() if x))
+                vectors = ExactMatrix._wrap(f, vectors.rows, vectors.cols, data)
+                changed.append(c)
+            return real(vectors, reduced, proj)
 
-    monkeypatch.setattr(hypercube, "homology_space", corrupting)
-    with pytest.raises(ContractError, match="inconsistent linear system"):
-        hypercube._build_all_degrees.__wrapped__(cycle_nonedge_ideal(8), f)  # never cached
-    assert changed
+        monkeypatch.setattr(hypercube, "homology_classes", corrupting)
+        with pytest.raises(ContractError, match="inconsistent linear system"):
+            hypercube._build_all_degrees.__wrapped__(cycle_nonedge_ideal(8), f)  # never cached
+        assert changed
+
+
+@pytest.mark.parametrize("f", [QQ, F2, F3], ids=["q", "f2", "f3"])
+def test_build_matches_the_per_mask_solve(a5, a6, a7, a8, ex53, ex57, f):
+    # sharing one solve among the masks with the same restricted complex
+    # gives the cubes of solving every mask on its own: vertex dimensions,
+    # edge rows with their scalar types, and main's maps
+    rng = random.Random(25)
+    randoms = [random_ideal(rng, n) for n in (4, 5, 5, 6, 6, 7, 7, 8)]
+    ideals = (a5, a6, a7, a8, cycle_nonedge_ideal(9), nine_vars_ideal(), rp2_ideal(), ex53, ex57, *randoms)
+    shared = 0
+    for ideal in ideals:
+        cubes = hypercube._build_all_degrees.__wrapped__(ideal, f)
+        for cube, ref in zip(cubes, per_mask_hypercubes(ideal, f), strict=True):
+            assert cube.dims == ref.dims, (ideal.gens, cube.r)
+            assert cube.edge_mats.keys() == ref.edge_mats.keys()
+            for key, mat in cube.edge_mats.items():
+                assert _typed(mat) == _typed(ref.edge_mats[key]), (ideal.gens, cube.r, key)
+            assert list(map(_typed, cube.main.maps)) == list(map(_typed, ref.main.maps))
+            shared += len(cube.edge_mats)
+    assert shared
+
+
+def _typed(mat):
+    return mat.rows, mat.cols, [[(c, type(x), x) for c, x in row] for row in mat.data]
+
+
+def test_build_solves_each_distinct_restricted_complex_once(monkeypatch):
+    # a10 over Q: its 993 lattice masks select 216 distinct restricted
+    # complexes, with 177 nonzero (complex, degree) pairs among them, and
+    # the build runs homology_space once for each of those pairs, not once
+    # for each of the 933 nonzero (mask, degree) pairs
+    complexes, solves = [], []
+    real_select, real_solve = hypercube.restrict_cochains, hypercube.homology_space
+
+    def selecting(cc, alpha):
+        complexes.append(real_select(cc, alpha))
+        return complexes[-1]
+
+    def solving(*args):
+        solves.append(args)
+        return real_solve(*args)
+
+    monkeypatch.setattr(hypercube, "restrict_cochains", selecting)
+    monkeypatch.setattr(hypercube, "homology_space", solving)
+    cubes = hypercube._build_all_degrees.__wrapped__(cycle_nonedge_ideal(10), QQ)  # never cached
+    distinct = {
+        (tuple(map(len, cc.basis)), tuple(tuple(d.data) for d in cc.coboundaries)): cc
+        for cc in complexes
+    }
+    pairs = sum(len(cc.cohomology_dims()) for cc in distinct.values())
+    assert (len(complexes), len(distinct), pairs, len(solves)) == (993, 216, 177, 177)
+    assert sum(len(cube.dims) for cube in cubes) == 933
 
 
 @pytest.mark.parametrize(

@@ -555,16 +555,37 @@ def test_a_stored_main_homology_that_disagrees_is_caught(ex57):
         cube._homology, cube._bass = kept, tables
 
 
+@pytest.mark.parametrize("by_cols", [False, True], ids=["rows", "cols"])
+def test_walk_rows_are_the_integral_rows_of_the_map_or_its_transpose(by_cols):
+    # the walk reads each row as a tuple of columns and a tuple of values:
+    # the integral rows of the map (of its transpose, formed here), types
+    # and zero rows included
+    from lyub.linalg import _integral_rows
+
+    from .oracles import random_fraction_matrix, random_matrix
+
+    rng = random.Random(53)
+    mats = [random_fraction_matrix(rng, QQ, 5, 7), random_matrix(rng, QQ, 6, 4, span=2),
+            random_matrix(rng, F3, 4, 6), ExactMatrix(QQ, 3, 2)]
+    for mat in mats:
+        cols, vals = invariants._walk_rows(mat, by_cols)
+        want = _integral_rows(mat.transpose() if by_cols else mat)[0]
+        assert [tuple(zip(c, v)) for c, v in zip(cols, vals)] == want
+        assert [[type(x) for x in v] for v in vals] == [[type(x) for _, x in row] for row in want]
+    assert any(type(x) is Fraction for row in mats[0].data for _, x in row)
+
+
 def test_a_negative_walk_row_is_refused(monkeypatch, ex57):
     # rows made independent by an extra column of their own rank too high
     cube = build_hypercube(ex57, 3, QQ)
-    real = invariants._integral_rows
+    real = invariants._walk_rows
 
-    def independent(mat):
-        rows, factors = real(mat)
-        return [(*row, (mat.cols + k, 1)) for k, row in enumerate(rows)], factors
+    def independent(mat, by_cols):
+        cols, vals = real(mat, by_cols)
+        width = mat.rows if by_cols else mat.cols
+        return [(*row, width + k) for k, row in enumerate(cols)], [(*row, 1) for row in vals]
 
-    monkeypatch.setattr(invariants, "_integral_rows", independent)
+    monkeypatch.setattr(invariants, "_walk_rows", independent)
     for dual in (False, True):
         with pytest.raises(ContractError, match="negative homology dimension"):
             _walk(cube, dual)

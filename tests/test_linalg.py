@@ -15,7 +15,15 @@ from lyub import (
     rank,
 )
 from lyub import hypercube, linalg
-from lyub.linalg import Field, cancel, homology_from_ranks, homology_space, product_is_zero, rref
+from lyub.linalg import (
+    Field,
+    cancel,
+    homology_classes,
+    homology_from_ranks,
+    homology_space,
+    product_is_zero,
+    rref,
+)
 
 from .oracles import (
     from_rows,
@@ -27,6 +35,7 @@ from .oracles import (
     random_matrix,
     rank_naive,
     rref_naive,
+    solve_homology,
     solve_matrix,
     transpose_reverse,
 )
@@ -233,12 +242,19 @@ def _space_with_cycles(rng, field):
     return dim, d_out, d_in, cycles
 
 
+def _space(vectors, d_in, reduced):
+    """(reps, classes): the homology at the space of vectors' rows, and
+    the classes of vectors' columns through its projection."""
+    reps, proj = homology_space(vectors.field, vectors.rows, d_in, reduced)
+    return reps, homology_classes(vectors, reduced, proj)
+
+
 @pytest.mark.parametrize("f", [QQ, Field(3)], ids=["q", "f3"])
 def test_homology_space_classes_match_a_solve(f):
     rng = random.Random(29)
     for _ in range(12):
         dim, d_out, d_in, cycles = _space_with_cycles(rng, f)
-        reps, classes = homology_space(cycles, d_in, rref(d_out))
+        reps, classes = _space(cycles, d_in, rref(d_out))
         assert reps.cols == dim - rank(d_in) - rank(d_out)
         assert (classes.rows, classes.cols) == (reps.cols, cycles.cols)
         # the reps part of the unique solution of [image | reps] x = v
@@ -247,7 +263,7 @@ def test_homology_space_classes_match_a_solve(f):
         x = solve_matrix(basis, cycles).dense()[image.cols:]
         assert classes.dense() == x
         # the vectors do not change the representatives
-        plain, none = homology_space(ExactMatrix(f, dim, 0), d_in, rref(d_out))
+        plain, none = _space(ExactMatrix(f, dim, 0), d_in, rref(d_out))
         assert plain == reps
         assert (none.rows, none.cols) == (reps.cols, 0)
 
@@ -266,25 +282,26 @@ def test_homology_space_refuses_a_vector_that_is_not_a_cycle(f):
     with pytest.raises(ContractError, match="inconsistent linear system"):
         homology_space_full_rows(f, dim, d_out, d_in, vectors)
     with pytest.raises(ContractError, match="inconsistent linear system"):
-        homology_space(vectors, d_in, rref(d_out))
+        _space(vectors, d_in, rref(d_out))
 
 
 @pytest.mark.parametrize("wrong", ["vectors", "d_in", "reduced"])
 def test_homology_space_refuses_a_shape_off_the_space(wrong):
-    # the space is that of the vectors' rows; d_in's rows and the reduced
-    # d_out's columns must match it
+    # d_in's rows, the reduced d_out's columns and, for the classes, the
+    # vectors' rows must match the space
     rng = random.Random(37)
     dim, d_out, d_in, cycles = _space_with_cycles(rng, QQ)
     args = {"vectors": cycles, "d_in": d_in, "reduced": rref(d_out)}
-    homology_space(**args)
+    _space(**args)
     short = {
         "vectors": cycles.select(range(dim - 1), range(cycles.cols)),
         "d_in": d_in.select(range(dim - 1), range(d_in.cols)),
         "reduced": rref(d_out.select(range(d_out.rows), range(dim - 1))),
     }
     args[wrong] = short[wrong]
-    with pytest.raises(InputError, match=f"the space {dim - (wrong == 'vectors')}$"):
-        homology_space(**args)
+    with pytest.raises(InputError, match=f"{dim - 1} (rows|columns), the space {dim}$"):
+        _, proj = homology_space(QQ, dim, args["d_in"], args["reduced"])
+        homology_classes(args["vectors"], args["reduced"], proj)
 
 
 def _typed(mat):
@@ -322,16 +339,40 @@ def test_homology_space_matches_the_full_row_reduction(a5, ex53, ex52, f):
     for dim, d_out, d_in, vectors in inputs:
         reduced = None if d_out is None else rref(d_out)
         for vecs in (vectors, ExactMatrix(f, dim, 0)):
-            got = homology_space(vecs, d_in, reduced)
+            got = _space(vecs, d_in, reduced)
             want = homology_space_full_rows(f, dim, d_out, d_in, vecs)
             assert list(map(_typed, got)) == list(map(_typed, want))
         fractions += any(type(x) is Fraction for row in vectors.data for _, x in row)
     assert bool(fractions) == (f == QQ)
 
 
+@pytest.mark.parametrize("f", [QQ, F2, Field(3)], ids=["q", "f2", "f3"])
+def test_classes_are_the_projection_of_the_cycles(a5, ex53, ex52, f):
+    # proj lives on the free columns of d_out, depends on no vectors, and
+    # proj v is the class that reducing v along with the space gives, as
+    # the full-row reduction and the one solve per call give it, with types
+    rng = random.Random(43)
+    inputs = [_space_with_cycles(rng, f) for _ in range(12)]
+    for ideal in (a5, ex53, ex52):
+        inputs += _cochain_inputs(ideal, f)
+    fractions = 0
+    for dim, d_out, d_in, vectors in inputs:
+        reduced = None if d_out is None else rref(d_out)
+        reps, proj = homology_space(f, dim, d_in, reduced)
+        assert (proj.rows, proj.cols) == (reps.cols, dim)
+        pivots = set(() if reduced is None else reduced[1])
+        assert not any(c in pivots for row in proj.data for c, _ in row)
+        got = homology_classes(vectors, reduced, proj)
+        assert _typed(got) == _typed(matmul(proj, vectors))
+        assert _typed(got) == _typed(homology_space_full_rows(f, dim, d_out, d_in, vectors)[1])
+        assert list(map(_typed, (reps, got))) == list(map(_typed, solve_homology(vectors, d_in, reduced)))
+        fractions += any(type(x) is Fraction for row in got.data for _, x in row)
+    assert bool(fractions) == (f == QQ)
+
+
 def test_homology_space_without_maps_keeps_every_vector():
     v = from_rows(QQ, [[1, Fraction(1, 2)], [0, 3]])
-    reps, classes = homology_space(v, None, None)
+    reps, classes = _space(v, None, None)
     assert reps == ExactMatrix.identity(QQ, 2)
     assert classes == v
 
@@ -344,14 +385,14 @@ def test_induced_cohomology_map_is_the_classes_of_one_homology_space(monkeypatch
 
     (alpha, i), edge = next(iter(build_hypercube(a5, 2, QQ).edge_mats.items()))
     calls = []
-    original = oracles.homology_space
+    original = oracles.solve_homology
 
     def spy(*args):
         out = original(*args)
         calls.append((args[0], out))
         return out
 
-    monkeypatch.setattr(oracles, "homology_space", spy)
+    monkeypatch.setattr(oracles, "solve_homology", spy)
     dual = complex_alexander_dual(stanley_reisner(a5))
     small, big = restriction(dual, alpha), restriction(dual, alpha | 1 << i)
     induced = induced_cohomology_map(small, big, 0, QQ)
