@@ -8,11 +8,13 @@ a-restriction into the (a+e_i)-restriction induces a map on cohomology by
 cochain restriction; the canonical map u_{a,i} between vertices is its
 transpose.
 
-Each cube owns its main complex, assembled by the ``Hypercube`` constructor,
-whose d∘d check is the check that every square commutes.  The Lyubeznik
-numbers are its homology, and each Bass or dual Bass row is the homology
-of one interval of it, whose ranks are row ranks of main's maps
-(``invariants._hull_rows``).
+Each cube owns its main complex, assembled by the ``Hypercube`` constructor
+from the edge matrices it is given, whose d∘d check is the check that every
+square commutes.  The Lyubeznik numbers are its homology, and each Bass or
+dual Bass row is the homology of one interval of it, whose ranks are row
+ranks of main's maps (``invariants._hull_rows``).  A cube keeps its vertex
+dimensions and main, not its edges: main holds every edge as one signed
+block, and ``Hypercube.edge`` reads it back from there.
 
 One build serves every degree r.  The cochain complex of D^v is formed
 once, and each mask a selects the cochain complex of its restriction from
@@ -54,7 +56,9 @@ vectors.  Per mask, ``linalg.homology_classes`` checks they are cocycles,
 against the reduced coboundary out of a's cochains, and multiplies them by
 the projection; the classes give every edge map out of a.  So every mask
 keeps its own d∘d check, cocycle test, edge matrices and the ``Hypercube``
-constructor's checks, and only the reductions are shared.
+constructor's checks, and only the reductions are shared.  The
+representatives and solves are dropped before the first cube is
+constructed, and each degree's edges once its cube holds them in main.
 
 Degenerate degrees: vertices sit in cohomological degree q = r - 2, and the
 q = -2 and q = -1 conventions of the cohomology module apply.  The vertex at
@@ -62,6 +66,7 @@ a = 0 is pinned to zero; for r >= 2 the formula already gives zero there,
 and the pin is what makes degree r = 1 (height-one ideals) come out right.
 """
 
+from bisect import bisect_left
 from functools import lru_cache
 
 from .combinatorics import (
@@ -101,12 +106,13 @@ from .linalg import (
 
 
 class Hypercube:
-    """Vertex dimensions, edge matrices and main complex of one H_I^r(R).
+    """Vertex dimensions and main complex of one H_I^r(R).
 
-    Only nonzero vertices and edges between them are stored; ``vertex_dim``
-    and ``edge`` materialize the zero cases.  ``build_hypercube`` fills
-    them top down, so an edge alpha -> alpha+e_i is stored when alpha is
-    reached, from the representatives alpha+e_i already has.
+    Only nonzero vertices are stored, in ``dims``; ``vertex_dim``
+    materializes the zero ones.  ``build_hypercube`` computes the edges top
+    down, so an edge alpha -> alpha+e_i is known when alpha is reached, from
+    the representatives alpha+e_i already has, and passes them, keyed
+    (alpha, i), to the constructor, which keeps none of them.
 
     The constructor assembles ``main``, the main complex: position p holds
     the vertices full \\ gamma with |gamma| = p, in increasing order of
@@ -120,6 +126,12 @@ class Hypercube:
     e_j are nonzero vertices, the squares on which commutativity says
     anything; a zero middle vertex gives no term, as its zero edge would.
 
+    The edge (alpha, i) is the block of main's map p = |full \\ (alpha +
+    e_i)| on the rows of alpha + e_i and the columns of alpha, times
+    (-1)^(bits of full \\ (alpha + e_i) below i).  ``edge`` reads it from
+    there, undoes the sign and returns a new matrix each call, the zero
+    matrix where an end is zero.
+
     A layout that ``main`` and ``starts`` cannot describe is refused with
     ``InputError`` (``_check_layout``).  Nothing changes after construction
     but ``_homology`` (main's homology, ``invariants._main_homology``),
@@ -129,20 +141,17 @@ class Hypercube:
     ``build_hypercube`` does, stays safe.
     """
 
-    __slots__ = (
-        "n", "r", "field", "dims", "edge_mats", "main", "starts", "_homology", "_bass", "_below",
-    )
+    __slots__ = ("n", "r", "field", "dims", "main", "starts", "_homology", "_bass", "_below")
 
-    def __init__(self, n: int, r: int, field: Field, dims, edge_mats):
+    def __init__(self, n: int, r: int, field: Field, dims, edge_mats: dict):
         self.n = n
         self.r = r
         self.field = field
         self.dims = dict(dims)
-        self.edge_mats = dict(edge_mats)
-        _check_layout(self)
+        _check_layout(self, edge_mats)
         full = full_mask(n)
         try:
-            self.main = restricted_complex(self, full, full)
+            self.main = _assemble(field, self.dims, edge_mats.get, full, full)
         except ContractError as exc:
             raise ContractError(
                 f"hypercube of degree r={r}: squares do not commute ({exc})"
@@ -160,14 +169,26 @@ class Hypercube:
         return self.dims.get(alpha, 0)
 
     def edge(self, alpha: int, i: int) -> ExactMatrix:
-        """The canonical map at (alpha, i): vertex alpha -> vertex alpha+e_i."""
+        """The canonical map at (alpha, i): vertex alpha -> vertex alpha+e_i,
+        read off its block of main with the sign undone, by the rule the
+        assembly signs it with; a new matrix on each call."""
         _check_edge(self, alpha, i)
-        mat = self.edge_mats.get((alpha, i))
-        if mat is not None:
-            return mat
-        return ExactMatrix(
-            self.field, self.vertex_dim(alpha | 1 << i), self.vertex_dim(alpha)
-        )
+        top = alpha | 1 << i
+        rows, cols = self.dims.get(top, 0), self.dims.get(alpha, 0)
+        if not (rows and cols):
+            return ExactMatrix(self.field, rows, cols)
+        gamma = full_mask(self.n) ^ top
+        r0, c0 = self.starts[top], self.starts[alpha]
+        lo, hi, p = (c0,), (c0 + cols,), self.field.p
+        flip = popcount(gamma & ((1 << i) - 1)) & 1
+        data = []
+        for row in self.main.maps[popcount(gamma)].data[r0:r0 + rows]:
+            block = row[bisect_left(row, lo):bisect_left(row, hi)]
+            if not flip:
+                data.append(tuple([(c - c0, x) for c, x in block]))
+            else:
+                data.append(tuple([(c - c0, p - x if p else -x) for c, x in block]))
+        return ExactMatrix._wrap(self.field, rows, cols, data)
 
     def is_zero(self) -> bool:
         return not self.dims
@@ -179,7 +200,10 @@ class Hypercube:
 # (ideal, field) entries kept by ``_build_all_degrees``, each holding the
 # n+1 cubes of every degree; the least recently used is evicted first.
 # This is above the 6 entries one pass of the ``hypercube`` benchmark holds
-# (a10, nine and a8, over Q and F_2).
+# (a10, nine and a8, over Q and F_2).  An entry keeps vertex dimensions and
+# main complexes: over Q, 0.7 MiB at a10, 5.0 at a12, 12.4 at a13 and 29.8
+# at a14 (``tracemalloc``, Python 3.11), so the count, not the bytes, is
+# what is bounded.
 HYPERCUBE_CACHE_SIZE = 16
 
 
@@ -254,7 +278,14 @@ def _build_all_degrees(ideal: MonomialIdeal, field: Field) -> tuple[Hypercube, .
                 w = dims[q + 2][alpha | 1 << i]
                 edges[q + 2][(alpha, i)] = ExactMatrix._wrap(field, w, h, cols[c0:c0 + w])
                 c0 += w
-    return tuple(Hypercube(n, r, field, dims[r], edges[r]) for r in range(n + 1))
+    # A cube keeps its edges only as blocks of main, so each degree's edges
+    # go once its cube is built, and the representatives before any is.
+    del spaces, solved
+    cubes = []
+    for r in range(n + 1):
+        cubes.append(Hypercube(n, r, field, dims[r], edges[r]))
+        edges[r] = None
+    return tuple(cubes)
 
 
 def _solve(cc) -> list[tuple]:
@@ -293,16 +324,17 @@ def _check_edge(cube: Hypercube, alpha: int, i: int) -> None:
         raise InputError("edge direction bit already set")
 
 
-def _check_layout(cube: Hypercube) -> None:
+def _check_layout(cube: Hypercube, edge_mats: dict) -> None:
     """Refuse a mask outside the cube, a stored vertex of dimension below 1,
-    and an edge (alpha, i) with bit i out of range or set in alpha, an end
-    not stored, or a shape other than dim(alpha + e_i) x dim(alpha)."""
+    and an edge (alpha, i) of ``edge_mats`` with bit i out of range or set in
+    alpha, an end not stored, or a shape other than dim(alpha + e_i) x
+    dim(alpha)."""
     dims = cube.dims
     _check_masks(cube, *dims)
     for v, d in dims.items():
         if d < 1:
             raise InputError(f"stored vertex {v} has dimension {d}, not at least 1")
-    for (alpha, i), mat in cube.edge_mats.items():
+    for (alpha, i), mat in edge_mats.items():
         _check_edge(cube, alpha, i)
         shape = dims.get(alpha | 1 << i), dims.get(alpha)
         if None in shape:
@@ -324,10 +356,19 @@ def restricted_complex(cube: Hypercube, amask: int, bmask: int) -> VectorSpaceCo
     canonical maps, the sign being (-1)^(bits of gamma below i); when bit i
     is outside bmask the vertex mask does not move and the map is the
     identity.  Only the gammas at nonzero vertices are visited, and each
-    row of a map is written straight from the edge rows it meets.
+    row of a map is written straight from the edge rows it meets.  The
+    edges are read through ``cube.edge``.
     """
     _check_masks(cube, amask, bmask)
-    field, p, dims = cube.field, cube.field.p, cube.dims
+    return _assemble(cube.field, cube.dims, lambda key: cube.edge(*key), amask, bmask)
+
+
+def _assemble(field: Field, dims: dict, edge, amask: int, bmask: int) -> VectorSpaceComplex:
+    """``restricted_complex`` of the vertices ``dims``, with ``edge((alpha,
+    i))`` the edge matrix between two nonzero vertices, or None for a zero
+    one.  The ``Hypercube`` constructor assembles main by it from the edges
+    it is given, and ``restricted_complex`` from a cube's own edges."""
+    p = field.p
     # the vertices bmask \ gamma over gamma <= amask are base | s, s <= span
     base, span = bmask & ~amask, bmask & amask
     verts = [v for v in dims if (v ^ base) & ~span == 0]
@@ -348,7 +389,6 @@ def restricted_complex(cube: Hypercube, amask: int, bmask: int) -> VectorSpaceCo
             start[g] = t
             t += dims[bmask & ~g]
         sizes.append(t)
-    edges = cube.edge_mats
     maps = []
     for lv, size, src_size in zip(levels, sizes, sizes[1:]):
         data = []
@@ -364,10 +404,10 @@ def restricted_complex(cube: Hypercube, amask: int, bmask: int) -> VectorSpaceCo
                     continue
                 flip = popcount(g & (bit - 1)) & 1
                 if bmask & bit:
-                    edge = edges.get((v ^ bit, bit.bit_length() - 1))
-                    if edge is None:
+                    mat = edge((v ^ bit, bit.bit_length() - 1))
+                    if mat is None:
                         continue
-                    for out, row in zip(rows, edge.data):
+                    for out, row in zip(rows, mat.data):
                         if not flip:
                             out.extend([(c0 + c, x) for c, x in row])
                         else:
@@ -390,10 +430,10 @@ def matlis_dual(cube: Hypercube) -> Hypercube:
     """Shifted Matlis dual: vertex a <-> vertex 1-a, edges transposed."""
     full = full_mask(cube.n)
     dims = {full ^ a: d for a, d in cube.dims.items()}
-    edges = {}
-    for (alpha, i), mat in cube.edge_mats.items():
-        gamma = full ^ (alpha | 1 << i)
-        edges[(gamma, i)] = mat.transpose()
+    edges = {
+        (full ^ (alpha | 1 << i), i): cube.edge(alpha, i).transpose()
+        for alpha, i in _edges_below(cube, full)
+    }
     return Hypercube(cube.n, cube.r, cube.field, dims, edges)
 
 
@@ -414,8 +454,17 @@ def face_restricted_hypercube(cube: Hypercube, amask: int) -> Hypercube:
 
     dims = {compress(a): d for a, d in cube.dims.items() if contains(amask, a)}
     edges = {
-        (compress(a), local[i]): m
-        for (a, i), m in cube.edge_mats.items()
-        if contains(amask, a) and amask >> i & 1
+        (compress(a), local[i]): cube.edge(a, i)
+        for a, i in _edges_below(cube, amask)
     }
     return Hypercube(len(positions), cube.r, cube.field, dims, edges)
+
+
+def _edges_below(cube: Hypercube, amask: int):
+    """The edges (alpha, i) between nonzero vertices below amask."""
+    dims = cube.dims
+    for alpha in dims:
+        if contains(amask, alpha):
+            for i in bits_of(amask & ~alpha):
+                if alpha | 1 << i in dims:
+                    yield alpha, i

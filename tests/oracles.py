@@ -18,7 +18,9 @@ the hypercube's edge maps with one ``solve_matrix`` per edge instead of
 the one reduction per vertex the build uses, on cochain complexes formed
 per restriction instead of selected from one complex, and
 ``per_mask_hypercubes`` solves every mask on its own, where the build
-solves each distinct restricted complex once; ``bass_row``
+solves each distinct restricted complex once; ``nonzero_edges`` lists a
+cube's edges between nonzero vertices through ``Hypercube.edge``;
+``bass_row``
 assembles a Bass row's complex on its own instead of reading ranks of the
 main complex, ``interval_complex`` selects one interval of the main
 complex as its own checked complex (the per-hull reference for the Bass
@@ -362,6 +364,18 @@ def homology_space_full_rows(field, dim, d_out, d_in, vectors=None):
         if pc >= k0
     ]
     return reps, ExactMatrix._wrap(field, reps.cols, vectors.cols, classes)
+
+
+def nonzero_edges(cube):
+    """{(alpha, i): cube.edge(alpha, i)} over every edge whose two ends are
+    nonzero vertices, keys in increasing order: the edges a build passes to
+    the ``Hypercube`` constructor."""
+    dims = cube.dims
+    return {
+        (alpha, i): cube.edge(alpha, i)
+        for alpha in sorted(dims) for i in range(cube.n)
+        if not alpha >> i & 1 and alpha | 1 << i in dims
+    }
 
 
 def squares_commute(n, dims, edges):

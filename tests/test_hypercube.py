@@ -1,6 +1,9 @@
+import gc
 import hashlib
 import random
 import re
+import tracemalloc
+from fractions import Fraction
 from functools import reduce
 from operator import and_
 
@@ -50,6 +53,7 @@ from .oracles import (
     interval_complex,
     masks,
     matmul,
+    nonzero_edges,
     per_edge_maps,
     per_mask_hypercubes,
     random_ideal,
@@ -67,7 +71,7 @@ def test_face_ideal_single_vertex_all_small_cases():
             ideal = MonomialIdeal(n, tuple(1 << b for b in range(n) if alpha >> b & 1))
             cube = build_hypercube(ideal, popcount(alpha), QQ)
             assert cube.dims == {alpha: 1}
-            assert cube.edge_mats == {}
+            assert nonzero_edges(cube) == {}
 
 
 def test_a5_r2_vertices_and_rank(a5):
@@ -288,10 +292,11 @@ def test_checks_catch_one_changed_edge_entry(ex57):
     # has a nonzero column a: that square stops commuting, and so d∘d of
     # the main complex is nonzero on it, and the cube is refused.
     cube = build_hypercube(ex57, 3, QQ)
+    edges = nonzero_edges(cube)
     found = None
-    for (alpha, i), mat in sorted(cube.edge_mats.items()):
+    for (alpha, i), mat in sorted(edges.items()):
         for j in range(ex57.n):
-            nxt = cube.edge_mats.get((alpha | 1 << i, j))
+            nxt = edges.get((alpha | 1 << i, j))
             if nxt is not None and not alpha >> j & 1:
                 cols = [c for row in nxt.dense() for c, x in enumerate(row) if x]
                 if cols:
@@ -303,7 +308,6 @@ def test_checks_catch_one_changed_edge_entry(ex57):
     key, mat, a = found
     entries = mat.dense()
     entries[a][0] += 1
-    edges = dict(cube.edge_mats)
     edges[key] = ExactMatrix(QQ, mat.rows, mat.cols, entries)
     with pytest.raises(ContractError, match="r=3: squares do not commute"):
         Hypercube(cube.n, cube.r, cube.field, cube.dims, edges)
@@ -339,15 +343,16 @@ def test_square_check_agrees_with_the_square_loop(ex57, a5, ex52, f):
     cubes += [build_hypercube(ex52, r, f) for r in range(2, 6)]
     outcomes, zero_middle_broken = set(), 0
     for cube in cubes:
-        assert squares_commute(cube.n, cube.dims, cube.edge_mats)
+        stored = nonzero_edges(cube)
+        assert squares_commute(cube.n, cube.dims, stored)
         paths = _zero_middle_paths(cube)
-        for t, key in enumerate(sorted(cube.edge_mats)):
+        for t, key in enumerate(sorted(stored)):
             if key not in paths and t % 16:
                 continue
-            mat = cube.edge_mats[key]
+            mat = stored[key]
             entries = mat.dense()
             entries[t % mat.rows][t % mat.cols] += 1
-            edges = dict(cube.edge_mats)
+            edges = dict(stored)
             edges[key] = ExactMatrix(f, mat.rows, mat.cols, entries)
             commute = squares_commute(cube.n, cube.dims, edges)
             try:
@@ -397,7 +402,7 @@ def test_face_restriction_identity_and_zero(a5, ex53):
     full = full_mask(5)
     cube = build_hypercube(a5, 2, QQ)
     same = face_restricted_hypercube(cube, full)
-    assert same.dims == cube.dims and same.edge_mats == cube.edge_mats
+    assert same.dims == cube.dims and nonzero_edges(same) == nonzero_edges(cube)
     # a face ideal hypercube restricted below its support is empty
     face = MonomialIdeal(5, tuple(masks([1], [2], [3])))
     fc = build_hypercube(face, 3, QQ)
@@ -448,7 +453,7 @@ def test_matlis_dual_involution(a5, ex57):
         cube = build_hypercube(ideal, 2, QQ)
         dd = matlis_dual(matlis_dual(cube))
         assert dd.dims == cube.dims
-        assert dd.edge_mats == cube.edge_mats
+        assert nonzero_edges(dd) == nonzero_edges(cube)
 
 
 def test_hypercube_zero_only_outside_height_range(a4, a5, ex46, ex53, ex57):
@@ -474,6 +479,114 @@ def test_edge_refuses_a_direction_outside_the_cube():
             cube.edge(0, i)
     e = cube.edge(0, 2)
     assert (e.rows, e.cols) == (cube.vertex_dim(4), cube.vertex_dim(0))
+
+
+def _passed_edges(monkeypatch):
+    """Make the build record the edge dict it passes to each ``Hypercube``
+    constructor, in the order the cubes are built."""
+    passed, real = [], hypercube.Hypercube
+
+    def recording(n, r, field, dims, edge_mats):
+        passed.append(edge_mats)
+        return real(n, r, field, dims, edge_mats)
+
+    monkeypatch.setattr(hypercube, "Hypercube", recording)
+    return passed
+
+
+@pytest.mark.parametrize("f", [QQ, F2], ids=["q", "f2"])
+def test_edges_read_off_main_are_the_edges_the_build_passed(monkeypatch, a5, a6, a7, a8, ex53, ex57, f):
+    # a cube keeps main, not its edges: every edge read off main, its sign
+    # undone, is the matrix the build passed to the constructor and the one
+    # solved on its own per edge, scalar types included
+    passed = _passed_edges(monkeypatch)
+    for ideal in (a5, a6, a7, a8, nine_vars_ideal(), rp2_ideal(), ex53, ex57):
+        passed.clear()
+        cubes = hypercube._build_all_degrees.__wrapped__(ideal, f)  # never cached
+        for cube, edges in zip(cubes, passed, strict=True):
+            assert nonzero_edges(cube).keys() == edges.keys(), (ideal.gens, cube.r)
+            oracle = per_edge_maps(ideal, cube.r, f)
+            for key, mat in edges.items():
+                assert _typed(cube.edge(*key)) == _typed(mat) == _typed(oracle[key]), (ideal.gens, cube.r, key)
+
+
+def _signed_square():
+    """A commuting square over Q, every vertex of dimension 2, with Fraction
+    and negative entries: u_{e_0,1} u_{0,0} = 2A = u_{e_1,0} u_{0,1}."""
+    a = ExactMatrix(QQ, 2, 2, [[Fraction(1, 2), 0], [-3, Fraction(-2, 7)]])
+    two = ExactMatrix(QQ, 2, 2, [[2, 0], [0, 2]])
+    edges = {(0, 0): a, (0b01, 1): two, (0, 1): a, (0b10, 0): two}
+    return Hypercube(2, 1, QQ, dict.fromkeys(range(4), 2), edges), edges
+
+
+def test_edge_undoes_the_sign_main_gives_it():
+    # the edge (0, 1) sits in main's map 1 (gamma = e_0) with the sign
+    # (-1)^(bits of gamma below 1) = -1; read back, it is the matrix passed,
+    # Fractions as Fractions and integers as integers
+    cube, edges = _signed_square()
+    for key, mat in edges.items():
+        assert _typed(cube.edge(*key)) == _typed(mat), key
+    block = [row[:2] for row in cube.main.maps[1].dense()[cube.starts[0b10]:][:2]]
+    assert block == [[-x for x in row] for row in edges[0, 1].dense()]
+    assert any(type(x) is Fraction for row in cube.edge(0, 1).data for _, x in row)
+    assert any(type(x) is int for row in cube.edge(0, 1).data for _, x in row)
+
+
+def test_edge_at_a_zero_end_or_between_unjoined_vertices_is_zero():
+    cube = Hypercube(2, 1, QQ, {0b01: 1, 0b11: 1}, {})
+    assert cube.edge(0b01, 1) == ExactMatrix(QQ, 1, 1)  # both ends, no edge passed
+    assert cube.edge(0, 0) == ExactMatrix(QQ, 1, 0)
+    assert cube.edge(0b10, 0) == ExactMatrix(QQ, 1, 0)
+    assert cube.edge(0, 1) == ExactMatrix(QQ, 0, 0)
+
+
+def test_a_returned_edge_is_the_callers_own(a5):
+    # mutating an edge changes neither a later edge of the cached cube, nor
+    # main, nor what matlis_dual reads
+    cube = build_hypercube(a5, 2, QQ)
+    key, before = next((k, m) for k, m in nonzero_edges(cube).items() if m.data[0])
+    maps = [list(m.data) for m in cube.main.maps]
+    dual = nonzero_edges(matlis_dual(cube))
+    got = cube.edge(*key)
+    got.data[0] = ()
+    assert got != before
+    assert build_hypercube(a5, 2, QQ).edge(*key) == before
+    assert [m.data for m in cube.main.maps] == maps
+    assert nonzero_edges(matlis_dual(cube)) == dual
+
+
+def test_restricted_complex_matches_dense_assembly_at_every_mask_pair(a5, ex57):
+    # every (amask, bmask), neither holding the other included, on cubes
+    # whose edges are read off main
+    cubes = [_signed_square()[0], build_hypercube(a5, 2, QQ), build_hypercube(ex57, 3, F3)]
+    for cube in cubes:
+        for amask in range(1 << cube.n):
+            for bmask in range(1 << cube.n):
+                dims, maps = dense_restricted_complex(cube, amask, bmask)
+                cx = restricted_complex(cube, amask, bmask)
+                assert list(cx.dims) == dims
+                assert [m.dense() for m in cx.maps] == maps, (cube.n, amask, bmask)
+                if amask & ~bmask:
+                    assert not any(homology_dims(cx)), (cube.n, amask, bmask)
+
+
+def test_a_cached_build_keeps_its_main_complexes_and_not_its_edges():
+    # one cached a10 build over Q keeps about 0.7 MB: its 11 cubes' vertex
+    # dimensions, main complexes and starts.  With every edge stored beside
+    # main it kept 2.3 MB
+    ideal = cycle_nonedge_ideal(10)
+    hypercube.minimal_primes(ideal)  # fill the transversal cache outside the measure
+    hypercube._build_all_degrees.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build_hypercube(ideal, 2, QQ)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert kept < 1.2 * 2**20, kept
 
 
 def test_hypercube_caching(a5):
@@ -581,8 +694,9 @@ def test_edges_are_transposed_induced_cohomology_maps(ex53, a5):
     for ideal, r in ((ex53, 4), (a5, 2)):
         cube = build_hypercube(ideal, r, QQ)
         dual = complex_alexander_dual(stanley_reisner(ideal))
-        assert cube.edge_mats
-        for (alpha, i), mat in cube.edge_mats.items():
+        edges = nonzero_edges(cube)
+        assert edges
+        for (alpha, i), mat in edges.items():
             small = restriction(dual, alpha)
             big = restriction(dual, alpha | 1 << i)
             induced = induced_cohomology_map(small, big, r - 2, QQ)
@@ -600,8 +714,9 @@ def test_edges_match_per_edge_solve_oracle(a5, ex53, ex57, ex52, f):
         for r in range(ideal.n + 1):
             cube = build_hypercube(ideal, r, f)
             oracle = per_edge_maps(ideal, r, f)
-            assert cube.edge_mats.keys() == oracle.keys()
-            for key, mat in cube.edge_mats.items():
+            edges = nonzero_edges(cube)
+            assert edges.keys() == oracle.keys()
+            for key, mat in edges.items():
                 assert mat == oracle[key], (ideal.gens, r, key)
                 assert [[type(v) for _, v in row] for row in mat.data] == [
                     [type(v) for _, v in row] for row in oracle[key].data
@@ -632,7 +747,7 @@ def test_cubes_are_pinned_byte_for_byte(name, ideal, f):
     for r in range(ideal.n + 1):
         cube = build_hypercube(ideal, r, f)
         digest.update(repr((r, sorted(cube.dims.items()), sorted(
-            (key, m.rows, m.cols, m.data) for key, m in cube.edge_mats.items()
+            (key, m.rows, m.cols, m.data) for key, m in nonzero_edges(cube).items()
         ))).encode())
     assert digest.hexdigest() == CUBE_SHA256[(name, f.name())]
 
@@ -680,11 +795,12 @@ def test_build_matches_the_per_mask_solve(a5, a6, a7, a8, ex53, ex57, f):
         cubes = hypercube._build_all_degrees.__wrapped__(ideal, f)
         for cube, ref in zip(cubes, per_mask_hypercubes(ideal, f), strict=True):
             assert cube.dims == ref.dims, (ideal.gens, cube.r)
-            assert cube.edge_mats.keys() == ref.edge_mats.keys()
-            for key, mat in cube.edge_mats.items():
-                assert _typed(mat) == _typed(ref.edge_mats[key]), (ideal.gens, cube.r, key)
+            edges, ref_edges = nonzero_edges(cube), nonzero_edges(ref)
+            assert edges.keys() == ref_edges.keys()
+            for key, mat in edges.items():
+                assert _typed(mat) == _typed(ref_edges[key]), (ideal.gens, cube.r, key)
             assert list(map(_typed, cube.main.maps)) == list(map(_typed, ref.main.maps))
-            shared += len(cube.edge_mats)
+            shared += len(edges)
     assert shared
 
 
