@@ -17,9 +17,10 @@ vectors.  All reported numbers are exact integers.
 Exit codes: 0 success; 1 a failed check or a refused computation
 (``error:``); 2 unreadable or malformed input (``input error:``);
 141 (128 + SIGPIPE) when stdout is closed before the report is written,
-as in ``lyub table a9.ideal | head -1``, with nothing printed; 130
-(128 + SIGINT) when interrupted with Ctrl-C, after one ``interrupted``
-line on stderr.  A closed stdin read as ``-`` is unreadable input (2).
+as in ``lyub table a9.ideal | head -1`` or with file descriptor 1 closed,
+with nothing printed; 130 (128 + SIGINT) when interrupted with Ctrl-C,
+after one ``interrupted`` line on stderr.  A closed stdin read as ``-`` is
+unreadable input (2).
 """
 
 import argparse
@@ -479,6 +480,32 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 EXIT_BROKEN_PIPE = 141
 EXIT_INTERRUPTED = 130
+_JSON_STR = json.encoder.encode_basestring_ascii  # as ensure_ascii=True writes
+
+
+def _json_text(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte.  With ``indent`` set,
+    ``json`` encodes in pure Python; this walks dicts, lists and tuples
+    itself and writes a list of plain ints (not bools) with one join.  Keys
+    are str, as in every report."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [_JSON_STR(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        if set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, str):
+        return _JSON_STR(value)
+    return json.dumps(value)  # None, a bool, an int in a dict, a float
 
 
 def _read_text(path: str) -> str:
@@ -515,9 +542,11 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    if sys.stdout is None:  # started with file descriptor 1 closed
+        return EXIT_BROKEN_PIPE
     try:
         if args.json:
-            print(json.dumps(report, indent=2))
+            print(_json_text(report))
         else:
             print(render_report(report))
         sys.stdout.flush()

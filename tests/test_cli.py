@@ -2,8 +2,10 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ import lyub
 from lyub import InputError, QQ, intersect_face_ideals, prime_field
 from lyub.cli import (
     EXIT_BROKEN_PIPE,
+    _json_text,
     main,
     parse_field,
     parse_input,
@@ -427,6 +430,15 @@ def test_main_closed_stdin(monkeypatch, capsys):
     assert captured.err == "input error: -: stdin is closed\n"
 
 
+def test_main_closed_stdout(monkeypatch, tmp_path, capsys):
+    # a process started with file descriptor 1 closed has sys.stdout None
+    path = tmp_path / "a4.ideal"
+    path.write_text(A4_GENS)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["table", str(path)]) == EXIT_BROKEN_PIPE
+    assert capsys.readouterr().err == ""
+
+
 def test_main_interrupted(monkeypatch, tmp_path, capsys):
     from lyub import cli
 
@@ -620,6 +632,56 @@ def test_every_command_prints_the_recorded_output(name, field):
     # the sha256 was taken over exit code, stdout and stderr of each run
     invocations = _per_file_invocations(IDEALS / f"{name}.ideal", field)
     assert _transcript_sha256(invocations) == OUTPUT_SHA256[name, field]
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in OUTPUT_SHA256}))
+@pytest.mark.parametrize("field", ["q", "fp:2"])
+def test_json_text_matches_json_dumps_on_every_report(name, field):
+    spec = replace(parse_input((IDEALS / f"{name}.ideal").read_text()), field=parse_field(field))
+    for command in COMMANDS:
+        for r in (None, 0, 2) if command in READS_R else (None,):
+            try:
+                report = run(spec, command, r=r)
+            except lyub.LyubError:  # e.g. dims on a degree where H^r vanishes
+                continue
+            assert _json_text(report) == json.dumps(report, indent=2), (command, r)
+
+
+_KEYS = ("r", "alpha", "k\u00e9y", "\n\x01", "")
+_LEAVES = (None, True, False, 0, 7, -3, 10**20, -987654321, "", "mu",
+           "\u00e9\u4e2d\U0001f600", "\x00\t\n\x1f\"\\/\u2028", 0.1)
+
+
+def _random_json(rng: random.Random, depth: int):
+    """A random JSON-shaped value: dicts, lists and tuples (any of them
+    possibly empty) down to ``depth``, lists of ints with a bool mixed in
+    now and then, and leaves from ``_LEAVES``."""
+    kind = rng.randrange(5) if depth else 4
+    if kind == 0:
+        return {rng.choice(_KEYS) + str(i): _random_json(rng, depth - 1)
+                for i in range(rng.randrange(4))}
+    if kind in (1, 2):
+        items = [_random_json(rng, depth - 1) for _ in range(rng.randrange(4))]
+        return items if kind == 1 else tuple(items)
+    if kind == 3:
+        ints = [rng.randrange(-10**6, 10**6) for _ in range(rng.randrange(1, 5))]
+        if rng.randrange(2):
+            ints.insert(rng.randrange(len(ints) + 1), rng.choice((True, False)))
+        return ints
+    return rng.choice(_LEAVES)
+
+
+def test_json_text_matches_json_dumps_on_random_structures():
+    rng = random.Random(27)
+    texts = []
+    for _ in range(400):
+        value = _random_json(rng, 4)
+        texts.append(json.dumps(value, indent=2))
+        assert _json_text(value) == texts[-1]
+    # the draws reach empty containers, bools, None, the float and escapes
+    seen = "".join(texts)
+    for piece in ("{}", "[]", "true", "null", "0.1", "-987654321", "\\u00e9", "\\u0000"):
+        assert piece in seen
 
 
 def test_help_and_usage_errors_print_the_recorded_text(monkeypatch):
