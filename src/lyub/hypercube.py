@@ -8,13 +8,17 @@ a-restriction into the (a+e_i)-restriction induces a map on cohomology by
 cochain restriction; the canonical map u_{a,i} between vertices is its
 transpose.
 
-Each cube owns its main complex, assembled by the ``Hypercube`` constructor
-from the edge matrices it is given, whose d∘d check is the check that every
-square commutes.  The Lyubeznik numbers are its homology, and each Bass or
-dual Bass row is the homology of one interval of it, whose ranks are row
-ranks of main's maps (``invariants._hull_rows``).  A cube keeps its vertex
-dimensions and main, not its edges: main holds every edge as one signed
-block, and ``Hypercube.edge`` reads it back from there.
+Each cube owns its main complex, whose d∘d check is the check that every
+square commutes.  The build writes main's maps itself, from the classes it
+solves for, with no edge matrix in between; ``Hypercube(n, r, field, dims,
+edge_mats)`` checks the edge matrices it is given and assembles main from
+them (``matlis_dual``, ``face_restricted_hypercube``).  Either way one
+initializer runs every check of the cube, main's d∘d check once.  The
+Lyubeznik numbers are main's homology, and each Bass or dual Bass row is
+the homology of one interval of it, whose ranks are row ranks of main's
+maps (``invariants._hull_rows``).  A cube keeps its vertex dimensions and
+main, not its edges: main holds every edge as one signed block, and
+``Hypercube.edge`` reads it back from there.
 
 One build serves every degree r.  The cochain complex of D^v is formed
 once, and each mask a selects the cochain complex of its restriction from
@@ -54,11 +58,16 @@ reached, every nonzero a+e_i of the same degree has its representatives,
 kept as {face: row}, and the rows at a's faces, side by side, are a's
 vectors.  Per mask, ``linalg.homology_classes`` checks they are cocycles,
 against the reduced coboundary out of a's cochains, and multiplies them by
-the projection; the classes give every edge map out of a.  So every mask
-keeps its own d∘d check, cocycle test, edge matrices and the ``Hypercube``
-constructor's checks, and only the reductions are shared.  The
-representatives and solves are dropped before the first cube is
-constructed, and each degree's edges once its cube holds them in main.
+the projection; the classes, transposed and signed, are every edge out of
+a, and they go straight into main's rows.  Decreasing masks are main's
+summand order (gamma = full \\ a increasing), so a's columns start at the
+running size of its level, and every row of a+e_i receives its columns in
+increasing order.  A vertex's representatives are dropped, and its rows
+made final, once the last of its lower neighbours, the mask without its
+highest bit, has been visited.  So every mask keeps its own d∘d check and
+cocycle test, every cube its layout and square checks, and only the
+reductions are shared.  The solves are dropped before the first cube is
+constructed.
 
 Degenerate degrees: vertices sit in cohomological degree q = r - 2, and the
 q = -2 and q = -1 conventions of the cohomology module apply.  The vertex at
@@ -109,22 +118,28 @@ class Hypercube:
     """Vertex dimensions and main complex of one H_I^r(R).
 
     Only nonzero vertices are stored, in ``dims``; ``vertex_dim``
-    materializes the zero ones.  ``build_hypercube`` computes the edges top
-    down, so an edge alpha -> alpha+e_i is known when alpha is reached, from
-    the representatives alpha+e_i already has, and passes them, keyed
-    (alpha, i), to the constructor, which keeps none of them.
+    materializes the zero ones.  ``main`` is the main complex: position p
+    holds the vertices full \\ gamma with |gamma| = p, in increasing order
+    of gamma, and ``starts`` gives each nonzero vertex's first basis index
+    in its position.  ``build_hypercube`` writes main's maps top down from
+    the classes of each vertex and hands them to ``_of_main``;
+    ``Hypercube(n, r, field, dims, edge_mats)`` takes edges keyed (alpha,
+    i), refuses one whose direction does not fit alpha, whose ends are not
+    stored, or whose shape or field is not the cube's, and assembles main
+    from them, keeping none.  Both end in ``_initialize``, which refuses a
+    mask outside the cube and a vertex of dimension below 1, checks main as
+    a ``VectorSpaceComplex`` on the level sizes of ``dims`` (so a map that
+    does not fit the layout is refused with ``InputError``) and computes
+    ``starts``.
 
-    The constructor assembles ``main``, the main complex: position p holds
-    the vertices full \\ gamma with |gamma| = p, in increasing order of
-    gamma, and ``starts`` gives each nonzero vertex's first basis index in
-    its position.  Its d∘d check is the check that every square commutes,
-    so no other cube can be constructed.  For a = full \\ (gamma + e_i +
-    e_j), i < j, and s_k = (-1)^(bits of gamma below k), the block of d∘d
-    from summand gamma + e_i + e_j to summand gamma is s_i s_j (u_{a+e_i,j}
-    u_{a,i} - u_{a+e_j,i} u_{a,j}), zero exactly when the square at
-    (a, i, j) commutes.  Such a block exists exactly when a and a + e_i +
-    e_j are nonzero vertices, the squares on which commutativity says
-    anything; a zero middle vertex gives no term, as its zero edge would.
+    Main's d∘d check is the check that every square commutes, so no other
+    cube can be constructed.  For a = full \\ (gamma + e_i + e_j), i < j,
+    and s_k = (-1)^(bits of gamma below k), the block of d∘d from summand
+    gamma + e_i + e_j to summand gamma is s_i s_j (u_{a+e_i,j} u_{a,i} -
+    u_{a+e_j,i} u_{a,j}), zero exactly when the square at (a, i, j)
+    commutes.  Such a block exists exactly when a and a + e_i + e_j are
+    nonzero vertices, the squares on which commutativity says anything; a
+    zero middle vertex gives no term, as its zero edge would.
 
     The edge (alpha, i) is the block of main's map p = |full \\ (alpha +
     e_i)| on the rows of alpha + e_i and the columns of alpha, times
@@ -132,47 +147,65 @@ class Hypercube:
     there, undoes the sign and returns a new matrix each call, the zero
     matrix where an end is zero.
 
-    A layout that ``main`` and ``starts`` cannot describe is refused with
-    ``InputError`` (``_check_layout``).  Nothing changes after construction
-    but ``_homology`` (main's homology, ``invariants._main_homology``),
-    ``_bass`` (the rows of the Bass and dual Bass tables) and ``_below``
-    (the sweeps of ``invariants._below``), each filled on first request
-    from the cube alone, so sharing the cube, as the cache of
-    ``build_hypercube`` does, stays safe.
+    Nothing changes after construction but ``_homology`` (main's homology,
+    ``invariants._main_homology``), ``_bass`` (the rows of the Bass and
+    dual Bass tables) and ``_below`` (the sweeps of ``invariants._below``),
+    each filled on first request from the cube alone, so sharing the cube,
+    as the cache of ``build_hypercube`` does, stays safe.
     """
 
     __slots__ = ("n", "r", "field", "dims", "main", "starts", "_homology", "_bass", "_below")
 
     def __init__(self, n: int, r: int, field: Field, dims, edge_mats: dict):
+        dims = dict(dims)
+        _check_edges(n, field, dims, edge_mats)
+        full = full_mask(n)
+        self._initialize(n, r, field, dims, _assemble(field, dims, edge_mats.get, full, full)[1])
+
+    @classmethod
+    def _of_main(cls, n: int, r: int, field: Field, dims: dict, maps: list) -> "Hypercube":
+        """The cube whose main complex has the maps ``maps``, which the build
+        writes from its classes with no edge matrix in between."""
+        cube = cls.__new__(cls)
+        cube._initialize(n, r, field, dims, maps)
+        return cube
+
+    def _initialize(self, n: int, r: int, field: Field, dims: dict, maps) -> None:
+        """Every check of a cube, as the class docstring lists them, on the
+        vertices ``dims`` (kept, not copied) and main's ``maps``."""
         self.n = n
         self.r = r
         self.field = field
-        self.dims = dict(dims)
-        _check_layout(self, edge_mats)
+        self.dims = dims
+        _check_masks(n, *dims)
+        for v, d in dims.items():
+            if d < 1:
+                raise InputError(f"stored vertex {v} has dimension {d}, not at least 1")
         full = full_mask(n)
+        self.starts, sizes = {}, [0] * (n + 1)
+        for v in sorted(dims, key=full.__xor__):  # main's summand order
+            level = n - popcount(v)
+            self.starts[v] = sizes[level]
+            sizes[level] += dims[v]
         try:
-            self.main = _assemble(field, self.dims, edge_mats.get, full, full)
+            self.main = VectorSpaceComplex(field, sizes, maps)
         except ContractError as exc:
             raise ContractError(
                 f"hypercube of degree r={r}: squares do not commute ({exc})"
             ) from None
-        self.starts, sizes = {}, [0] * (n + 1)
-        for v in sorted(self.dims, key=full.__xor__):  # main's summand order
-            self.starts[v] = sizes[popcount(v)]
-            sizes[popcount(v)] += self.dims[v]
         self._homology: tuple | None = None  # homology_dims(self.main)
         self._bass: dict = {}  # dual? -> rows of the Bass or dual Bass table
         self._below: dict = {}  # dual? -> the per-mask totals of ``_bass_work``
 
     def vertex_dim(self, alpha: int) -> int:
-        _check_masks(self, alpha)
+        _check_masks(self.n, alpha)
         return self.dims.get(alpha, 0)
 
     def edge(self, alpha: int, i: int) -> ExactMatrix:
         """The canonical map at (alpha, i): vertex alpha -> vertex alpha+e_i,
         read off its block of main with the sign undone, by the rule the
         assembly signs it with; a new matrix on each call."""
-        _check_edge(self, alpha, i)
+        _check_edge(self.n, alpha, i)
         top = alpha | 1 << i
         rows, cols = self.dims.get(top, 0), self.dims.get(alpha, 0)
         if not (rows and cols):
@@ -201,7 +234,7 @@ class Hypercube:
 # n+1 cubes of every degree; the least recently used is evicted first.
 # This is above the 6 entries one pass of the ``hypercube`` benchmark holds
 # (a10, nine and a8, over Q and F_2).  An entry keeps vertex dimensions and
-# main complexes: over Q, 0.7 MiB at a10, 5.0 at a12, 12.4 at a13 and 29.8
+# main complexes: over Q, 0.64 MiB at a10, 4.0 at a12, 9.6 at a13 and 22.5
 # at a14 (``tracemalloc``, Python 3.11), so the count, not the bytes, is
 # what is bounded.
 HYPERCUBE_CACHE_SIZE = 16
@@ -235,14 +268,19 @@ def _build_all_degrees(ideal: MonomialIdeal, field: Field) -> tuple[Hypercube, .
     lattice = unions_below(n, minimal_primes(ideal))
     # per degree r: the nonzero vertices' dimensions, their representatives
     # in cohomological degree r - 2 as {face: row} (nonzero rows only), and
-    # the edges between them.  A complex on |alpha| <= n vertices has no
+    # main's rows and starts.  A complex on |alpha| <= n vertices has no
     # cohomology above degree n - 2.
     dims: list[dict] = [{} for _ in range(n + 1)]
     spaces: list[dict] = [{} for _ in range(n + 1)]
-    edges: list[dict] = [{} for _ in range(n + 1)]
+    # per degree, the rows of main's map p (the vertices v with |full \ v|
+    # = p) and each vertex's first row there, as rows are added: the masks
+    # are visited in decreasing order, which is main's summand order
+    main_rows: list[list] = [[[] for _ in range(n + 1)] for _ in range(n + 1)]
+    starts: list[dict] = [{} for _ in range(n + 1)]
+    p = field.p
     # restricted complex (basis sizes, coboundary rows) -> its solve
     solved: dict[tuple, list] = {}
-    # top down, so each alpha + e_i already has its representatives
+    # top down, so each alpha + e_i already has its representatives and rows
     for alpha in range(full, 0, -1):  # alpha = 0 is pinned to zero
         if lattice[alpha] != alpha:
             continue
@@ -251,40 +289,61 @@ def _build_all_degrees(ideal: MonomialIdeal, field: Field) -> tuple[Hypercube, .
         degrees = solved.get(key)
         if degrees is None:
             degrees = solved[key] = _solve(cc)
+        level = n - popcount(alpha)
         for q, h, red, reps, proj in degrees:
-            faces, above = cc.faces(q), spaces[q + 2]
+            faces, above, first = cc.faces(q), spaces[q + 2], starts[q + 2]
+            below, here = main_rows[q + 2][level - 1], main_rows[q + 2][level]
             ups = [
                 i for i in range(n)
                 if not alpha >> i & 1 and alpha | 1 << i in above
             ]
             # the representatives of each alpha + e_i restricted to alpha's
-            # faces, side by side: one row per face of alpha
+            # faces, side by side: one row per face of alpha.  The edge
+            # alpha -> alpha + e_i, the transposed induced map, is the block
+            # of main's rows of alpha + e_i, times (-1)^(bits of full \
+            # (alpha + e_i) below i): column j of the classes goes to row
+            # targets[j], negated where flips[j]
             vecs = [[] for _ in faces]
-            width = 0
+            width, targets, flips = 0, [], []
             for i in ups:
-                big = above[alpha | 1 << i]
+                top = alpha | 1 << i
+                big, w, r0 = above[top], dims[q + 2][top], first[top]
                 for out, f in zip(vecs, faces):
                     row = big.get(f)
                     if row:
                         out.extend([(width + j, x) for j, x in row] if width else row)
-                width += dims[q + 2][alpha | 1 << i]
+                width += w
+                targets += below[r0:r0 + w]
+                flips += [popcount((full ^ top) & ((1 << i) - 1)) & 1] * w
             vectors = ExactMatrix._wrap(field, len(faces), width, list(map(tuple, vecs)))
             classes = homology_classes(vectors, red, proj)
             dims[q + 2][alpha] = h
             above[alpha] = {f: row for f, row in zip(faces, reps.data) if row}
-            # the edge alpha -> alpha + e_i is the transposed induced map
-            cols, c0 = classes.transpose().data, 0
+            # alpha's columns come after those of every vertex of its level
+            # visited before it, and each row receives them in order
+            c0 = first[alpha] = len(here)
+            here.extend([] for _ in range(h))
+            for c, row in enumerate(classes.data, c0):
+                for j, x in row:
+                    targets[j].append((c, (p - x if p else -x) if flips[j] else x))
+            # alpha + e_i with i above alpha's bits has no lower neighbour
+            # left to visit: its representatives go, and its rows are complete
             for i in ups:
-                w = dims[q + 2][alpha | 1 << i]
-                edges[q + 2][(alpha, i)] = ExactMatrix._wrap(field, w, h, cols[c0:c0 + w])
-                c0 += w
-    # A cube keeps its edges only as blocks of main, so each degree's edges
-    # go once its cube is built, and the representatives before any is.
+                if 1 << i > alpha:
+                    top = alpha | 1 << i
+                    del above[top]
+                    r0 = first[top]
+                    r1 = r0 + dims[q + 2][top]
+                    below[r0:r1] = map(tuple, below[r0:r1])
     del spaces, solved
     cubes = []
-    for r in range(n + 1):
-        cubes.append(Hypercube(n, r, field, dims[r], edges[r]))
-        edges[r] = None
+    for r, by_level in enumerate(main_rows):
+        sizes = list(map(len, by_level))
+        maps = [
+            ExactMatrix._wrap(field, size, src_size, list(map(tuple, lv)))
+            for lv, size, src_size in zip(by_level, sizes, sizes[1:])
+        ]
+        cubes.append(Hypercube._of_main(n, r, field, dims[r], maps))
     return tuple(cubes)
 
 
@@ -311,36 +370,32 @@ def _solve(cc) -> list[tuple]:
     return out
 
 
-def _check_masks(cube: Hypercube, *masks: int) -> None:
-    if any(m >> cube.n for m in masks):  # negative masks included
+def _check_masks(n: int, *masks: int) -> None:
+    if any(m >> n for m in masks):  # negative masks included
         raise InputError("mask does not fit the hypercube")
 
 
-def _check_edge(cube: Hypercube, alpha: int, i: int) -> None:
-    _check_masks(cube, alpha)
-    if not 0 <= i < cube.n:
-        raise InputError(f"edge direction {i} outside [0, {cube.n})")
+def _check_edge(n: int, alpha: int, i: int) -> None:
+    _check_masks(n, alpha)
+    if not 0 <= i < n:
+        raise InputError(f"edge direction {i} outside [0, {n})")
     if alpha >> i & 1:
         raise InputError("edge direction bit already set")
 
 
-def _check_layout(cube: Hypercube, edge_mats: dict) -> None:
-    """Refuse a mask outside the cube, a stored vertex of dimension below 1,
-    and an edge (alpha, i) of ``edge_mats`` with bit i out of range or set in
-    alpha, an end not stored, or a shape other than dim(alpha + e_i) x
-    dim(alpha)."""
-    dims = cube.dims
-    _check_masks(cube, *dims)
-    for v, d in dims.items():
-        if d < 1:
-            raise InputError(f"stored vertex {v} has dimension {d}, not at least 1")
+def _check_edges(n: int, field: Field, dims: dict, edge_mats: dict) -> None:
+    """Refuse an edge (alpha, i) of ``edge_mats`` with bit i out of range or
+    set in alpha, an end not in ``dims``, a shape other than dim(alpha +
+    e_i) x dim(alpha), or a field other than ``field``."""
     for (alpha, i), mat in edge_mats.items():
-        _check_edge(cube, alpha, i)
+        _check_edge(n, alpha, i)
         shape = dims.get(alpha | 1 << i), dims.get(alpha)
         if None in shape:
             raise InputError(f"edge ({alpha}, {i}) meets a vertex that is not stored")
         if (mat.rows, mat.cols) != shape:
             raise InputError(f"edge ({alpha}, {i}) is {mat.rows}x{mat.cols}, not {shape[0]}x{shape[1]}")
+        if mat.field != field:
+            raise InputError(f"edge ({alpha}, {i}) is over {mat.field.name()}, not {field.name()}")
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +414,19 @@ def restricted_complex(cube: Hypercube, amask: int, bmask: int) -> VectorSpaceCo
     row of a map is written straight from the edge rows it meets.  The
     edges are read through ``cube.edge``.
     """
-    _check_masks(cube, amask, bmask)
-    return _assemble(cube.field, cube.dims, lambda key: cube.edge(*key), amask, bmask)
+    _check_masks(cube.n, amask, bmask)
+    return VectorSpaceComplex(
+        cube.field, *_assemble(cube.field, cube.dims, lambda key: cube.edge(*key), amask, bmask)
+    )
 
 
-def _assemble(field: Field, dims: dict, edge, amask: int, bmask: int) -> VectorSpaceComplex:
-    """``restricted_complex`` of the vertices ``dims``, with ``edge((alpha,
-    i))`` the edge matrix between two nonzero vertices, or None for a zero
-    one.  The ``Hypercube`` constructor assembles main by it from the edges
-    it is given, and ``restricted_complex`` from a cube's own edges."""
+def _assemble(field: Field, dims: dict, edge, amask: int, bmask: int) -> tuple[list, list]:
+    """The sizes and maps of ``restricted_complex`` of the vertices
+    ``dims``, unchecked, with ``edge((alpha, i))`` the edge matrix between
+    two nonzero vertices, or None for a zero one.  The ``Hypercube``
+    constructor assembles main by it from the edges it is given, and
+    ``restricted_complex`` from a cube's own edges; each checks the
+    complex once."""
     p = field.p
     # the vertices bmask \ gamma over gamma <= amask are base | s, s <= span
     base, span = bmask & ~amask, bmask & amask
@@ -418,7 +477,7 @@ def _assemble(field: Field, dims: dict, edge, amask: int, bmask: int) -> VectorS
                         out.append((c0 + a, one))
             data.extend(map(tuple, rows))
         maps.append(ExactMatrix._wrap(field, size, src_size, data))
-    return VectorSpaceComplex(field, sizes, maps)
+    return sizes, maps
 
 
 def main_complex(cube: Hypercube) -> VectorSpaceComplex:
@@ -445,7 +504,7 @@ def dual_complex(cube: Hypercube) -> VectorSpaceComplex:
 def face_restricted_hypercube(cube: Hypercube, amask: int) -> Hypercube:
     """The |a|-hypercube of vertices below amask, bits renumbered.  Only the
     tests (restriction identities) and the benchmark tracer name it."""
-    _check_masks(cube, amask)
+    _check_masks(cube.n, amask)
     positions = bits_of(amask)
     local = {b: t for t, b in enumerate(positions)}
 

@@ -435,13 +435,17 @@ def check_complex(dims, maps) -> None:
 
 
 class VectorSpaceComplex:
-    """dims d_0..d_m with maps[p] : position p+1 -> position p, d∘d = 0."""
+    """dims d_0..d_m with maps[p] : position p+1 -> position p over
+    ``field``, d∘d = 0."""
 
     __slots__ = ("field", "dims", "maps")
 
     def __init__(self, field, dims, maps):
         dims = tuple(dims)
         maps = tuple(maps)
+        for p, m in enumerate(maps):
+            if m.field != field:
+                raise InputError(f"map {p} is over {m.field.name()}, not {field.name()}")
         check_complex(dims, maps)
         self.field = field
         self.dims = dims

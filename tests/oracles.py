@@ -368,8 +368,8 @@ def homology_space_full_rows(field, dim, d_out, d_in, vectors=None):
 
 def nonzero_edges(cube):
     """{(alpha, i): cube.edge(alpha, i)} over every edge whose two ends are
-    nonzero vertices, keys in increasing order: the edges a build passes to
-    the ``Hypercube`` constructor."""
+    nonzero vertices, keys in increasing order: the edges a build writes
+    into main."""
     dims = cube.dims
     return {
         (alpha, i): cube.edge(alpha, i)
@@ -459,7 +459,7 @@ def interval_complex(cube, lo, hi):
     below i), which scaling the summand gamma by the product of s_i over
     i in gamma removes.
     """
-    _check_masks(cube, lo, hi)
+    _check_masks(cube.n, lo, hi)
     if lo & ~hi:
         raise InputError("interval bottom mask is not below its top mask")
     dims, starts, k = cube.dims, cube.starts, popcount(hi)

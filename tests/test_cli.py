@@ -240,16 +240,16 @@ def test_bass_supp_dims_build_each_bass_row_once(tmp_path, capsys, monkeypatch):
     # the tables bass builds are the ones supp and dims read, and each
     # computes one row per support hull (the union of the nonzero vertices
     # below a support mask), in one walk over its cube's main complex,
-    # which the cube assembled once: one assembly of the full complex per
-    # degree, none through ``restricted_complex``
+    # which the build wrote and checked once: one cube constructed per
+    # degree, and no complex assembled through ``restricted_complex``
     from collections import Counter
 
     from lyub import build_hypercube, hypercube, invariants
     from lyub.invariants import support_masks
 
     hypercube._build_all_degrees.cache_clear()  # fresh cubes, no tables kept
-    walks, calls, mains = Counter(), Counter(), Counter()
-    original, original_main = invariants._hull_rows, hypercube._assemble
+    walks, calls, cubes = Counter(), Counter(), Counter()
+    original, original_init = invariants._hull_rows, hypercube.Hypercube._initialize
 
     def counted(cube, dual, hulls, below):
         assert not dual
@@ -258,15 +258,15 @@ def test_bass_supp_dims_build_each_bass_row_once(tmp_path, capsys, monkeypatch):
         calls.update((cube.r, h) for h in rows)
         return rows
 
-    def counted_main(field, dims, edge, amask, bmask):
-        mains[amask, bmask] += 1
-        return original_main(field, dims, edge, amask, bmask)
+    def counted_init(cube, n, r, field, dims, maps):
+        cubes[n] += 1
+        original_init(cube, n, r, field, dims, maps)
 
     def no_assembly(*args):
         raise AssertionError("a complex was assembled from a built cube")
 
     monkeypatch.setattr(invariants, "_hull_rows", counted)
-    monkeypatch.setattr(hypercube, "_assemble", counted_main)
+    monkeypatch.setattr(hypercube.Hypercube, "_initialize", counted_init)
     monkeypatch.setattr(hypercube, "restricted_complex", no_assembly)
     path = tmp_path / "a5.ideal"
     path.write_text(A5_PRIMES)
@@ -282,8 +282,7 @@ def test_bass_supp_dims_build_each_bass_row_once(tmp_path, capsys, monkeypatch):
     assert set(calls.values()) == {1}
     assert set(walks) == {r for r, _ in expected}
     assert set(walks.values()) == {1}
-    full = (1 << ideal.n) - 1
-    assert mains == Counter({(full, full): ideal.n + 1})
+    assert cubes == Counter({ideal.n: ideal.n + 1})
 
 
 # the Alexander duals of a5 and of the nine-variable ideal

@@ -489,6 +489,18 @@ def test_composability_checked():
         VectorSpaceComplex(QQ, (2, 2, 2), (good, good))
 
 
+def test_complex_refuses_a_map_over_another_field():
+    # a half over Q has no meaning over F_3, nor does a map over F_2 over Q
+    half = ExactMatrix(QQ, 1, 1, [[Fraction(1, 2)]])
+    with pytest.raises(InputError, match=r"map 0 is over Q, not F3"):
+        VectorSpaceComplex(F3, (1, 1), [half])
+    one = ExactMatrix.identity(F2, 1)
+    zero = ExactMatrix(QQ, 1, 1)
+    with pytest.raises(InputError, match=r"map 1 is over F2, not Q"):
+        VectorSpaceComplex(QQ, (1, 1, 1), [zero, one])
+    assert VectorSpaceComplex(F3, (1, 1), [ExactMatrix(F3, 1, 1, [[Fraction(1, 2)]])]).maps[0].data == [((0, 2),)]
+
+
 def test_euler_characteristic_matches_homology():
     rng = random.Random(19)
     for _ in range(15):
