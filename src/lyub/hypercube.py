@@ -8,17 +8,17 @@ a-restriction into the (a+e_i)-restriction induces a map on cohomology by
 cochain restriction; the canonical map u_{a,i} between vertices is its
 transpose.
 
-Each cube owns its main complex, whose d∘d check is the check that every
-square commutes.  The build writes main's maps itself, from the classes it
-solves for, with no edge matrix in between; ``Hypercube(n, r, field, dims,
-edge_mats)`` checks the edge matrices it is given and assembles main from
-them (``matlis_dual``, ``face_restricted_hypercube``).  Either way one
-initializer runs every check of the cube, main's d∘d check once.  The
-Lyubeznik numbers are main's homology, and each Bass or dual Bass row is
-the homology of one interval of it, whose ranks are row ranks of main's
-maps (``invariants._hull_rows``).  A cube keeps its vertex dimensions and
-main, not its edges: main holds every edge as one signed block, and
-``Hypercube.edge`` reads it back from there.
+A cube is its vertex dimensions and its main complex, as a straight
+module is its vertices and one complex (Yanagawa), and its one
+constructor, ``Hypercube(n, r, field, dims, maps)``, takes main's maps;
+main's d∘d check is the check that every square commutes.  The build
+writes those maps from the classes it solves for, with no edge matrix in
+between, and ``matlis_dual`` and ``face_restricted_hypercube`` assemble
+them from the cube they start from.  The Lyubeznik numbers are main's
+homology, and each Bass or dual Bass row is the homology of one interval
+of it, whose ranks are row ranks of main's maps
+(``invariants._hull_rows``).  Main holds every edge as one signed block,
+and ``Hypercube.edge`` reads it back from there.
 
 One build serves every degree r.  The cochain complex of D^v is formed
 once, and each mask a selects the cochain complex of its restriction from
@@ -93,6 +93,7 @@ from .combinatorics import (
 from .cohomology import cochain_complex, restrict_cochains
 from .errors import (
     MAX_HYPERCUBE_MASKS,
+    MAX_VARIABLES,
     ContractError,
     DomainError,
     InputError,
@@ -121,15 +122,12 @@ class Hypercube:
     materializes the zero ones.  ``main`` is the main complex: position p
     holds the vertices full \\ gamma with |gamma| = p, in increasing order
     of gamma, and ``starts`` gives each nonzero vertex's first basis index
-    in its position.  ``build_hypercube`` writes main's maps top down from
-    the classes of each vertex and hands them to ``_of_main``;
-    ``Hypercube(n, r, field, dims, edge_mats)`` takes edges keyed (alpha,
-    i), refuses one whose direction does not fit alpha, whose ends are not
-    stored, or whose shape or field is not the cube's, and assembles main
-    from them, keeping none.  Both end in ``_initialize``, which refuses a
-    mask outside the cube and a vertex of dimension below 1, checks main as
-    a ``VectorSpaceComplex`` on the level sizes of ``dims`` (so a map that
-    does not fit the layout is refused with ``InputError``) and computes
+    in its position.  ``Hypercube(n, r, field, dims, maps)`` keeps a copy
+    of ``dims`` and takes ``maps`` as main's.  It refuses an ``n`` that is
+    not an int in [0, MAX_VARIABLES], a mask outside the cube and a vertex
+    of dimension below 1, checks main as a ``VectorSpaceComplex`` on the
+    level sizes of ``dims`` (so a map that does not fit the layout, or is
+    over another field, is refused with ``InputError``) and computes
     ``starts``.
 
     Main's d∘d check is the check that every square commutes, so no other
@@ -156,27 +154,13 @@ class Hypercube:
 
     __slots__ = ("n", "r", "field", "dims", "main", "starts", "_homology", "_bass", "_below")
 
-    def __init__(self, n: int, r: int, field: Field, dims, edge_mats: dict):
-        dims = dict(dims)
-        _check_edges(n, field, dims, edge_mats)
-        full = full_mask(n)
-        self._initialize(n, r, field, dims, _assemble(field, dims, edge_mats.get, full, full)[1])
-
-    @classmethod
-    def _of_main(cls, n: int, r: int, field: Field, dims: dict, maps: list) -> "Hypercube":
-        """The cube whose main complex has the maps ``maps``, which the build
-        writes from its classes with no edge matrix in between."""
-        cube = cls.__new__(cls)
-        cube._initialize(n, r, field, dims, maps)
-        return cube
-
-    def _initialize(self, n: int, r: int, field: Field, dims: dict, maps) -> None:
-        """Every check of a cube, as the class docstring lists them, on the
-        vertices ``dims`` (kept, not copied) and main's ``maps``."""
+    def __init__(self, n: int, r: int, field: Field, dims, maps):
+        if type(n) is not int or not 0 <= n <= MAX_VARIABLES:
+            raise InputError(f"hypercube dimension {n!r} is not an int in [0, {MAX_VARIABLES}]")
         self.n = n
         self.r = r
         self.field = field
-        self.dims = dims
+        self.dims = dims = dict(dims)
         _check_masks(n, *dims)
         for v, d in dims.items():
             if d < 1:
@@ -343,7 +327,7 @@ def _build_all_degrees(ideal: MonomialIdeal, field: Field) -> tuple[Hypercube, .
             ExactMatrix._wrap(field, size, src_size, list(map(tuple, lv)))
             for lv, size, src_size in zip(by_level, sizes, sizes[1:])
         ]
-        cubes.append(Hypercube._of_main(n, r, field, dims[r], maps))
+        cubes.append(Hypercube(n, r, field, dims[r], maps))
     return tuple(cubes)
 
 
@@ -383,21 +367,6 @@ def _check_edge(n: int, alpha: int, i: int) -> None:
         raise InputError("edge direction bit already set")
 
 
-def _check_edges(n: int, field: Field, dims: dict, edge_mats: dict) -> None:
-    """Refuse an edge (alpha, i) of ``edge_mats`` with bit i out of range or
-    set in alpha, an end not in ``dims``, a shape other than dim(alpha +
-    e_i) x dim(alpha), or a field other than ``field``."""
-    for (alpha, i), mat in edge_mats.items():
-        _check_edge(n, alpha, i)
-        shape = dims.get(alpha | 1 << i), dims.get(alpha)
-        if None in shape:
-            raise InputError(f"edge ({alpha}, {i}) meets a vertex that is not stored")
-        if (mat.rows, mat.cols) != shape:
-            raise InputError(f"edge ({alpha}, {i}) is {mat.rows}x{mat.cols}, not {shape[0]}x{shape[1]}")
-        if mat.field != field:
-            raise InputError(f"edge ({alpha}, {i}) is over {mat.field.name()}, not {field.name()}")
-
-
 # ---------------------------------------------------------------------------
 # assembled complexes
 # ---------------------------------------------------------------------------
@@ -415,18 +384,15 @@ def restricted_complex(cube: Hypercube, amask: int, bmask: int) -> VectorSpaceCo
     edges are read through ``cube.edge``.
     """
     _check_masks(cube.n, amask, bmask)
-    return VectorSpaceComplex(
-        cube.field, *_assemble(cube.field, cube.dims, lambda key: cube.edge(*key), amask, bmask)
-    )
+    return VectorSpaceComplex(cube.field, *_assemble(cube.field, cube.dims, cube.edge, amask, bmask))
 
 
 def _assemble(field: Field, dims: dict, edge, amask: int, bmask: int) -> tuple[list, list]:
     """The sizes and maps of ``restricted_complex`` of the vertices
-    ``dims``, unchecked, with ``edge((alpha, i))`` the edge matrix between
-    two nonzero vertices, or None for a zero one.  The ``Hypercube``
-    constructor assembles main by it from the edges it is given, and
-    ``restricted_complex`` from a cube's own edges; each checks the
-    complex once."""
+    ``dims``, unchecked, with ``edge(alpha, i)`` the edge matrix between
+    two nonzero vertices.  ``restricted_complex``, ``matlis_dual`` and
+    ``face_restricted_hypercube`` assemble by it from a cube's own edges,
+    and each checks the complex once."""
     p = field.p
     # the vertices bmask \ gamma over gamma <= amask are base | s, s <= span
     base, span = bmask & ~amask, bmask & amask
@@ -463,9 +429,7 @@ def _assemble(field: Field, dims: dict, edge, amask: int, bmask: int) -> tuple[l
                     continue
                 flip = popcount(g & (bit - 1)) & 1
                 if bmask & bit:
-                    mat = edge((v ^ bit, bit.bit_length() - 1))
-                    if mat is None:
-                        continue
+                    mat = edge(v ^ bit, bit.bit_length() - 1)
                     for out, row in zip(rows, mat.data):
                         if not flip:
                             out.extend([(c0 + c, x) for c, x in row])
@@ -489,11 +453,11 @@ def matlis_dual(cube: Hypercube) -> Hypercube:
     """Shifted Matlis dual: vertex a <-> vertex 1-a, edges transposed."""
     full = full_mask(cube.n)
     dims = {full ^ a: d for a, d in cube.dims.items()}
-    edges = {
-        (full ^ (alpha | 1 << i), i): cube.edge(alpha, i).transpose()
-        for alpha, i in _edges_below(cube, full)
-    }
-    return Hypercube(cube.n, cube.r, cube.field, dims, edges)
+
+    def edge(alpha: int, i: int) -> ExactMatrix:
+        return cube.edge(full ^ (alpha | 1 << i), i).transpose()
+
+    return Hypercube(cube.n, cube.r, cube.field, dims, _assemble(cube.field, dims, edge, full, full)[1])
 
 
 def dual_complex(cube: Hypercube) -> VectorSpaceComplex:
@@ -512,18 +476,6 @@ def face_restricted_hypercube(cube: Hypercube, amask: int) -> Hypercube:
         return mask_of(local[b] for b in bits_of(mask))
 
     dims = {compress(a): d for a, d in cube.dims.items() if contains(amask, a)}
-    edges = {
-        (compress(a), local[i]): cube.edge(a, i)
-        for a, i in _edges_below(cube, amask)
-    }
-    return Hypercube(len(positions), cube.r, cube.field, dims, edges)
-
-
-def _edges_below(cube: Hypercube, amask: int):
-    """The edges (alpha, i) between nonzero vertices below amask."""
-    dims = cube.dims
-    for alpha in dims:
-        if contains(amask, alpha):
-            for i in bits_of(amask & ~alpha):
-                if alpha | 1 << i in dims:
-                    yield alpha, i
+    # main is restricted_complex(cube, amask, amask), checked once, here
+    maps = _assemble(cube.field, cube.dims, cube.edge, amask, amask)[1]
+    return Hypercube(len(positions), cube.r, cube.field, dims, maps)

@@ -103,6 +103,11 @@ def _pack(acc: dict, p: int) -> tuple:
     ))
 
 
+def _is_size(k) -> bool:
+    """A matrix side or space dimension: an int >= 0, bools excluded."""
+    return type(k) is int and k >= 0
+
+
 class ExactMatrix:
     """Matrix with entries in a fixed field, reduced at construction.
 
@@ -115,6 +120,8 @@ class ExactMatrix:
 
     def __init__(self, field: Field, rows: int, cols: int, data=None):
         """``data``, if given, is ``rows`` dense row lists of ``cols`` scalars."""
+        if not (_is_size(rows) and _is_size(cols)):
+            raise InputError(f"matrix shape {rows!r}x{cols!r} is not two ints >= 0")
         self.field = field
         self.rows = rows
         self.cols = cols
@@ -443,6 +450,9 @@ class VectorSpaceComplex:
     def __init__(self, field, dims, maps):
         dims = tuple(dims)
         maps = tuple(maps)
+        for p, d in enumerate(dims):
+            if not _is_size(d):
+                raise InputError(f"position {p} has dimension {d!r}, not an int >= 0")
         for p, m in enumerate(maps):
             if m.field != field:
                 raise InputError(f"map {p} is over {m.field.name()}, not {field.name()}")

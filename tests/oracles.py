@@ -215,7 +215,7 @@ def per_mask_hypercubes(ideal, field):
             for i, block in zip(ups, blocks):
                 edges[q + 2][(alpha, i)] = ExactMatrix._wrap(field, block.cols, reps.cols, cols[c0:c0 + block.cols])
                 c0 += block.cols
-    return tuple(Hypercube(n, r, field, dims[r], edges[r]) for r in range(n + 1))
+    return tuple(cube_from_edges(n, r, field, dims[r], edges[r]) for r in range(n + 1))
 
 
 def brute_membership(ideal, mask):
@@ -401,34 +401,35 @@ def squares_commute(n, dims, edges):
     return True
 
 
-def dense_restricted_complex(cube, amask, bmask):
-    """(dims, maps as dense row lists) of ``restricted_complex``, assembled
-    block by block over all 2^|amask| subsets gamma of amask.
+def dense_restricted_complex(field, dims, edge, amask, bmask):
+    """(dims, maps as dense row lists) of ``restricted_complex`` of the
+    vertices ``dims`` ({mask: dimension}, absent masks zero) with
+    ``edge(alpha, i)`` the edge matrix, assembled block by block over all
+    2^|amask| subsets gamma of amask.
 
     The block from gamma to gamma - e_i is (-1)^(bits of gamma below i)
     times the edge at bmask - gamma in direction i, or the identity when i
     is outside bmask.
     """
-    field = cube.field
     levels = [[] for _ in range(popcount(amask) + 1)]
     for g in submasks(amask):
         levels[popcount(g)].append(g)
-    offset, dims = {}, []
+    offset, sizes = {}, []
     for lv in levels:
         lv.sort()
         total = 0
         for g in lv:
             offset[g] = total
-            total += cube.vertex_dim(bmask & ~g)
-        dims.append(total)
+            total += dims.get(bmask & ~g, 0)
+        sizes.append(total)
     maps = []
     for p in range(len(levels) - 1):
-        out = [[0] * dims[p + 1] for _ in range(dims[p])]
+        out = [[0] * sizes[p + 1] for _ in range(sizes[p])]
         for g in levels[p + 1]:
-            d = cube.vertex_dim(bmask & ~g)
+            d = dims.get(bmask & ~g, 0)
             for i in bits_of(g):
                 if bmask >> i & 1:
-                    block = cube.edge(bmask & ~g, i).dense()
+                    block = edge(bmask & ~g, i).dense()
                 else:
                     block = [[int(a == b) for b in range(d)] for a in range(d)]
                 sign = -1 if popcount(g & ((1 << i) - 1)) % 2 else 1
@@ -437,7 +438,26 @@ def dense_restricted_complex(cube, amask, bmask):
                     for b, x in enumerate(row):
                         out[r0 + a][c0 + b] = field.coerce(sign * x)
         maps.append(out)
-    return dims, maps
+    return sizes, maps
+
+
+def cube_from_edges(n, r, field, dims, edges):
+    """The cube on the vertex dimensions ``dims`` whose edges are ``edges``
+    ({(alpha, i): matrix}, an absent one zero), its main complex assembled
+    densely by ``dense_restricted_complex`` and handed to the constructor,
+    which takes main's maps: the way a test states a cube by its edges."""
+
+    def edge(alpha, i):
+        mat = edges.get((alpha, i))
+        if mat is None:
+            return ExactMatrix(field, dims.get(alpha | 1 << i, 0), dims.get(alpha, 0))
+        return mat
+
+    full = full_mask(n)
+    sizes, maps = dense_restricted_complex(field, dims, edge, full, full)
+    return Hypercube(n, r, field, dims, [
+        ExactMatrix(field, rows, cols, m) for rows, cols, m in zip(sizes, sizes[1:], maps)
+    ])
 
 
 def bass_row(cube, alpha):

@@ -249,7 +249,7 @@ def test_bass_supp_dims_build_each_bass_row_once(tmp_path, capsys, monkeypatch):
 
     hypercube._build_all_degrees.cache_clear()  # fresh cubes, no tables kept
     walks, calls, cubes = Counter(), Counter(), Counter()
-    original, original_init = invariants._hull_rows, hypercube.Hypercube._initialize
+    original, original_init = invariants._hull_rows, hypercube.Hypercube.__init__
 
     def counted(cube, dual, hulls, below):
         assert not dual
@@ -266,7 +266,7 @@ def test_bass_supp_dims_build_each_bass_row_once(tmp_path, capsys, monkeypatch):
         raise AssertionError("a complex was assembled from a built cube")
 
     monkeypatch.setattr(invariants, "_hull_rows", counted)
-    monkeypatch.setattr(hypercube.Hypercube, "_initialize", counted_init)
+    monkeypatch.setattr(hypercube.Hypercube, "__init__", counted_init)
     monkeypatch.setattr(hypercube, "restricted_complex", no_assembly)
     path = tmp_path / "a5.ideal"
     path.write_text(A5_PRIMES)

@@ -48,6 +48,7 @@ from .conftest import (
 from .oracles import (
     cech_vertex_dim,
     complex_alexander_dual,
+    cube_from_edges,
     dense_restricted_complex,
     induced_cohomology_map,
     interval_complex,
@@ -175,7 +176,7 @@ def test_restricted_complex_matches_dense_assembly(a5, ex53, ex57):
                 if cube.is_zero():
                     continue
                 for amask, bmask in pairs:
-                    dims, maps = dense_restricted_complex(cube, amask, bmask)
+                    dims, maps = dense_restricted_complex(cube.field, cube.dims, cube.edge, amask, bmask)
                     cx = restricted_complex(cube, amask, bmask)
                     assert list(cx.dims) == dims
                     assert [m.dense() for m in cx.maps] == maps, (r, amask, bmask)
@@ -243,23 +244,49 @@ def test_interval_above_the_complement_is_the_dual_hull_complex_reversed(a5, ex5
 
 def test_constructor_refuses_a_layout_main_cannot_hold():
     # n = 2, r = 1 over Q: each cube below breaks the summand layout that
-    # main and starts describe, and is refused in one pass
+    # main and starts describe, and is refused before its maps are read
     one = ExactMatrix(QQ, 1, 1, [[1]])
-    tall = ExactMatrix(QQ, 2, 1, [[1], [2]])
     cases = [
-        ({1: 0}, {}, "dimension 0"),
-        ({1: -1}, {}, "dimension -1"),
-        ({1: 1, 3: 1}, {(1, 1): tall}, "is 2x1, not 1x1"),
-        ({1: 1}, {(1, 1): one}, "not stored"),
-        ({1: 1, 3: 1}, {(1, 0): one}, "bit already set"),
-        ({4: 1}, {}, "does not fit"),
-        ({1: 1, 3: 1}, {(1, 2): one}, "outside [0, 2)"),
+        ({1: 0}, "dimension 0"),
+        ({1: -1}, "dimension -1"),
+        ({4: 1}, "does not fit"),
     ]
-    for dims, edges, message in cases:
+    for dims, message in cases:
         with pytest.raises(InputError, match=re.escape(message)):
-            Hypercube(2, 1, QQ, dims, edges)
-    cube = Hypercube(2, 1, QQ, {1: 1, 3: 1}, {(1, 1): one})
+            Hypercube(2, 1, QQ, dims, [])
+    # vertex 11 is main's position 0, vertex 01 its position 1 (gamma =
+    # 10), and the edge between them carries no sign
+    cube = Hypercube(2, 1, QQ, {1: 1, 3: 1}, [one, ExactMatrix(QQ, 1, 0)])
     assert cube.main.dims == (1, 1, 0) and cube.edge(1, 1) == one
+
+
+@pytest.mark.parametrize("n", [-1, 25, 2.0, True, "2", None])
+def test_constructor_refuses_an_n_that_is_not_a_variable_count(n):
+    # n is an int in [0, MAX_VARIABLES]: no shift, float or bool gets in
+    with pytest.raises(InputError, match="hypercube dimension .* is not an int in \\[0, 24\\]"):
+        Hypercube(n, 1, QQ, {}, [])
+
+
+def test_constructor_takes_the_cube_on_no_variables(a5):
+    # face_restricted_hypercube at the empty mask makes it: one position,
+    # and no vertex, as the vertex at 0 is pinned to zero
+    cube = face_restricted_hypercube(build_hypercube(a5, 2, QQ), 0)
+    assert (cube.n, cube.dims, cube.starts, cube.main.dims) == (0, {}, {}, (0,))
+
+
+def test_constructor_copies_dims(a5):
+    # the cube keeps its own dict: a caller's later change to the one it
+    # passed moves neither its vertices nor main's layout
+    built = build_hypercube(a5, 2, QQ)
+    dims = dict(built.dims)
+    cube = Hypercube(5, 2, QQ, dims, built.main.maps)
+    before = (dict(cube.dims), dict(cube.starts), [cube.vertex_dim(a) for a in range(32)])
+    for a in list(dims):
+        dims[a] += 1
+    dims[0] = 3
+    del dims[max(dims)]
+    assert (dict(cube.dims), dict(cube.starts), [cube.vertex_dim(a) for a in range(32)]) == before
+    assert cube.dims == built.dims
 
 
 def _square_maps(top, side):
@@ -269,19 +296,19 @@ def _square_maps(top, side):
 
 
 def test_the_maps_path_keeps_every_cube_check():
-    # the build hands the cube main's maps, and the cube checks them as the
-    # edge path does: d∘d of main is the square check, and a map that does
-    # not fit the levels of the vertices, or a vertex outside the cube or
-    # of dimension below 1, is refused
+    # the constructor takes main's maps and checks them: d∘d of main is
+    # the square check, and a map that does not fit the levels of the
+    # vertices, or a vertex outside the cube or of dimension below 1, is
+    # refused
     dims = dict.fromkeys(range(4), 1)
-    cube = Hypercube._of_main(2, 1, QQ, dims, _square_maps([1, 1], [1, -1]))
+    cube = Hypercube(2, 1, QQ, dims, _square_maps([1, 1], [1, -1]))
     assert (cube.main.dims, cube.starts) == ((1, 2, 1), {3: 0, 2: 0, 1: 1, 0: 0})
     # the edge (0, 1) sits in map 1 at gamma = e_0, below bit 1: its sign
     # is undone, and its square commutes: (1)(-1) = (1)(-1)
     edges = {key: m.dense() for key, m in nonzero_edges(cube).items()}
     assert edges == {(0, 0): [[-1]], (0, 1): [[-1]], (1, 1): [[1]], (2, 0): [[1]]}
     with pytest.raises(ContractError, match=re.escape("hypercube of degree r=1: squares do not commute (")):
-        Hypercube._of_main(2, 1, QQ, dims, _square_maps([1, 1], [1, 1]))
+        Hypercube(2, 1, QQ, dims, _square_maps([1, 1], [1, 1]))
     bad = [
         ({**dims, 4: 1}, _square_maps([1, 1], [1, -1]), "does not fit"),
         ({**dims, 0: 0}, _square_maps([1, 1], [1, -1]), "dimension 0"),
@@ -291,18 +318,16 @@ def test_the_maps_path_keeps_every_cube_check():
     ]
     for vertices, maps, message in bad:
         with pytest.raises(InputError, match=re.escape(message)):
-            Hypercube._of_main(2, 1, QQ, vertices, maps)
+            Hypercube(2, 1, QQ, vertices, maps)
 
 
 def test_a_map_or_edge_over_another_field_is_refused():
-    # a half over Q is not a scalar of F_3: neither path lets it into a
-    # cube over F_3, and the edge path names the edge
+    # a half over Q is not a scalar of F_3: it gets into no cube over F_3,
+    # and the same half read over F_3 is the scalar 2
     half = ExactMatrix(QQ, 1, 1, [[Fraction(1, 2)]])
-    with pytest.raises(InputError, match=re.escape("edge (0, 0) is over Q, not F3")):
-        Hypercube(1, 1, F3, {0: 1, 1: 1}, {(0, 0): half})
     with pytest.raises(InputError, match=re.escape("map 0 is over Q, not F3")):
-        Hypercube._of_main(1, 1, F3, {0: 1, 1: 1}, [half])
-    cube = Hypercube(1, 1, F3, {0: 1, 1: 1}, {(0, 0): ExactMatrix(F3, 1, 1, [[Fraction(1, 2)]])})
+        Hypercube(1, 1, F3, {0: 1, 1: 1}, [half])
+    cube = Hypercube(1, 1, F3, {0: 1, 1: 1}, [ExactMatrix(F3, 1, 1, [[Fraction(1, 2)]])])
     assert cube.edge(0, 0).data == [((0, 2),)]
 
 
@@ -354,7 +379,7 @@ def test_checks_catch_one_changed_edge_entry(ex57):
     entries[a][0] += 1
     edges[key] = ExactMatrix(QQ, mat.rows, mat.cols, entries)
     with pytest.raises(ContractError, match="r=3: squares do not commute"):
-        Hypercube(cube.n, cube.r, cube.field, cube.dims, edges)
+        cube_from_edges(cube.n, cube.r, cube.field, cube.dims, edges)
 
 
 def _zero_middle_paths(cube):
@@ -400,7 +425,7 @@ def test_square_check_agrees_with_the_square_loop(ex57, a5, ex52, f):
             edges[key] = ExactMatrix(f, mat.rows, mat.cols, entries)
             commute = squares_commute(cube.n, cube.dims, edges)
             try:
-                Hypercube(cube.n, cube.r, f, cube.dims, edges)
+                cube_from_edges(cube.n, cube.r, f, cube.dims, edges)
             except ContractError as exc:
                 assert not commute, (cube.r, key)
                 assert f"r={cube.r}" in str(exc) and "position" in str(exc)
@@ -470,6 +495,39 @@ def test_face_restriction_matches_restricted_complex(a5, ex53, ex57):
                 direct = restricted_complex(cube, alpha, alpha)
                 assert sub.dims == direct.dims
                 assert sub.maps == direct.maps
+
+
+@pytest.mark.parametrize("f", [QQ, F2, F3], ids=["q", "f2", "f3"])
+def test_dual_and_face_restrictions_are_the_cubes_of_their_edges(a5, ex53, ex57, f):
+    # matlis_dual transposes every edge onto the complementary vertices,
+    # and face_restricted_hypercube keeps the edges below a mask, its bits
+    # renumbered: each is the cube that cube_from_edges assembles densely
+    # from those edges, read through cube.edge, byte for byte
+    rng = random.Random(29)
+    randoms = [random_ideal(rng, n) for n in (3, 4, 4, 5, 5, 6, 6, 7)]
+    for ideal in (a5, ex53, ex57, nine_vars_ideal(), rp2_ideal(), *randoms):
+        n, full = ideal.n, full_mask(ideal.n)
+        for r in range(n + 1):
+            cube = build_hypercube(ideal, r, f)
+            edges = nonzero_edges(cube)
+            dims = {full ^ a: d for a, d in cube.dims.items()}
+            flipped = {(full ^ (a | 1 << i), i): m.transpose() for (a, i), m in edges.items()}
+            want = cube_from_edges(n, r, f, dims, flipped)
+            assert repr(_layout(matlis_dual(cube))) == repr(_layout(want)), (ideal.gens, r)
+            for amask in range(1 << n):
+                local = {b: t for t, b in enumerate(bits_of(amask))}
+
+                def compress(mask):
+                    return mask_of(local[b] for b in bits_of(mask))
+
+                dims = {compress(a): d for a, d in cube.dims.items() if not a & ~amask}
+                below = {
+                    (compress(a), local[i]): m
+                    for (a, i), m in edges.items() if not (a | 1 << i) & ~amask
+                }
+                want = cube_from_edges(len(local), r, f, dims, below)
+                got = face_restricted_hypercube(cube, amask)
+                assert repr(_layout(got)) == repr(_layout(want)), (ideal.gens, r, amask)
 
 
 def test_dual_complex_mirrors_main(a4, a5, ex53, ex57, field):
@@ -546,7 +604,7 @@ def _signed_square():
     a = ExactMatrix(QQ, 2, 2, [[Fraction(1, 2), 0], [-3, Fraction(-2, 7)]])
     two = ExactMatrix(QQ, 2, 2, [[2, 0], [0, 2]])
     edges = {(0, 0): a, (0b01, 1): two, (0, 1): a, (0b10, 0): two}
-    return Hypercube(2, 1, QQ, dict.fromkeys(range(4), 2), edges), edges
+    return cube_from_edges(2, 1, QQ, dict.fromkeys(range(4), 2), edges), edges
 
 
 def test_edge_undoes_the_sign_main_gives_it():
@@ -563,7 +621,7 @@ def test_edge_undoes_the_sign_main_gives_it():
 
 
 def test_edge_at_a_zero_end_or_between_unjoined_vertices_is_zero():
-    cube = Hypercube(2, 1, QQ, {0b01: 1, 0b11: 1}, {})
+    cube = cube_from_edges(2, 1, QQ, {0b01: 1, 0b11: 1}, {})
     assert cube.edge(0b01, 1) == ExactMatrix(QQ, 1, 1)  # both ends, no edge passed
     assert cube.edge(0, 0) == ExactMatrix(QQ, 1, 0)
     assert cube.edge(0b10, 0) == ExactMatrix(QQ, 1, 0)
@@ -592,7 +650,7 @@ def test_restricted_complex_matches_dense_assembly_at_every_mask_pair(a5, ex57):
     for cube in cubes:
         for amask in range(1 << cube.n):
             for bmask in range(1 << cube.n):
-                dims, maps = dense_restricted_complex(cube, amask, bmask)
+                dims, maps = dense_restricted_complex(cube.field, cube.dims, cube.edge, amask, bmask)
                 cx = restricted_complex(cube, amask, bmask)
                 assert list(cx.dims) == dims
                 assert [m.dense() for m in cx.maps] == maps, (cube.n, amask, bmask)

@@ -50,7 +50,15 @@ from lyub.invariants import minimal_support_masks, support_masks
 from lyub.tables import BettiTable, LyubeznikTable
 
 from .conftest import gens_ideal
-from .oracles import bass_row, brute_hull, interval_complex, masks, nonzero_edges, random_ideal
+from .oracles import (
+    bass_row,
+    brute_hull,
+    cube_from_edges,
+    interval_complex,
+    masks,
+    nonzero_edges,
+    random_ideal,
+)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -482,7 +490,7 @@ def _fraction_cube():
         (a, i): ExactMatrix(QQ, 3, 3, edge[i])
         for a in range(8) for i in range(3) if not a >> i & 1
     }
-    return hypercube.Hypercube(3, 2, QQ, {a: 3 for a in range(8)}, edges)
+    return cube_from_edges(3, 2, QQ, {a: 3 for a in range(8)}, edges)
 
 
 def test_walk_over_a_cube_with_fraction_entries():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -499,6 +500,22 @@ def test_complex_refuses_a_map_over_another_field():
     with pytest.raises(InputError, match=r"map 1 is over F2, not Q"):
         VectorSpaceComplex(QQ, (1, 1, 1), [zero, one])
     assert VectorSpaceComplex(F3, (1, 1), [ExactMatrix(F3, 1, 1, [[Fraction(1, 2)]])]).maps[0].data == [((0, 2),)]
+
+
+@pytest.mark.parametrize("size", [-1, -3, 2.0, True, "2", None])
+def test_shapes_and_dimensions_are_ints_at_least_zero(size):
+    # a negative or non-int side is refused where the matrix or complex is
+    # made, before a transpose or homology_dims can read it
+    with pytest.raises(InputError, match=re.escape(f"matrix shape {size!r}x2 is not two ints >= 0")):
+        ExactMatrix(QQ, size, 2)
+    with pytest.raises(InputError, match=re.escape(f"matrix shape 2x{size!r} is not two ints >= 0")):
+        ExactMatrix(F3, 2, size, [[]] * 2)
+    with pytest.raises(InputError, match=re.escape(f"position 0 has dimension {size!r}, not an int >= 0")):
+        VectorSpaceComplex(QQ, [size], [])
+    with pytest.raises(InputError, match=re.escape(f"position 1 has dimension {size!r}, not an int >= 0")):
+        VectorSpaceComplex(QQ, [0, size], [ExactMatrix(QQ, 0, 0)])
+    assert ExactMatrix(QQ, 0, 2).transpose() == ExactMatrix(QQ, 2, 0)
+    assert homology_dims(VectorSpaceComplex(QQ, [0, 3], [ExactMatrix(QQ, 0, 3)])) == [0, 3]
 
 
 def test_euler_characteristic_matches_homology():
