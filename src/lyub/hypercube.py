@@ -123,12 +123,13 @@ class Hypercube:
     holds the vertices full \\ gamma with |gamma| = p, in increasing order
     of gamma, and ``starts`` gives each nonzero vertex's first basis index
     in its position.  ``Hypercube(n, r, field, dims, maps)`` keeps a copy
-    of ``dims`` and takes ``maps`` as main's.  It refuses an ``n`` that is
-    not an int in [0, MAX_VARIABLES], a mask outside the cube and a vertex
-    of dimension below 1, checks main as a ``VectorSpaceComplex`` on the
-    level sizes of ``dims`` (so a map that does not fit the layout, or is
-    over another field, is refused with ``InputError``) and computes
-    ``starts``.
+    of ``dims`` and takes ``maps`` as main's.  It refuses an ``n`` or an
+    ``r`` that is not an int in [0, MAX_VARIABLES] (``r`` is not bounded by
+    ``n``: a face-restricted cube keeps its parent's degree on fewer
+    variables), a mask outside the cube and a vertex of dimension below 1,
+    checks main as a ``VectorSpaceComplex`` on the level sizes of ``dims``
+    (so a map that does not fit the layout, or is over another field, is
+    refused with ``InputError``) and computes ``starts``.
 
     Main's d∘d check is the check that every square commutes, so no other
     cube can be constructed.  For a = full \\ (gamma + e_i + e_j), i < j,
@@ -157,6 +158,8 @@ class Hypercube:
     def __init__(self, n: int, r: int, field: Field, dims, maps):
         if type(n) is not int or not 0 <= n <= MAX_VARIABLES:
             raise InputError(f"hypercube dimension {n!r} is not an int in [0, {MAX_VARIABLES}]")
+        if type(r) is not int or not 0 <= r <= MAX_VARIABLES:
+            raise InputError(f"cohomological degree {r!r} is not an int in [0, {MAX_VARIABLES}]")
         self.n = n
         self.r = r
         self.field = field

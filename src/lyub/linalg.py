@@ -13,13 +13,15 @@ Selections, transposes, equality and the one zero-product test
 entries alone.  Every elimination reads the rows scaled to integers
 (``_integral_rows``) and runs one engine shared by both kinds of field:
 over Q the rows stay integral (fraction-free updates, each rescaled row
-divided by its gcd), over F_p they are reduced mod p.  ``cancel`` is its
-pivot loop, under ``rank`` and the minimization of free resolutions;
-``rref`` scans columns in order on the same row update, and
-``homology_space`` reads a homology basis, and the map taking a cycle to
-its class, off one ``rref``; ``homology_classes`` applies that map to the
-cycles of one caller.  Every homology dimension is read off ranks by one
-rule, ``homology_from_ranks``.
+divided by its gcd), over F_p they are reduced mod p.  ``complex_ranks``
+ranks every map of a complex in one sweep from the top map down, each map
+reduced without the columns the map above already accounts for, and
+``rank`` is its one-map case; ``cancel`` is the pivot loop under the
+minimization of free resolutions; ``rref`` scans columns in order on the
+same row update, and ``homology_space`` reads a homology basis, and the
+map taking a cycle to its class, off one ``rref``; ``homology_classes``
+applies that map to the cycles of one caller.  Every homology dimension
+is read off ranks by one rule, ``homology_from_ranks``.
 """
 
 from dataclasses import dataclass
@@ -290,19 +292,19 @@ def _column_index(rows: list[dict]) -> dict[int, set]:
     return index
 
 
-def cancel(rows: list[dict], p: int, eligible=None) -> tuple[list, dict]:
+def cancel(rows: list[dict], p: int, eligible) -> tuple[list, dict]:
     """Sparse elimination of ``rows`` ({col: int} dicts, changed in place)
     until no row has a pivot left; returns (pivots, factors).
 
     The shortest live row is the pivot row; its pivot is a unit entry (±1
     over Q, any nonzero over F_p) where it has one, else its smallest
     entry, with ties going to the column with the fewest entries.  Only an
-    entry (row, col) that ``eligible`` accepts can be a pivot (any entry
-    when it is None).  A row with none stays live, and it is queued again
-    when a later elimination changes it.  Every other live row is cleared
-    in the pivot column, so the live rows end as the Schur complement of
-    the pivots, row k multiplied by ``factors.get(k, 1)``: over Q the
-    product of the scalings that kept it integral, over F_p always 1.
+    entry (row, col) that ``eligible`` accepts can be a pivot.  A row with
+    none stays live, and it is queued again when a later elimination
+    changes it.  Every other live row is cleared in the pivot column, so
+    the live rows end as the Schur complement of the pivots, row k
+    multiplied by ``factors.get(k, 1)``: over Q the product of the
+    scalings that kept it integral, over F_p always 1.
     ``pivots`` lists the (row, col) pairs in the order taken.
     """
     index = _column_index(rows)
@@ -316,7 +318,7 @@ def cancel(rows: list[dict], p: int, eligible=None) -> tuple[list, dict]:
         prow = live.get(i)
         if prow is None or len(prow) != n:
             continue  # eliminated, or queued again at its new length
-        cols = prow if eligible is None else [c for c in prow if eligible(i, c)]
+        cols = [c for c in prow if eligible(i, c)]
         if not cols:
             continue
         del live[i]
@@ -342,16 +344,65 @@ def cancel(rows: list[dict], p: int, eligible=None) -> tuple[list, dict]:
     return pivots, factors
 
 
-def rank(mat: ExactMatrix) -> int:
-    """Exact rank: the number of pivots ``cancel`` takes.
+def complex_ranks(maps) -> list[int]:
+    """The rank of each of ``maps``, maps[k] : position k+1 -> position k,
+    in one sweep from the top map down.  The maps must compose to zero, as
+    a checked complex's do: the ranks are wrong otherwise.
 
-    Where every row holds at most one entry (every cochain complex's first
-    coboundary does), the rank is the number of distinct columns among the
-    nonzero rows, and no elimination is needed.
+    Each map's rows, scaled to integers (``_integral_rows``), are reduced
+    in order into a dict of pivot rows keyed by leading column
+    (``_eliminate``), until no row is left or the pivots fill the columns.
+    The rows kept as pivots, as many as the rank, are independent, so the
+    image of the map projects isomorphically onto them.  The map below
+    kills that image, so its columns at those rows are combinations of its
+    other columns, and it is reduced without them (the "clearing" of Chen
+    and Kerber, "Persistent homology computation with a twist", 2011).
+    Where every row left holds at most one entry, the rank is the number of
+    distinct columns among them and nothing is eliminated.
     """
-    if all(len(row) <= 1 for row in mat.data):
-        return len({row[0][0] for row in mat.data if row})
-    return len(cancel(list(map(dict, _integral_rows(mat)[0])), mat.field.p)[0])
+    ranks = []
+    cleared = ()
+    for mat in reversed(maps):
+        p = mat.field.p
+        rows = _integral_rows(mat)[0]
+        if cleared:
+            rows = [tuple([e for e in row if e[0] not in cleared]) for row in rows]
+        if all(len(row) <= 1 for row in rows):
+            first = {}
+            for i, row in enumerate(rows):
+                if row:
+                    first.setdefault(row[0][0], i)
+            taken = set(first.values())
+        else:
+            width = mat.cols - len(cleared)
+            piv: dict = {}  # leading column -> (row, inverse of its entry there)
+            taken = set()
+            for i, row in enumerate(rows):
+                if not row:
+                    continue
+                x, c = dict(row), row[0][0]
+                while True:
+                    pr = piv.get(c)
+                    if pr is None:
+                        piv[c] = x, pow(x[c], -1, p) if p else 0
+                        taken.add(i)
+                        break
+                    _eliminate(x, 0, pr[0], c, pr[1], p, None)
+                    if not x:
+                        break
+                    c = min(x)
+                if len(piv) == width:
+                    break
+        ranks.append(len(taken))
+        cleared = taken
+    return ranks[::-1]
+
+
+def rank(mat: ExactMatrix) -> int:
+    """Exact rank: ``complex_ranks`` of the one map, so no column is
+    dropped; where every row holds at most one entry (every cochain
+    complex's first coboundary does), nothing is eliminated."""
+    return complex_ranks((mat,))[0]
 
 
 def rref(mat: ExactMatrix):
@@ -474,8 +525,9 @@ def homology_from_ranks(dims, ranks) -> list[int]:
 
 
 def homology_dims(cx: VectorSpaceComplex) -> list[int]:
-    """H_p = dim ker(maps[p-1]) - rank(maps[p]) with boundary conventions."""
-    return homology_from_ranks(cx.dims, map(rank, cx.maps))
+    """H_p = dim ker(maps[p-1]) - rank(maps[p]) with boundary conventions,
+    the ranks from one ``complex_ranks`` sweep."""
+    return homology_from_ranks(cx.dims, complex_ranks(cx.maps))
 
 
 def homology_space(field, dim, d_in, reduced):

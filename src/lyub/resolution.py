@@ -3,7 +3,7 @@
 Route: build the Lyubeznik resolution on the minimal generators, then cancel
 unit entries (nonzero scalars between equal degrees) until none remain, by
 Gaussian elimination on the complex (Jöllenbeck-Welker, Mem. AMS 197, 2009)
-run on ``linalg.cancel``, the engine behind ``rank``.  The
+run on ``linalg.cancel``, the sparse pivot loop of ``linalg``.  The
 Lyubeznik resolution (Lyubeznik, J. Pure Appl. Algebra 51, 1988; Novik,
 J. Algebraic Combin. 16, 2002) is the subcomplex of the Taylor complex on the
 L-admissible generator subsets, with the Taylor signs; it is usually far

@@ -71,8 +71,8 @@ def test_projective_plane_depends_on_characteristic():
 
 
 def test_cohomology_dims_refuses_through_the_one_rule(monkeypatch):
-    real = cohomology.rank
-    monkeypatch.setattr(cohomology, "rank", lambda mat: real(mat) + 1)
+    real = cohomology.complex_ranks
+    monkeypatch.setattr(cohomology, "complex_ranks", lambda maps: [r + 1 for r in real(maps)])
     with pytest.raises(ContractError, match="negative homology dimension"):
         cochain_complex(HOLLOW_TRIANGLE, QQ).cohomology_dims()
 

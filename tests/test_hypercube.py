@@ -267,6 +267,14 @@ def test_constructor_refuses_an_n_that_is_not_a_variable_count(n):
         Hypercube(n, 1, QQ, {}, [])
 
 
+@pytest.mark.parametrize("r", [-7, 25, "x", True, 1.0])
+def test_constructor_refuses_an_r_that_is_not_a_degree(r):
+    # r is an int in [0, MAX_VARIABLES], as n is, but not bounded by n:
+    # the face-restricted cubes keep their parent's degree
+    with pytest.raises(InputError, match="cohomological degree .* is not an int in \\[0, 24\\]"):
+        Hypercube(2, r, QQ, {}, [ExactMatrix(QQ, 0, 0), ExactMatrix(QQ, 0, 0)])
+
+
 def test_constructor_takes_the_cube_on_no_variables(a5):
     # face_restricted_hypercube at the empty mask makes it: one position,
     # and no vertex, as the vertex at 0 is pinned to zero

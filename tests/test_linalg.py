@@ -16,15 +16,19 @@ from lyub import (
     rank,
 )
 from lyub import hypercube, linalg
+from lyub.cohomology import cochain_complex
+from lyub.combinatorics import alexander_dual, full_mask, link, stanley_reisner
 from lyub.linalg import (
     Field,
     cancel,
+    complex_ranks,
     homology_classes,
     homology_from_ranks,
     homology_space,
     product_is_zero,
     rref,
 )
+from lyub.resolution import strand_frame
 
 from .oracles import (
     from_rows,
@@ -168,9 +172,9 @@ def test_rank_trivial_cases():
 
 @pytest.mark.parametrize("field", [QQ, F2, prime_field(3)], ids=["q", "f2", "f3"])
 def test_rank_of_rows_with_at_most_one_entry_needs_no_elimination(monkeypatch, field):
-    # zero rows, repeated columns and (over Q) fractions; ``cancel`` is gone,
-    # so every rank here is counted without elimination
-    monkeypatch.setattr(linalg, "cancel", None)
+    # zero rows, repeated columns and (over Q) fractions; ``_eliminate`` is
+    # gone, so every rank here is counted without elimination
+    monkeypatch.setattr(linalg, "_eliminate", None)
     values = list(range(-4, 5))
     if not field.p:
         values += [Fraction(1, 3), Fraction(-5, 2)]
@@ -444,10 +448,46 @@ def test_homology_from_ranks_is_the_per_position_formula():
 
 
 def test_homology_dims_refuses_through_the_one_rule(monkeypatch):
-    real = linalg.rank
-    monkeypatch.setattr(linalg, "rank", lambda mat: real(mat) + 1)
+    real = linalg.complex_ranks
+    monkeypatch.setattr(linalg, "complex_ranks", lambda maps: [r + 1 for r in real(maps)])
     with pytest.raises(ContractError, match="negative homology dimension"):
         homology_dims(_cycle_complex(QQ))
+
+
+@pytest.mark.parametrize("f", [QQ, F2, F3], ids=["Q", "F2", "F3"])
+def test_complex_ranks_are_the_ranks_of_random_complexes(monkeypatch, f):
+    # integer entries up to 2 in size, so pivots need not be units
+    rng = random.Random(31)
+    for _ in range(80):
+        maps = _random_complex(rng, f, maxdim=7, length=rng.randint(1, 6)).maps
+        assert complex_ranks(maps) == [rank_naive(m) for m in maps]
+    # 0 <- k <- k^2 <- k with maps (3 -3) and (2 2)^T: over Q the column of
+    # (3 -3) at the pivot row of (2 2)^T is dropped, the row keeps one
+    # entry, and both ranks are counted without elimination
+    cx = VectorSpaceComplex(f, (1, 2, 1), (from_rows(f, [[3, -3]]), from_rows(f, [[2], [2]])))
+    monkeypatch.setattr(linalg, "_eliminate", None)
+    assert complex_ranks(cx.maps) == [rank_naive(m) for m in cx.maps]
+
+
+def test_complex_ranks_are_the_ranks_of_the_corpus_complexes(a5, a7, a8, ex46, ex52, ex53, ex57, field):
+    # main of every cube, every strand frame of the Alexander dual and the
+    # cochain complex of every link of the Stanley-Reisner complex, each
+    # map also ranked on its own by dense elimination, once per distinct map
+    naive = {}
+    for ideal in (a5, a7, a8, ex46, ex52, ex53, ex57):
+        dual, delta = alexander_dual(ideal), stanley_reisner(ideal)
+        complexes = [build_hypercube(ideal, r, field).main.maps for r in range(ideal.n + 1)]
+        complexes += [strand_frame(dual, r, field).maps for r in range(ideal.n + 1)]
+        complexes += [
+            cochain_complex(link(delta, alpha), field).coboundaries[::-1]
+            for alpha in range(full_mask(ideal.n) + 1)
+        ]
+        for maps in complexes:
+            for m in maps:
+                key = m.rows, m.cols, tuple(m.data)
+                if key not in naive:
+                    naive[key] = rank_naive(m)
+            assert complex_ranks(maps) == [naive[m.rows, m.cols, tuple(m.data)] for m in maps]
 
 
 def _sparse_matrix(rng, field, rows, cols):
@@ -633,8 +673,8 @@ def test_cancel_pivots_only_where_eligible():
     assert pivots == [(0, 0), (1, 1)]
     assert rows[1] == {1: -1} and rows[2] == {2: 5}
     assert factors == {}
-    # without a rule every row pivots, as in rank
-    pivots, _ = cancel([{0: 1, 1: 1}, {0: 1}, {2: 5}], 0)
+    # with every entry eligible every row pivots, as in rank
+    pivots, _ = cancel([{0: 1, 1: 1}, {0: 1}, {2: 5}], 0, lambda r, c: True)
     mat = from_rows(QQ, [[1, 1, 0], [1, 0, 0], [0, 0, 5]])
     assert len(pivots) == 3 == rank(mat=mat)
 

@@ -154,7 +154,7 @@ def test_minimize_undoes_a_diagonal_change_of_basis(monkeypatch, a5, ex53):
     # must divide the matching columns of d_j, or its d∘d check refuses.
     scaled_rows = 0
 
-    def counting_cancel(rows, p, eligible=None):
+    def counting_cancel(rows, p, eligible):
         nonlocal scaled_rows
         pivots, factors = linalg.cancel(rows, p, eligible)
         scaled_rows += len(factors)
