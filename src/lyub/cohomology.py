@@ -87,7 +87,9 @@ class CochainComplex:
         """Nonzero reduced cohomology dimensions by degree, from the faces
         by size and the rank of each coboundary (``homology_from_ranks``),
         read in one sweep over the chain complex of the coboundaries in
-        reverse (``complex_ranks``)."""
+        reverse (``complex_ranks``).  The hypercube build reads each
+        restriction's vertex dimensions here (``hypercube._solve``), and
+        ``invariants.terai_mustata_consistent`` each link's."""
         ranks = complex_ranks(self.coboundaries[::-1])[::-1]
         dims = homology_from_ranks(map(len, self.basis), ranks)
         return {s - 1: h for s, h in enumerate(dims) if h}

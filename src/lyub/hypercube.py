@@ -30,27 +30,27 @@ I) get a complex: at any other a the restriction is a cone, and the vertex
 is zero in every degree.
 
 Each distinct restricted complex is solved once per build (``_solve``).
-Each of its coboundaries is reduced once, by ``rref``: the pivots give its
-rank, and so the vertex in all n+1 degrees (``linalg.homology_from_ranks``),
-and the reduced rows give its kernel wherever that degree is nonzero.  The
-first coboundary is only ranked (``rank``): its rows, the vertices, have
-one entry each, while a later row, a face of s+1 >= 2 vertices, has all
-s+1 of its facets kept.  The restriction has a vertex wherever the first
-coboundary exists, so its kernel, and degree -1, are zero.  At each
-nonzero degree ``linalg.homology_space`` gives the representatives and
-the projection taking a cocycle to its class.  A dict local to the build
-(freed when it returns, at most one entry per lattice mask) keeps the
-solve under the restriction's basis sizes and the rows of every
-coboundary.  The key is sound because the solve reads nothing else: the
-field is fixed per build, and the solve is a function of the matrices,
-which the sizes and rows determine.  It is often shared because a
-complex's bases are its faces in lexicographic order and each coboundary
-sign depends only on positions inside a face, so two masks whose
-restrictions match under an order-preserving relabelling of vertices
-(paths of equal length in a cycle, small simplices) have the same
-matrices.  A solve's refusals (``negative homology dimension``,
-``cocycle space disagrees with coboundary ranks``) depend on the matrices
-alone too, so they fire at the first mask that carries the complex.
+Its cohomology dimensions, the vertex in all n+1 degrees, come from one
+cleared sweep over its coboundaries (``CochainComplex.cohomology_dims``,
+the method the links of ``invariants.terai_mustata_consistent`` are read
+through too).  Only the coboundary out of each nonzero degree is reduced,
+by ``rref``: its reduced rows give the kernel there, and
+``linalg.homology_space`` gives the representatives and the projection
+taking a cocycle to its class, whose count is checked against the
+sweep's dimension.  A degree that is zero reduces nothing.  A dict local
+to the build (freed when it returns, at most one entry per lattice mask)
+keeps the solve under the restriction's basis sizes and the rows of
+every coboundary.  The key is sound because the solve reads nothing
+else: the field is fixed per build, and the solve is a function of the
+matrices, which the sizes and rows determine.  It is often shared
+because a complex's bases are its faces in lexicographic order and each
+coboundary sign depends only on positions inside a face, so two masks
+whose restrictions match under an order-preserving relabelling of
+vertices (paths of equal length in a cycle, small simplices) have the
+same matrices.  A solve's refusals (``negative homology dimension``,
+``cocycle space disagrees with coboundary ranks``) depend on the
+matrices alone too, so they fire at the first mask that carries the
+complex.
 
 Representatives and edge maps are computed only where a vertex is
 nonzero, visiting the masks top down, from the full mask to 1: when a is
@@ -104,9 +104,7 @@ from .linalg import (
     Field,
     VectorSpaceComplex,
     homology_classes,
-    homology_from_ranks,
     homology_space,
-    rank,
     rref,
 )
 
@@ -337,19 +335,18 @@ def _build_all_degrees(ideal: MonomialIdeal, field: Field) -> tuple[Hypercube, .
 def _solve(cc) -> list[tuple]:
     """(q, h, rref of d_out or None, reps, proj) at each degree q where the
     cochain complex cc has cohomology h > 0, reps and proj as
-    ``homology_space`` returns them."""
-    # one reduction per coboundary: its pivots give the rank, its rows the
-    # kernel.  The first map, one entry per row, is only ranked
-    reduced = [None, *map(rref, cc.coboundaries[1:])]
-    ranks = [rank(d) for d in cc.coboundaries[:1]] + [len(piv) for _, piv in reduced[1:]]
+    ``homology_space`` returns them.
+
+    The dimensions h come from one cleared sweep over the coboundaries
+    (``CochainComplex.cohomology_dims``), as a link's do.  Only the
+    coboundary out of a nonzero degree is reduced, by ``rref``: the kernel
+    there and every mask's cocycle test read its reduced rows.  The
+    number of representatives is checked against the sweep's h, so two
+    different reductions must agree."""
     out = []
-    for q, h in enumerate(homology_from_ranks(map(len, cc.basis), ranks), -1):
-        if not h:
-            continue
-        # the first coboundary is reduced only if degree -1 is nonzero,
-        # which its rank rules out wherever it exists
+    for q, h in cc.cohomology_dims().items():
         d_out = cc.coboundary(q)
-        red = None if d_out is None else reduced[q + 1] or rref(d_out)
+        red = None if d_out is None else rref(d_out)
         reps, proj = homology_space(cc.field, cc.space_dim(q), cc.coboundary(q - 1), red)
         if reps.cols != h:
             raise ContractError("cocycle space disagrees with coboundary ranks")

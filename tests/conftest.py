@@ -54,6 +54,17 @@ def nine_vars_ideal():
     return primes_ideal(9, comps)
 
 
+def ten_vars_ideal():
+    """Fourteen height-three components in ten variables; the Alexander
+    dual complex has dimension 6, so a restriction's cochain complex has
+    up to seven coboundaries."""
+    comps = [
+        [1, 2, 4], [1, 3, 9], [1, 5, 8], [1, 6, 8], [1, 7, 9], [1, 9, 10], [2, 4, 10],
+        [2, 5, 9], [3, 4, 10], [3, 5, 9], [4, 6, 10], [4, 8, 10], [6, 7, 9], [7, 8, 10],
+    ]
+    return primes_ideal(10, comps)
+
+
 def three_component_ideal():
     """(x1,x2,x5) ∩ (x3,x4,x5) ∩ (x1,x2,x3,x4)."""
     return primes_ideal(5, [[1, 2, 5], [3, 4, 5], [1, 2, 3, 4]])

@@ -24,7 +24,7 @@ from lyub import (
     rank,
     restricted_complex,
 )
-from lyub import hypercube
+from lyub import cohomology, hypercube
 from lyub.cohomology import reduced_cohomology_dims_all
 from lyub.combinatorics import (
     MonomialIdeal,
@@ -43,6 +43,7 @@ from .conftest import (
     nine_vars_ideal,
     primes_ideal,
     rp2_ideal,
+    ten_vars_ideal,
     tiny_ideals,
 )
 from .oracles import (
@@ -841,7 +842,11 @@ def test_edges_match_per_edge_solve_oracle(a5, ex53, ex57, ex52, f):
 
 
 # sha256 of every vertex dimension and edge matrix (rows, cols, data) of
-# every degree, recorded before the build reduced each coboundary once
+# every degree: a8, nine and a10 recorded before the build reduced each
+# coboundary once, ten and rp2 (duals of dimension 6 and 2, whose
+# restrictions have coboundaries out of zero degrees) before it took its
+# vertex dimensions from one cleared sweep and reduced only the
+# coboundaries out of nonzero degrees
 CUBE_SHA256 = {
     ("a8", "Q"): "f1c830d03e79217aafa733638e6ae63edcf8059dc4c22f73f8d3dcf57995f2a6",
     ("a8", "F2"): "12ab12aae1d0cf68d4f11d62d93e0e49e5ec15fac085291c4939b5b5872931c6",
@@ -849,17 +854,27 @@ CUBE_SHA256 = {
     ("nine", "F2"): "34a58ddac0921cb7aaae9d8a4a6ddc6709ffacfacb752967c57e48b5ecbce88d",
     ("a10", "Q"): "a0c9bf1be7186e93849649b4ea66706664a963712fc0becc44316692a6530490",
     ("a10", "F2"): "267c31f8ef76656c5930bfaf998f0d5822d882cac3b89c0dec68e3dfac5ac7c1",
+    ("ten", "Q"): "b579798111fd95085a2287c3def3a6d8d533e161d42f4b48c458ea13c418f0a8",
+    ("ten", "F2"): "710b73b83ee100ced6ac3e89ecc2faac52e1388151533c8a609f4fadaf300a50",
+    ("ten", "F3"): "a8cd3debad5e746d4059bba7143fb32f021ca700cfbd395174a91f893cb7e71c",
+    ("rp2", "Q"): "a5145a3a80d8a4d9cd20c7a282c63670148d8bdc14783b818f6e42ba8b30d30a",
+    ("rp2", "F2"): "89f8117372be628bec6e4cddd5e96f4defe73c4d1874ae432b31916174b4b137",
+}
+PINNED_IDEALS = {
+    "a8": lambda: cycle_nonedge_ideal(8),
+    "nine": nine_vars_ideal,
+    "a10": lambda: cycle_nonedge_ideal(10),
+    "ten": ten_vars_ideal,
+    "rp2": rp2_ideal,
 }
 
 
 @pytest.mark.parametrize(
-    "name, ideal",
-    [("a8", cycle_nonedge_ideal(8)), ("nine", nine_vars_ideal()), ("a10", cycle_nonedge_ideal(10))],
-    ids=["a8", "nine", "a10"],
+    "name, fname", list(CUBE_SHA256), ids=[f"{fname.lower()}-{name}" for name, fname in CUBE_SHA256],
 )
-@pytest.mark.parametrize("f", [QQ, F2], ids=["q", "f2"])
-def test_cubes_are_pinned_byte_for_byte(name, ideal, f):
+def test_cubes_are_pinned_byte_for_byte(name, fname):
     # repr tells an int from a Fraction, so scalar types are pinned too
+    ideal, f = PINNED_IDEALS[name](), {"Q": QQ, "F2": F2, "F3": F3}[fname]
     digest = hashlib.sha256()
     for r in range(ideal.n + 1):
         cube = build_hypercube(ideal, r, f)
@@ -965,17 +980,60 @@ def test_build_solves_each_distinct_restricted_complex_once(monkeypatch):
     assert sum(len(cube.dims) for cube in cubes) == 933
 
 
+def test_build_reduces_only_the_coboundaries_out_of_nonzero_degrees(monkeypatch):
+    # ten over Q: its 256 lattice masks select 199 distinct restricted
+    # complexes with 960 coboundaries among them.  The vertex dimensions
+    # come from one cleared sweep per complex, and the build reduces a
+    # coboundary only out of a nonzero degree: 124 of the 131 nonzero
+    # (complex, degree) pairs have a coboundary out, and so 124 calls of
+    # the build's own ``rref`` (``homology_space`` reduces through its own
+    # binding, ``linalg.rref``)
+    complexes, reduced = [], []
+    real_select, real_rref = hypercube.restrict_cochains, hypercube.rref
+
+    def selecting(cc, alpha):
+        complexes.append(real_select(cc, alpha))
+        return complexes[-1]
+
+    def reducing(mat):
+        reduced.append(mat)
+        return real_rref(mat)
+
+    monkeypatch.setattr(hypercube, "restrict_cochains", selecting)
+    monkeypatch.setattr(hypercube, "rref", reducing)
+    hypercube._build_all_degrees.__wrapped__(ten_vars_ideal(), QQ)  # never cached
+    distinct = {
+        (tuple(map(len, cc.basis)), tuple(tuple(d.data) for d in cc.coboundaries)): cc
+        for cc in complexes
+    }
+    outs = [
+        cc.coboundary(q) for cc in distinct.values() for q in cc.cohomology_dims()
+        if cc.coboundary(q) is not None
+    ]
+    cobs = sum(len(cc.coboundaries) for cc in distinct.values())
+    assert (len(complexes), len(distinct), cobs, len(outs), len(reduced)) == (256, 199, 960, 124, 124)
+    assert sorted((m.rows, m.cols, m.data) for m in reduced) == sorted(
+        (m.rows, m.cols, m.data) for m in outs
+    )
+
+
 @pytest.mark.parametrize(
     "shift, message",
     [(1, "negative homology dimension"), (-1, "cocycle space disagrees with coboundary ranks")],
     ids=["too-high", "too-low"],
 )
 def test_build_checks_vertex_dimensions_against_ranks_and_solves(monkeypatch, shift, message):
-    # the first coboundary of every restriction is ranked by ``rank`` alone.
-    # Ranked one too high, degree -1 gets a negative dimension; one too low,
-    # it gets a class that the solve, reducing that map itself, does not find
-    real = hypercube.rank
-    monkeypatch.setattr(hypercube, "rank", lambda mat: real(mat) + shift)
+    # the sweep of every restriction ranks its coboundaries in reverse, so
+    # the first coboundary's rank comes last.  Ranked one too high, degree
+    # -1 gets a negative dimension; one too low, it gets a class that the
+    # solve, reducing that map itself, does not find
+    real = cohomology.complex_ranks
+
+    def shifted(maps):
+        ranks = real(maps)
+        return [*ranks[:-1], ranks[-1] + shift] if ranks else ranks
+
+    monkeypatch.setattr(cohomology, "complex_ranks", shifted)
     with pytest.raises(ContractError, match=message):
         hypercube._build_all_degrees.__wrapped__(cycle_nonedge_ideal(5), QQ)
 
